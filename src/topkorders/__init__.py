@@ -15,7 +15,6 @@ from .augmented import (
     sample_augmented,
     sample_augmented_dataset,
 )
-from .backend import backend_name
 from .composite import (
     CompositeModel,
     composite_log_prob,
@@ -43,6 +42,7 @@ from .dataio import (
     summary_stats,
     write_dataset,
 )
+from .kernels import backend_name
 from .estimation import (
     ALL_VARIANTS,
     FitConfig,

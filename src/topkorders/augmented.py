@@ -154,21 +154,6 @@ def augmented_log_prob(
     return float(total)
 
 
-def a_log_prob(Q, params: AugmentedNaiveParams, universe=None, x_row=None) -> float:
-    universe = universe or Universe(params.m)
-    return augmented_log_prob(Q, AugmentedModel("a", params, universe), x_row)
-
-
-def apd_log_prob(Q, params: PositionDependentParams, universe=None, x_row=None) -> float:
-    universe = universe or Universe(params.m)
-    return augmented_log_prob(Q, AugmentedModel("a-pd", params, universe), x_row)
-
-
-def as_log_prob(Q, params: StratifiedAugmentedParams, universe=None, x_row=None) -> float:
-    universe = universe or Universe(params.m)
-    return augmented_log_prob(Q, AugmentedModel("a-s", params, universe), x_row)
-
-
 def sample_augmented(
     model: AugmentedModel,
     rng,

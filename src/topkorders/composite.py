@@ -76,10 +76,12 @@ def cci_log_prob(Q: PartialOrder, model: CompositeModel, x_row: np.ndarray) -> f
     ) + pl_log_marginal(Q, model.ranking_params, x_row)
 
 
-def cld_log_prob(Q: PartialOrder, model: CompositeModel) -> float:
+def cld_log_prob(
+    Q: PartialOrder, model: CompositeModel, x_row: np.ndarray | None = None
+) -> float:
     validate_order(Q, model.universe)
     return categorical_log_prob(len(Q), model.length_params) + stratified_log_prob(
-        Q, model.ranking_params
+        Q, model.ranking_params, x_row
     )
 
 
@@ -90,7 +92,7 @@ def composite_log_prob(
         return ci_log_prob(Q, model)
     if model.variant == "c-ci":
         return cci_log_prob(Q, model, x_row)
-    return cld_log_prob(Q, model)
+    return cld_log_prob(Q, model, x_row)
 
 
 def sample_composite(

@@ -20,14 +20,15 @@ from .augmented import (
     augmented_log_prob,
 )
 from .composite import CompositeModel, composite_log_prob
-from .kernels import apd_nll_grad, augs_nll_grad, pl_nll_grad
+from .kernels import apd_nll_grad, augs_nll_grad, pl_nll_grad, unchosen_mask
 from .lengthdist import (
     CategoricalLengthParams,
     PoissonLengthParams,
+    categorical_log_pmf,
     poisson_clipped_dlogp_dlam,
     poisson_clipped_log_pmf,
 )
-from .orders import Dataset, PartialOrder
+from .orders import Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
 
 ALL_VARIANTS = ("c-i", "c-ci", "c-ld", "a", "a-pd", "a-s")
@@ -265,7 +266,7 @@ class ParamLayout:
 
 
 # ---------------------------------------------------------------------------
-# NLL (public evaluation form: mean per record)
+# Per-record log-probabilities and the NLL (public evaluation form)
 # ---------------------------------------------------------------------------
 
 def model_log_prob(model, Q: PartialOrder, x_row=None) -> float:
@@ -274,20 +275,102 @@ def model_log_prob(model, Q: PartialOrder, x_row=None) -> float:
     return augmented_log_prob(Q, model, x_row)
 
 
+def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.ndarray:
+    """Log-probability of every record of D under model, through the batch kernels.
+
+    One kernel call covers the dataset (one per length stratum for c-ld).
+    ``condition_nonempty`` renormalizes augmented models on k >= 1 by
+    subtracting log(1 - P(empty)) from each record.
+    """
+    m = model.universe.m
+    items, lengths = D.to_padded()
+    if items.max() >= m:
+        raise InvalidOrderError(f"alternative id {items.max() + 1} outside [1, {m}]")
+    unchosen = unchosen_mask(items, m)
+    X = D.covariates.values if D.covariates is not None else None
+    ones = np.ones(D.n)
+    if isinstance(model, CompositeModel):
+        if lengths.min() == 0:
+            raise InvalidOrderError("empty order")
+        if model.variant == "c-ci":
+            if X is None:
+                raise ValueError("c-ci requires covariates")
+            lam, lp = _poisson_length(X.mean(axis=1), model.length_params.weights, lengths, m)
+            if not np.all(np.isfinite(lam)):
+                raise ValueError("non-finite Poisson rate")
+        else:
+            lp = categorical_log_pmf(model.length_params)[lengths - 1]
+        ranking = model.ranking_params
+        banks = ranking.banks if model.variant == "c-ld" else (ranking,)
+        strata = np.minimum(lengths, len(banks)) - 1
+        for b, bank in enumerate(banks):
+            rows = np.flatnonzero(strata == b)
+            U = _item_utilities(None if X is None else X[rows], bank.delta, bank.beta)
+            lp[rows] += pl_nll_grad(
+                items[rows], lengths[rows], unchosen[rows], ones[rows], U, grad=False
+            )[0]
+        return lp
+    p = model.params
+    if model.variant == "a-pd":
+        U = _item_utilities(X, p.theta, p.beta)
+        lp = apd_nll_grad(items, lengths, unchosen, ones, U, p.gamma, grad=False)[0]
+        first = np.hstack([U, np.full((U.shape[0], 1), p.gamma[0])])
+    else:
+        if model.variant == "a":
+            banks, betas = p.theta[None], None if p.beta is None else p.beta[None]
+        else:
+            banks, betas = p.banks, p.betas
+        U = _bank_utilities(X, banks, betas)
+        lp = augs_nll_grad(items, lengths, unchosen, ones, U, grad=False)[0].sum(axis=1)
+        first = U[:, 0]
+    if condition_nonempty:
+        lp = lp - np.log1p(-np.exp(first[:, m] - logsumexp(first, axis=1)))
+    return lp
+
+
 def nll(D: Dataset, model) -> float:
     """Mean negative log-probability over records; -inf log-probs abort."""
     if D.n == 0:
         raise ValueError("empty dataset")
-    total = 0.0
-    for i, q in enumerate(D.orders):
-        x_row = D.covariates.values[i] if D.covariates is not None else None
-        lp = model_log_prob(model, q, x_row)
-        if not np.isfinite(lp):
-            raise NonFiniteLossError(
-                f"record {i} ({list(q.items)}) has non-finite log-probability"
-            )
-        total += lp
-    return -total / D.n
+    lp = record_log_probs(model, D)
+    bad = np.flatnonzero(~np.isfinite(lp))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteLossError(
+            f"record {i} ({list(D.orders[i].items)}) has non-finite log-probability"
+        )
+    return -float(lp.sum()) / D.n
+
+
+def _item_utilities(X, delta, beta):
+    """Item utilities (1, ..., m) shared by all rows, or (n, ..., m) with
+    x_i . beta added to row i when the model is covariate-linear."""
+    if beta is None or beta.size == 0:
+        return delta[None]
+    if X is None:
+        raise ValueError("model has covariate weights but no covariates were given")
+    return delta + np.einsum("imd,...d->i...m", X, beta)
+
+
+def _bank_utilities(X, banks, betas):
+    """Augmented utilities (R, K, m+1) from banks (K, m+1); END takes no covariates."""
+    items = _item_utilities(X, banks[:, :-1], betas)
+    end = np.broadcast_to(banks[:, -1:], items.shape[:2] + (1,))
+    return np.concatenate([items, end], axis=2)
+
+
+def _chain(X, dU):
+    """Gradients w.r.t. (delta, beta) of sum(dU * U), U from _item_utilities."""
+    gdelta = dU.sum(axis=0)
+    if X is None:
+        return gdelta, np.zeros(gdelta.shape[:-1] + (0,))
+    return gdelta, np.einsum("imd,i...m->...d", X, dU)
+
+
+def _poisson_length(x_agent, rate_w, lengths, m):
+    """Rates lambda_i = exp(rate_w . x_i) and the clipped-Poisson log-probabilities."""
+    lam = np.exp(x_agent @ rate_w)
+    return lam, poisson_clipped_log_pmf(lam, m)[np.arange(lam.shape[0]), lengths - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +378,33 @@ def nll(D: Dataset, model) -> float:
 # ---------------------------------------------------------------------------
 
 class _FitData:
-    """Padded, duplicate-aggregated arrays prepared once per fit."""
+    """Padded arrays prepared once per fit, rows in order of length.
+
+    Without covariates, duplicate rows are merged and weighted by their
+    multiplicity; with covariates every record keeps its own row.
+    """
 
     def __init__(self, D: Dataset):
-        self.D = D
-        self.n = D.n
         self.m = D.universe.m
         items, lengths = D.to_padded()
-        self.items_raw = items
-        self.lengths_raw = lengths
         if D.covariates is None:
             rows = np.hstack([lengths[:, None], items])
             uniq, counts = np.unique(rows, axis=0, return_counts=True)
-            self.lengths = uniq[:, 0]
-            self.items = uniq[:, 1:]
-            self.weights = counts.astype(np.float64)
-        else:
-            self.lengths = lengths
-            self.items = items
-            self.weights = np.ones(self.n)
-        self.length_counts = np.bincount(lengths, minlength=self.m + 1)[
+            items, lengths, weights, X = uniq[:, 1:], uniq[:, 0], counts.astype(np.float64), None
+        else:  # in order of length, as the kernels take them
+            order = np.argsort(lengths, kind="stable")
+            items, lengths = items[order], lengths[order]
+            weights, X = np.ones(D.n), D.covariates.values[order]
+        self._set_rows(items, lengths, weights, X, unchosen_mask(items, self.m))
+
+    def _set_rows(self, items, lengths, weights, X, unchosen):
+        self.items, self.lengths, self.weights, self.X = items, lengths, weights, X
+        self.unchosen = unchosen
+        self.x_agent = None if X is None else X.mean(axis=1)  # the Poisson length features
+        self.n = int(weights.sum())
+        self.length_counts = np.bincount(lengths, weights=weights, minlength=self.m + 1)[
             : self.m + 1
-        ].astype(np.float64)
+        ]
 
 
 def objective_and_grad(
@@ -324,57 +412,66 @@ def objective_and_grad(
 ):
     """Return (F, dF/dflat) for the full dataset."""
     m, d, K = layout.m, layout.d, layout.K
-    n = data.n
-    lam = cfg.lambda_l2
+    n, w, X = data.n, data.weights, data.X
     grad = np.zeros_like(flat)
 
-    if variant == "c-i":
-        logits, delta = flat[:m], flat[m:]
-        f_len, g_len = _categorical_nll_grad(logits, data.length_counts, n)
-        ll, g_pl = pl_nll_grad(data.items, data.lengths, data.weights, delta)
-        F = f_len - ll / n
-        grad[:m] = g_len
-        grad[m:] = -g_pl / n
+    if variant in ("c-i", "c-ld"):
+        # c-i is c-ld with one bank and no covariates; each bank's ranking
+        # term is averaged over the records of its length stratum.
+        if variant == "c-i":
+            d, X = 0, None
+        F, grad[:m] = _categorical_nll_grad(flat[:m], data.length_counts, n)
+        banks = flat[m:].reshape(K, m + d)
+        gbanks = grad[m:].reshape(K, m + d)
+        strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
+        for b in range(K):
+            rows = slice(None) if K == 1 else np.flatnonzero(strata == b)
+            cnt = float(w[rows].sum())
+            if cnt == 0:
+                continue
+            Xb = None if X is None else X[rows]
+            U = _item_utilities(Xb, banks[b, :m], banks[b, m:])
+            logp, dU = pl_nll_grad(
+                data.items[rows], data.lengths[rows], data.unchosen[rows], w[rows], U
+            )
+            F -= w[rows] @ logp / cnt
+            gbanks[b, :m], gbanks[b, m:] = _chain(Xb, -dU / cnt)
     elif variant == "c-ci":
-        F, grad[:] = _cci_nll_grad(data, layout, flat)
-    elif variant == "c-ld":
-        F, grad[:] = _cld_nll_grad(data, layout, flat, cfg)
-        # Laplacian and per-bank l2 are handled below with the shared terms
-    elif variant == "a":
-        if d:
-            F, grad[:] = _aug_cov_nll_grad("a", data, layout, flat)
-        else:
-            ll_by, g, _ = augs_nll_grad(
-                data.items, data.lengths, data.weights, flat[None, :].copy()
-            )
-            F = -ll_by.sum() / n
-            grad[:] = -g[0] / n
+        rate_w, delta, beta = flat[:d], flat[d : d + m], flat[d + m :]
+        lam, len_lp = _poisson_length(data.x_agent, rate_w, data.lengths, m)
+        dlam = poisson_clipped_dlogp_dlam(data.lengths, lam, m)
+        logp, dU = pl_nll_grad(
+            data.items, data.lengths, data.unchosen, w, _item_utilities(X, delta, beta)
+        )
+        F = -(w @ (len_lp + logp)) / n
+        grad[:d] = -((w * dlam * lam) @ data.x_agent) / n
+        grad[d : d + m], grad[d + m :] = _chain(X, -dU / n)
     elif variant == "a-pd":
-        if d:
-            F, grad[:] = _aug_cov_nll_grad("a-pd", data, layout, flat)
-        else:
-            ll, gt, gg = apd_nll_grad(
-                data.items, data.lengths, data.weights, flat[:m], flat[m:]
-            )
-            F = -ll / n
-            grad[:m] = -gt / n
-            grad[m:] = -gg / n
-    elif variant == "a-s":
-        if d:
-            F, grad[:] = _aug_cov_nll_grad("a-s", data, layout, flat)
-        else:
-            banks = flat.reshape(K, m + 1)
-            ll_by, g, ev_by = augs_nll_grad(
-                data.items, data.lengths, data.weights, np.ascontiguousarray(banks)
-            )
-            scale = np.where(ev_by > 0, 1.0 / np.maximum(ev_by, 1.0), 0.0)
-            F = float(-(ll_by * scale).sum())
-            grad[:] = (-g * scale[:, None]).ravel()
+        theta, gamma, beta = flat[:m], flat[m : 2 * m], flat[2 * m :]
+        U = _item_utilities(X, theta, beta)
+        logp, dU, dgamma = apd_nll_grad(data.items, data.lengths, data.unchosen, w, U, gamma)
+        F = -(w @ logp) / n
+        grad[:m], grad[2 * m :] = _chain(X, -dU / n)
+        grad[m : 2 * m] = -dgamma / n
+    elif variant in ("a", "a-s"):
+        banks = flat.reshape(K, m + 1 + d)
+        U = _bank_utilities(X, banks[:, : m + 1], banks[:, m + 1 :])
+        logp, dU = augs_nll_grad(data.items, data.lengths, data.unchosen, w, U)
+        if variant == "a":
+            scale = np.full(K, 1.0 / n)
+        else:  # each bank's log-likelihood is averaged over the choices it made
+            ev = _bank_event_counts(data.lengths, w, m, K)
+            scale = np.where(ev > 0, 1.0 / np.maximum(ev, 1.0), 0.0)
+        F = -((w @ logp) @ scale)
+        dU = -dU * scale[:, None]
+        gbanks = grad.reshape(K, m + 1 + d)
+        gbanks[:, :m], gbanks[:, m + 1 :] = _chain(X, dU[..., :m])
+        gbanks[:, m] = dU[..., m].sum(axis=0)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    F += l2_penalty(flat, lam)
-    grad += 2.0 * lam * flat
+    F += l2_penalty(flat, cfg.lambda_l2)
+    grad += 2.0 * cfg.lambda_l2 * flat
 
     if variant in ("c-ld", "a-s") and cfg.lambda_laplacian:
         if variant == "c-ld":
@@ -396,154 +493,11 @@ def _categorical_nll_grad(logits, length_counts, n):
     return float(f), g
 
 
-def _pl_record_ll_grad(items0, u):
-    """Log-prob of one record's sequential choices; gradient w.r.t. utilities."""
-    ml = u.shape[0]
-    avail = np.ones(ml, dtype=bool)
-    dll = np.zeros(ml)
-    ll = 0.0
-    for a in items0:
-        z = logsumexp(u[avail])
-        ll += u[a] - z
-        p = np.zeros(ml)
-        p[avail] = np.exp(u[avail] - z)
-        dll -= p
-        dll[a] += 1.0
-        avail[a] = False
-    return ll, dll
-
-
-def _cci_nll_grad(data: _FitData, layout: ParamLayout, flat):
-    m, d = layout.m, layout.d
-    rate_w, delta, beta = flat[:d], flat[d : d + m], flat[d + m :]
-    X = data.D.covariates.values
-    n = data.n
-    F = 0.0
-    grad = np.zeros_like(flat)
-    for i in range(n):
-        x_row = X[i]
-        x_agent = x_row.mean(axis=0)
-        k = int(data.lengths_raw[i])
-        lam_rate = float(np.exp(rate_w @ x_agent))
-        F -= poisson_clipped_log_pmf(lam_rate, m)[k - 1]
-        dld = poisson_clipped_dlogp_dlam(k, lam_rate, m)
-        grad[:d] -= dld * lam_rate * x_agent
-        u = delta + x_row @ beta
-        items0 = data.items_raw[i, :k]
-        ll, dll = _pl_record_ll_grad(items0, u)
-        F -= ll
-        grad[d : d + m] -= dll
-        grad[d + m :] -= x_row.T @ dll
-    return F / n, grad / n
-
-
-def _cld_nll_grad(data: _FitData, layout: ParamLayout, flat, cfg: FitConfig):
-    m, d, K = layout.m, layout.d, layout.K
-    n = data.n
-    logits = flat[:m]
-    banks = flat[m:].reshape(K, m + d)
-    F, g_len = _categorical_nll_grad(logits, data.length_counts, n)
-    grad = np.zeros_like(flat)
-    grad[:m] = g_len
-    strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
-    for b in range(K):
-        mask = strata == b
-        cnt = float(data.weights[mask].sum())
-        if cnt == 0:
-            continue
-        if d == 0:
-            ll, g = pl_nll_grad(
-                np.ascontiguousarray(data.items[mask]),
-                np.ascontiguousarray(data.lengths[mask]),
-                np.ascontiguousarray(data.weights[mask]),
-                np.ascontiguousarray(banks[b, :m]),
-            )
-            F += -ll / cnt
-            grad[m + b * m : m + (b + 1) * m] = -g / cnt
-        else:
-            X = data.D.covariates.values
-            gb = np.zeros(m + d)
-            ll_sum = 0.0
-            for i in np.flatnonzero(mask):
-                x_row = X[i]
-                u = banks[b, :m] + x_row @ banks[b, m:]
-                k = int(data.lengths[i])
-                ll, dll = _pl_record_ll_grad(data.items[i, :k], u)
-                ll_sum += ll
-                gb[:m] += dll
-                gb[m:] += x_row.T @ dll
-            F += -ll_sum / cnt
-            lo = m + b * (m + d)
-            grad[lo : lo + m + d] = -gb / cnt
-    return F, grad
-
-
-def _aug_cov_nll_grad(variant, data: _FitData, layout: ParamLayout, flat):
-    """Per-record event loop for covariate-linear augmented models."""
-    m, d, K = layout.m, layout.d, layout.K
-    n = data.n
-    X = data.D.covariates.values
-    grad = np.zeros_like(flat)
-    if variant == "a-s":
-        banks = flat.reshape(K, m + 1 + d)
-        ll_by = np.zeros(K)
-        ev_by = np.zeros(K)
-        g_by = np.zeros_like(banks)
-    else:
-        F = 0.0
-
-    for i in range(n):
-        x_row = X[i]
-        k = int(data.lengths_raw[i])
-        events = list(data.items_raw[i, :k])
-        if k < m:
-            events.append(-1)  # END
-        avail = np.ones(m + 1, dtype=bool)
-        for pos, chosen in enumerate(events, start=1):
-            if variant == "a":
-                u = np.empty(m + 1)
-                u[:m] = flat[:m] + x_row @ flat[m + 1 :]
-                u[m] = flat[m]
-            elif variant == "a-pd":
-                u = np.empty(m + 1)
-                u[:m] = flat[:m] + x_row @ flat[2 * m :]
-                u[m] = flat[m + pos - 1]
-            else:
-                b = min(pos, K) - 1
-                u = banks[b, : m + 1].copy()
-                u[:m] += x_row @ banks[b, m + 1 :]
-            c = m if chosen == -1 else int(chosen)
-            z = logsumexp(u[avail])
-            ll = u[c] - z
-            p = np.zeros(m + 1)
-            p[avail] = np.exp(u[avail] - z)
-            dll = -p
-            dll[c] += 1.0
-            if variant == "a":
-                F -= ll
-                grad[:m] -= dll[:m]
-                grad[m] -= dll[m]
-                grad[m + 1 :] -= x_row.T @ dll[:m]
-            elif variant == "a-pd":
-                F -= ll
-                grad[:m] -= dll[:m]
-                grad[m + pos - 1] -= dll[m]
-                grad[2 * m :] -= x_row.T @ dll[:m]
-            else:
-                b = min(pos, K) - 1
-                ll_by[b] += ll
-                ev_by[b] += 1.0
-                g_by[b, : m + 1] += dll
-                g_by[b, m + 1 :] += x_row.T @ dll[:m]
-            if c < m:
-                avail[c] = False
-    if variant == "a-s":
-        scale = np.where(ev_by > 0, 1.0 / np.maximum(ev_by, 1.0), 0.0)
-        F = float(-(ll_by * scale).sum())
-        grad[:] = (-g_by * scale[:, None]).ravel()
-        return F, grad
-    return F / n, grad / n
-
+def _bank_event_counts(lengths, weights, m, K):
+    """Weighted number of choices made with each bank (k items, plus END if k < m)."""
+    per_row = np.maximum((lengths + (lengths < m))[:, None] - np.arange(K), 0)
+    per_row[:, :-1] = np.minimum(per_row[:, :-1], 1)
+    return weights @ per_row
 
 # ---------------------------------------------------------------------------
 # Fitting
@@ -626,20 +580,14 @@ def _adam_step(flat, g, mom, vel, t, lr, b1, b2, eps):
 
 def _subset_fitdata(data: _FitData, rows):
     sub = _FitData.__new__(_FitData)
-    sub.D = data.D
     sub.m = data.m
-    sub.items = data.items[rows]
-    sub.lengths = data.lengths[rows]
-    sub.weights = data.weights[rows]
-    sub.items_raw = data.items_raw[rows] if data.D.covariates is not None else sub.items
-    sub.lengths_raw = (
-        data.lengths_raw[rows] if data.D.covariates is not None else sub.lengths
+    sub._set_rows(
+        data.items[rows],
+        data.lengths[rows],
+        data.weights[rows],
+        None if data.X is None else data.X[rows],
+        data.unchosen[rows],
     )
-    sub.n = int(sub.weights.sum())
-    counts = np.zeros(data.m + 1)
-    for ln, w in zip(sub.lengths, sub.weights):
-        counts[int(ln)] += w
-    sub.length_counts = counts
     return sub
 
 

@@ -1,11 +1,10 @@
 """Held-out evaluation, synthetic replication, and plot-data emission."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import AugmentedModel, empty_list_log_prob, sample_augmented_dataset
+from .augmented import sample_augmented_dataset
 from .composite import CompositeModel, sample_composite_dataset
 from .orders import Dataset
 
@@ -27,24 +26,15 @@ def test_nll(model, D_test: Dataset, condition_nonempty: bool = False) -> TestNL
     ``condition_nonempty`` renormalizes augmented models on k >= 1 by
     subtracting log(1 - P(empty)) per record.
     """
-    from .estimation import model_log_prob
+    from .estimation import record_log_probs
 
     if D_test.n == 0:
         raise ValueError("empty test set")
-    total = 0.0
-    n_inf = 0
-    for i, q in enumerate(D_test.orders):
-        x_row = D_test.covariates.values[i] if D_test.covariates is not None else None
-        lp = model_log_prob(model, q, x_row)
-        if condition_nonempty and isinstance(model, AugmentedModel):
-            lp -= math.log1p(-math.exp(empty_list_log_prob(model, x_row)))
-        if not np.isfinite(lp):
-            n_inf += 1
-        else:
-            total += lp
+    lp = record_log_probs(model, D_test, condition_nonempty)
+    n_inf = int(np.count_nonzero(~np.isfinite(lp)))
     if n_inf:
         return TestNLL(float("inf"), n_inf)
-    return TestNLL(-total / D_test.n, 0)
+    return TestNLL(-float(lp.sum()) / D_test.n, 0)
 
 
 def replicate_sample(

@@ -1,268 +1,234 @@
-"""Batch log-likelihood and gradient kernels for covariate-free models.
+"""Batch log-likelihood and gradient kernels for all six model variants.
 
-Inputs are padded ballot arrays: ``items`` is (n, kmax) of 0-based ids with
--1 padding, ``lengths`` (n,), and ``weights`` (n,) multiplicities. Every
-kernel returns weighted log-likelihood sums and the gradient of that sum
-with respect to the raw parameters.
+Every model is a sequence of softmax choices from a shrinking set. The
+Plackett-Luce kernel serves the composite rankings; the two augmented
+kernels add END as the (m+1)-th option, with one utility vector per rank
+bank (``augs_nll_grad``; naive A is K = 1) or one END utility per position
+(``apd_nll_grad``).
 
-Each kernel has an explicit-loop implementation (numba-compiled when the
-numba backend is active) and a vectorized pure-numpy implementation; the
-public names dispatch on the backend. Both are exercised by the tests and
-compared by the benchmark script.
+Inputs are padded ballot arrays: ``items`` (n, kmax) of 0-based ids with -1
+padding, ``lengths`` (n,), ``unchosen`` (n, m), 1.0 where an item is not on
+the row's list (see :func:`unchosen_mask`), and ``weights`` (n,)
+multiplicities. Utilities are per row: their leading axis R is 1, shared by
+every row (covariate-free models, on deduplicated rows), or n, where row i
+carries delta + x_i . beta.
+
+Each kernel returns the per-row log-probabilities and, unless ``grad`` is
+false, the gradient of sum_i w_i log p_i with respect to the utilities, in
+the utilities' shape; with R = 1 it is summed over rows.
+
+The kernels walk the choice positions from last to first over rows sorted
+by list length (sorting a copy when the caller's rows are not), so position
+j touches only the rows that make a choice there and the work grows with
+the number of choices, not with n times the longest list. The mass left at
+each choice is a sum of positive terms: the row's unchosen items (and END)
+plus a suffix sum over the list items not chosen yet. Subtracting the
+chosen prefix from the total mass instead loses all precision once the
+utility spread passes about 36.
 """
 
 import numpy as np
 
-from .backend import USE_NUMBA, maybe_jit
+
+def backend_name() -> str:
+    """The kernel implementation in use, recorded by benchmark runs."""
+    return "numpy"
+
+
+def unchosen_mask(items: np.ndarray, m: int) -> np.ndarray:
+    """(n, m) float mask: 1.0 where item a is not on row i's list."""
+    n = items.shape[0]
+    mask = np.ones((n, m + 1))
+    mask[np.arange(n)[:, None], np.where(items >= 0, items, m)] = 0.0
+    return np.ascontiguousarray(mask[:, :m])
+
+
+class _Rows:
+    """The rows sorted by length, with their ids stored position by position.
+
+    ``lo[j]`` is the first row of length >= j, so position j lists an item
+    in rows lo[j+1]..n-1 and ends the list (END) in rows lo[j]..lo[j+1]-1.
+    """
+
+    def __init__(self, items, lengths, unchosen, weights, J):
+        self.order = None
+        if np.any(lengths[1:] < lengths[:-1]):
+            self.order = np.argsort(lengths, kind="stable")
+            items, lengths = items[self.order], lengths[self.order]
+            unchosen, weights = unchosen[self.order], weights[self.order]
+        self.n, self.J = lengths.shape[0], J
+        self.ids = np.full((J, self.n), -1, dtype=np.int64)
+        self.ids[: items.shape[1]] = items.T
+        self.lo = np.searchsorted(lengths, np.arange(J + 1))
+        self.unchosen, self.weights = unchosen, weights
+
+    def sort(self, u):
+        """Per-row utilities (R = n) in the sorted row order."""
+        return u if self.order is None or u.shape[0] == 1 else u[self.order]
+
+    def unsort(self, x):
+        """A per-row result back in the caller's row order."""
+        if self.order is None or x is None or x.shape[0] != self.n:
+            return x
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
+def _at(v, ids, a):
+    """v[i, ids[i - a]] for rows i = a..n-1; v is (R, m), row 0 when R = 1."""
+    if v.shape[0] == 1:
+        return v[0][ids]
+    return v[np.arange(a, a + ids.shape[0]), ids]
+
+
+def _col(v, j, a, b):
+    """Column j of v (R, J) for rows a..b-1: a scalar when R = 1."""
+    return v[0, j] if v.shape[0] == 1 else v[a:b, j]
+
+
+def _pad(x, size):
+    """x right-aligned in zeros of length ``size`` (rows n-size..n-1)."""
+    out = np.zeros(size)
+    out[size - x.shape[0]:] = x
+    return out
+
+
+def _free(unchosen, e):
+    """Per-row mass of the items not on the row's list; e is (R, m)."""
+    return unchosen @ e[0] if e.shape[0] == 1 else np.einsum("ia,ia->i", unchosen, e)
+
+
+def _pass(rows, e, t, p0, p1, end_e=None, end_t=None, grad=True):
+    """The choices at positions p0 <= j < p1, all made with one utility set.
+
+    e and t are the (R, m) exp-shifted and shifted item utilities; end_e and
+    end_t the (R, J) END utilities by position, or None where END is no
+    option (Plackett-Luce). Items listed from p1 on count in the remaining
+    mass; items listed before p0 are gone at p0..p1-1, which only the
+    gradient sees.
+
+    Returns the rows' log-probability terms (n,) and, unless grad is false,
+    the gradients w.r.t. the item utilities (R, m) and the END utilities
+    (R, J) of sum_i w_i log p_i.
+    """
+    n, lo, w = rows.n, rows.lo, rows.weights
+    R, m = e.shape
+    free = _free(rows.unchosen, e)
+    logp = np.zeros(n)
+    acc = np.zeros(0)  # mass of the items listed at positions >= j
+    tail = np.zeros(0)  # weight over remaining mass, summed over later choices
+    dense = np.zeros(n)
+    idx, vals = [], []  # gradient terms of the items listed at each position
+    g_end = np.zeros((R, rows.J)) if grad and end_e is not None else None
+    for j in range(rows.J - 1, -1 if grad else p0 - 1, -1):
+        a = lo[j + 1]
+        ids = rows.ids[j, a:]
+        E = _at(e, ids, a)
+        if j >= p0:
+            acc = E + _pad(acc, n - a)
+        if p0 <= j < p1:
+            b = a if end_e is None else lo[j]  # rows choosing an item or END at j
+            rem = _pad(acc, n - b) + free[b:]
+            if end_e is not None:
+                rem += _col(end_e, j, b, n)
+            log_rem = np.log(rem)
+            logp[a:] += _at(t, ids, a) - log_rem[a - b :]
+            if end_e is not None:
+                logp[b:a] += _col(end_t, j, b, a) - log_rem[: a - b]
+            if not grad:
+                continue
+            inv = w[b:] / rem
+            idx.append((a, ids))
+            vals.append(w[a:] + E * _pad(tail, n - a))
+            tail = inv + _pad(tail, n - b)
+            dense[b:] += inv
+            if end_e is not None:
+                if R == 1:
+                    g_end[0, j] = w[b:a].sum() - end_e[0, j] * inv.sum()
+                else:
+                    g_end[b:, j] = -end_e[b:, j] * inv
+                    g_end[b:a, j] += w[b:a]
+        elif j < p0 and tail.size:  # item j is gone at the pass's choices
+            idx.append((a, ids))
+            vals.append(E * _pad(tail, n - a))
+    if not grad:
+        return logp, None, None
+    dense = dense.sum(keepdims=True) if R == 1 else dense
+    g = -e * dense[:, None]
+    if idx:
+        at = [ids if R == 1 else ids + m * np.arange(a, n) for a, ids in idx]
+        g += np.bincount(np.concatenate(at), np.concatenate(vals), minlength=R * m).reshape(R, m)
+    return logp, g, g_end
 
 
 # ---------------------------------------------------------------------------
 # Plackett-Luce over the plain universe (composite ranking component)
 # ---------------------------------------------------------------------------
 
-def _pl_loop(items, lengths, weights, theta):
-    n, kmax = items.shape
-    m = theta.shape[0]
-    shift = theta.max()
-    e = np.exp(theta - shift)
-    S = e.sum()
-    grad = np.zeros(m)
-    total = 0.0
-    invcum = np.empty(kmax)
-    for i in range(n):
-        w = weights[i]
-        k = lengths[i]
-        rem = S
-        acc = 0.0
-        for j in range(k):
-            a = items[i, j]
-            total += w * (theta[a] - shift - np.log(rem))
-            acc += 1.0 / rem
-            invcum[j] = acc
-            rem -= e[a]
-        if k > 0:
-            invtot = invcum[k - 1]
-            for a in range(m):
-                grad[a] -= w * e[a] * invtot
-            for j in range(k):
-                a = items[i, j]
-                grad[a] += w * (1.0 + e[a] * (invtot - invcum[j]))
-    return total, grad
-
-
-_pl_loop_jit = maybe_jit(_pl_loop)
-
-
-def pl_nll_grad_numpy(items, lengths, weights, theta):
-    """Vectorized twin of the loop kernel; identical contract."""
-    n, kmax = items.shape
-    m = theta.shape[0]
-    shift = theta.max()
-    e = np.exp(theta - shift)
-    S = e.sum()
-    valid = items >= 0
-    it = np.where(valid, items, 0)
-    ei = e[it] * valid
-    rem = S - (np.cumsum(ei, axis=1) - ei)
-    rem_safe = np.where(valid, rem, 1.0)
-    ll = (((theta - shift)[it] - np.log(rem_safe)) * valid).sum(axis=1)
-    total = float(weights @ ll)
-    inv = np.where(valid, 1.0 / rem_safe, 0.0)
-    invcum = np.cumsum(inv, axis=1)
-    invtot = invcum[:, -1]
-    grad = -e * float(weights @ invtot)
-    corr = weights[:, None] * (1.0 + e[it] * (invtot[:, None] - invcum))
-    np.add.at(grad, it[valid], corr[valid])
-    return total, grad
-
-
-def pl_nll_grad(items, lengths, weights, theta):
-    """Weighted sum of PL log-marginals and its gradient w.r.t. theta (m,)."""
-    if USE_NUMBA:
-        return _pl_loop_jit(items, lengths, weights, theta)
-    return pl_nll_grad_numpy(items, lengths, weights, theta)
+def pl_nll_grad(items, lengths, unchosen, weights, theta, grad=True):
+    """PL log-marginals (n,) of the rows under theta (R, m), and the gradient."""
+    rows = _Rows(items, lengths, unchosen, weights, items.shape[1])
+    theta = rows.sort(theta)
+    t = theta - theta.max(axis=1, keepdims=True)
+    logp, g, _ = _pass(rows, np.exp(t), t, 0, rows.J, grad=grad)
+    return rows.unsort(logp), rows.unsort(g)
 
 
 # ---------------------------------------------------------------------------
 # Stratified augmented model (naive A is the K=1 case)
 # ---------------------------------------------------------------------------
 
-def _augs_loop(items, lengths, weights, banks):
-    K, mp1 = banks.shape
-    m = mp1 - 1
-    n, kmax = items.shape
-    shifts = np.empty(K)
-    e = np.empty((K, mp1))
-    S = np.empty(K)
-    for b in range(K):
-        shifts[b] = banks[b].max()
-        for a in range(mp1):
-            e[b, a] = np.exp(banks[b, a] - shifts[b])
-        S[b] = e[b].sum()
-    ll_by = np.zeros(K)
-    ev_by = np.zeros(K)
-    grad = np.zeros((K, mp1))
-    for i in range(n):
-        w = weights[i]
-        k = lengths[i]
-        nev = k if k == m else k + 1
-        for j in range(1, nev + 1):
-            b = min(j, K) - 1
-            rem = S[b]
-            for t in range(j - 1):
-                rem -= e[b, items[i, t]]
-            c = m if j == k + 1 else items[i, j - 1]
-            ll_by[b] += w * (banks[b, c] - shifts[b] - np.log(rem))
-            ev_by[b] += w
-            grad[b, c] += w
-            inv = w / rem
-            for a in range(mp1):
-                grad[b, a] -= e[b, a] * inv
-            for t in range(j - 1):
-                a = items[i, t]
-                grad[b, a] += e[b, a] * inv
-    return ll_by, grad, ev_by
+def augs_nll_grad(items, lengths, unchosen, weights, banks, grad=True):
+    """Augmented log-probabilities (n, K) under banks (R, K, m+1), and the gradient.
 
-
-_augs_loop_jit = maybe_jit(_augs_loop)
-
-
-def augs_nll_grad_numpy(items, lengths, weights, banks):
-    """Vectorized twin: per-position columns, bank-specific prefix sums."""
-    K, mp1 = banks.shape
-    m = mp1 - 1
-    n, kmax = items.shape
-    shifts = banks.max(axis=1)
-    e = np.exp(banks - shifts[:, None])
-    S = e.sum(axis=1)
-    ll_by = np.zeros(K)
-    ev_by = np.zeros(K)
-    grad = np.zeros((K, mp1))
-    for j in range(1, kmax + 2):
-        b = min(j, K) - 1
-        item_rows = np.flatnonzero(lengths >= j)
-        term_rows = np.flatnonzero((lengths == j - 1) & (lengths < m))
-        for rows, terminal in ((item_rows, False), (term_rows, True)):
-            if rows.size == 0:
-                continue
-            prefix_items = items[rows, : j - 1]
-            rem = S[b] - e[b][prefix_items].sum(axis=1)
-            chosen = np.full(rows.size, m) if terminal else items[rows, j - 1]
-            w = weights[rows]
-            ll_by[b] += w @ (banks[b][chosen] - shifts[b] - np.log(rem))
-            ev_by[b] += w.sum()
-            np.add.at(grad[b], chosen, w)
-            inv = w / rem
-            grad[b] -= e[b] * inv.sum()
-            if j > 1:
-                np.add.at(grad[b], prefix_items.ravel(),
-                          (e[b][prefix_items] * inv[:, None]).ravel())
-    return ll_by, grad, ev_by
-
-
-def augs_nll_grad(items, lengths, weights, banks):
-    """Per-stratum weighted log-likelihood sums, gradient (K, m+1), event counts.
-
-    Position j (1-based, including the terminal END choice at k+1) belongs
-    to stratum min(j, K). Records with k = m have no terminal factor.
+    Choice position j (1-based, the terminal END choice at k+1 included)
+    uses bank min(j, K); rows with k = m have no terminal choice. Column b
+    of the log-probabilities holds the choices made with bank b, so the
+    gradient of bank b is that of the weighted column-b sum alone.
     """
-    if USE_NUMBA:
-        return _augs_loop_jit(items, lengths, weights, banks)
-    return augs_nll_grad_numpy(items, lengths, weights, banks)
+    R, K, mp1 = banks.shape
+    m = mp1 - 1
+    rows = _Rows(items, lengths, unchosen, weights, min(items.shape[1] + 1, m))
+    banks = rows.sort(banks)
+    t = banks - banks.max(axis=2, keepdims=True)
+    e = np.exp(t)
+    logp = np.zeros((rows.n, K))
+    g = np.zeros((R, K, mp1)) if grad else None
+    for b in range(min(K, rows.J)):
+        p1 = b + 1 if b < K - 1 else rows.J
+        end_e, end_t = (np.broadcast_to(v[:, b, m:], (R, rows.J)) for v in (e, t))
+        logp[:, b], g_items, g_end = _pass(
+            rows, e[:, b, :m], t[:, b, :m], b, p1, end_e, end_t, grad
+        )
+        if grad:
+            g[:, b, :m] = g_items
+            g[:, b, m] = g_end.sum(axis=1)
+    return rows.unsort(logp), rows.unsort(g)
 
 
 # ---------------------------------------------------------------------------
 # Position-dependent augmented model (A-PD)
 # ---------------------------------------------------------------------------
 
-def _apd_loop(items, lengths, weights, theta, gamma):
-    m = theta.shape[0]
-    n, kmax = items.shape
-    shift = max(theta.max(), gamma.max())
-    e = np.exp(theta - shift)
-    eg = np.exp(gamma - shift)
-    S = e.sum()
-    total = 0.0
-    gtheta = np.zeros(m)
-    ggamma = np.zeros(m)
-    for i in range(n):
-        w = weights[i]
-        k = lengths[i]
-        rem_items = S
-        for j in range(1, k + 1):
-            denom = eg[j - 1] + rem_items
-            c = items[i, j - 1]
-            total += w * (theta[c] - shift - np.log(denom))
-            gtheta[c] += w
-            inv = w / denom
-            ggamma[j - 1] -= eg[j - 1] * inv
-            for a in range(m):
-                gtheta[a] -= e[a] * inv
-            for t in range(j - 1):
-                a = items[i, t]
-                gtheta[a] += e[a] * inv
-            rem_items -= e[c]
-        if k < m:
-            denom = eg[k] + rem_items
-            total += w * (gamma[k] - shift - np.log(denom))
-            inv = w / denom
-            ggamma[k] += w * (1.0 - eg[k] / denom)
-            for a in range(m):
-                gtheta[a] -= e[a] * inv
-            for t in range(k):
-                a = items[i, t]
-                gtheta[a] += e[a] * inv
-    return total, gtheta, ggamma
+def apd_nll_grad(items, lengths, unchosen, weights, theta, gamma, grad=True):
+    """A-PD log-probabilities (n,) under item utilities theta (R, m) and END
+    utilities gamma (m,), with gradients w.r.t. theta and gamma."""
+    R, m = theta.shape
+    rows = _Rows(items, lengths, unchosen, weights, min(items.shape[1] + 1, m))
+    theta = rows.sort(theta)
+    shift = np.maximum(theta.max(axis=1), gamma.max())[:, None]
+    t = theta - shift
+    tg = gamma[: rows.J] - shift
+    logp, g_theta, g_end = _pass(rows, np.exp(t), t, 0, rows.J, np.exp(tg), tg, grad)
+    if not grad:
+        return rows.unsort(logp), None, None
+    g_gamma = np.zeros(m)
+    g_gamma[: rows.J] = g_end.sum(axis=0)
+    return rows.unsort(logp), rows.unsort(g_theta), g_gamma
 
 
-_apd_loop_jit = maybe_jit(_apd_loop)
-
-
-def apd_nll_grad_numpy(items, lengths, weights, theta, gamma):
-    m = theta.shape[0]
-    n, kmax = items.shape
-    shift = max(theta.max(), gamma.max())
-    e = np.exp(theta - shift)
-    eg = np.exp(gamma - shift)
-    S = e.sum()
-    total = 0.0
-    gtheta = np.zeros(m)
-    ggamma = np.zeros(m)
-    for j in range(1, kmax + 2):
-        item_rows = np.flatnonzero(lengths >= j)
-        term_rows = np.flatnonzero((lengths == j - 1) & (lengths < m))
-        for rows, terminal in ((item_rows, False), (term_rows, True)):
-            if rows.size == 0 or (not terminal and j > kmax):
-                continue
-            prefix_items = items[rows, : j - 1]
-            rem = S - e[prefix_items].sum(axis=1)
-            denom = eg[j - 1] + rem
-            w = weights[rows]
-            inv = w / denom
-            if terminal:
-                total += float(w @ (gamma[j - 1] - shift - np.log(denom)))
-                ggamma[j - 1] += float((w * (1.0 - eg[j - 1] / denom)).sum())
-            else:
-                chosen = items[rows, j - 1]
-                total += float(w @ (theta[chosen] - shift - np.log(denom)))
-                np.add.at(gtheta, chosen, w)
-                ggamma[j - 1] -= eg[j - 1] * float(inv.sum())
-            gtheta -= e * float(inv.sum())
-            if j > 1:
-                np.add.at(gtheta, prefix_items.ravel(),
-                          (e[prefix_items] * inv[:, None]).ravel())
-    return total, gtheta, ggamma
-
-
-def apd_nll_grad(items, lengths, weights, theta, gamma):
-    """Weighted A-PD log-likelihood sum and gradients w.r.t. theta and gamma."""
-    if USE_NUMBA:
-        return _apd_loop_jit(items, lengths, weights, theta, gamma)
-    return apd_nll_grad_numpy(items, lengths, weights, theta, gamma)
-
-
-ALL_IMPLEMENTATIONS = {
-    "pl": {"loop": _pl_loop, "numpy": pl_nll_grad_numpy},
-    "aug-s": {"loop": _augs_loop, "numpy": augs_nll_grad_numpy},
-    "a-pd": {"loop": _apd_loop, "numpy": apd_nll_grad_numpy},
-}
+# The numpy kernels under their former explicit names, kept for importers.
+pl_nll_grad_numpy = pl_nll_grad
+augs_nll_grad_numpy = augs_nll_grad
+apd_nll_grad_numpy = apd_nll_grad

@@ -9,8 +9,7 @@ so the support sums to one.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import poisson
+from scipy.special import gammaln, logsumexp, pdtrc, xlogy
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,27 @@ def poisson_rate(x_agent: np.ndarray, params: PoissonLengthParams) -> float:
     return lam
 
 
-def poisson_clipped_log_pmf(lam: float, m: int) -> np.ndarray:
-    """Log pmf over k = 1..m of a Poisson(lam) with boundary absorption."""
+def poisson_clipped_log_pmf(lam, m: int) -> np.ndarray:
+    """Log pmf over k = 1..m of a Poisson(lam) with boundary absorption.
+
+    ``lam`` may be an array of rates; the result then has shape
+    ``lam.shape + (m,)``.
+    """
+    lam = np.asarray(lam, dtype=np.float64)[..., None]
     if m == 1:
-        return np.zeros(1)
+        return np.zeros(lam.shape)
     ks = np.arange(1, m + 1)
     logp = ks * np.log(lam) - lam - gammaln(ks + 1)
     # k=1 absorbs the k=0 mass; k=m absorbs the upper tail, computed as a
     # stable complementary sum 1 - CDF(m-1).
-    logp[0] = np.logaddexp(-lam, logp[0])
-    logp[-1] = poisson.logsf(m - 1, lam)
+    logp[..., 0] = np.logaddexp(-lam[..., 0], logp[..., 0])
+    logp[..., -1] = _poisson_logsf(m - 1, lam[..., 0])
     return logp
+
+
+def _poisson_logsf(k, lam):
+    """log P(X > k) for X ~ Poisson(lam)."""
+    return np.log(pdtrc(k, lam))
 
 
 def poisson_clipped_log_prob(
@@ -82,17 +91,20 @@ def poisson_clipped_log_prob(
     return float(poisson_clipped_log_pmf(lam, params.m)[k - 1])
 
 
-def poisson_clipped_dlogp_dlam(k: int, lam: float, m: int) -> float:
-    """d/dlambda of the clipped log pmf at k; used by the analytic gradients."""
+def poisson_clipped_dlogp_dlam(k, lam, m: int):
+    """d/dlambda of the clipped log pmf at k; used by the analytic gradients.
+
+    ``k`` and ``lam`` broadcast against each other.
+    """
+    k = np.asarray(k)
+    lam = np.asarray(lam, dtype=np.float64)
     if m == 1:
-        return 0.0
-    if k == 1:
-        # P(1) = e^-lam (1 + lam); dlog/dlam = -lam / (1 + lam)
-        return -lam / (1.0 + lam)
-    if k < m:
-        return k / lam - 1.0
-    # d/dlam P(X >= m) = pmf(m-1; lam)
-    return float(np.exp(poisson.logpmf(m - 1, lam) - poisson.logsf(m - 1, lam)))
+        return np.zeros(np.broadcast(k, lam).shape)[()]
+    # P(1) = e^-lam (1 + lam), so dlog/dlam = -lam / (1 + lam); for the
+    # absorbed upper tail, d/dlam P(X >= m) = pmf(m-1; lam).
+    upper = np.exp(xlogy(m - 1, lam) - gammaln(m) - lam - _poisson_logsf(m - 1, lam))
+    out = np.where(k == 1, -lam / (1.0 + lam), np.where(k < m, k / lam - 1.0, upper))
+    return out[()]
 
 
 def sample_length(params, x_agent=None, rng=None) -> int:

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topkorders
 from topkorders import Dataset, Universe, parse_preflib, write_dataset
 from topkorders.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _parse_grid, main
 from util import random_orders
@@ -167,3 +171,15 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc in (EXIT_NUMERIC, EXIT_OK)  # overflow path must not crash
     if rc == EXIT_NUMERIC:
         assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """Importing scipy.stats costs most of a second of every CLI start."""
+    src = str(Path(topkorders.__file__).resolve().parents[1])
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, topkorders.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

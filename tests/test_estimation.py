@@ -370,6 +370,19 @@ def test_fit_requires_covariates_for_cci():
         fit("bogus", D)
 
 
+def test_ci_fit_ignores_covariates():
+    rng = np.random.default_rng(28)
+    m, n = 4, 60
+    D = Dataset(Universe(m), random_orders(m, n, rng))
+    cov = CovariateTensor(rng.normal(size=(n, m, 2)))
+    cfg = FitConfig(learning_rate=0.05, max_epochs=20, tol=1e-12)
+    plain = fit("c-i", D, cfg)
+    with_cov = fit("c-i", Dataset(D.universe, D.orders, covariates=cov), cfg)
+    np.testing.assert_allclose(
+        [row[1] for row in with_cov.trace], [row[1] for row in plain.trace], rtol=1e-12
+    )
+
+
 def test_cci_fit_recovers_covariate_sign():
     rng = np.random.default_rng(26)
     m, d, n = 3, 1, 3000

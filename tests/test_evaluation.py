@@ -1,10 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from topkorders import (
+    ALL_VARIANTS,
+    AugmentedModel,
+    CovariateTensor,
     Dataset,
+    NonFiniteLossError,
     PartialOrder,
     Universe,
     build_eval_report,
@@ -12,11 +17,15 @@ from topkorders import (
     emit_plot_data,
     length_pmf,
     length_stats,
+    model_log_prob,
+    nll,
     replicate_sample,
     tv_distance,
 )
 from topkorders import test_nll as held_out_nll
-from util import random_model
+from topkorders.augmented import empty_list_log_prob
+from topkorders.estimation import ParamLayout
+from util import random_model, random_orders
 
 
 def toy_dataset():
@@ -63,6 +72,60 @@ def test_test_nll_condition_nonempty():
     shift = math.log1p(-math.exp(empty_list_log_prob(model)))
     assert cond == pytest.approx(raw + shift)
     assert cond < raw  # conditioning can only raise each record's probability
+
+
+def _model_and_data(variant, d, rng, m=4, n=60, K=3):
+    layout = ParamLayout(variant, m, d, K if variant in ("c-ld", "a-s") else 1)
+    model = layout.to_model(rng.normal(size=layout.size), Universe(m))
+    augmented = variant.startswith("a")
+    orders = random_orders(m, n, rng, min_len=0 if augmented else 1)
+    cov = CovariateTensor(rng.normal(size=(n, m, d))) if d else None
+    return model, Dataset(Universe(m), orders, covariates=cov, allow_empty=augmented)
+
+
+def _per_record_log_probs(model, D, condition_nonempty=False):
+    out = []
+    for i, q in enumerate(D.orders):
+        x_row = D.covariates.values[i] if D.covariates is not None else None
+        lp = model_log_prob(model, q, x_row)
+        if condition_nonempty and isinstance(model, AugmentedModel):
+            lp -= math.log1p(-math.exp(empty_list_log_prob(model, x_row)))
+        out.append(lp)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("condition_nonempty", [False, True])
+@pytest.mark.parametrize(
+    "variant,d", [(v, d) for v in ALL_VARIANTS for d in (0, 2) if (v, d) != ("c-ci", 0)]
+)
+def test_test_nll_and_nll_match_per_record_sum(variant, d, condition_nonempty):
+    rng = np.random.default_rng(40)
+    model, D = _model_and_data(variant, d, rng)
+    ref = -_per_record_log_probs(model, D, condition_nonempty).sum() / D.n
+    assert held_out_nll(model, D, condition_nonempty).nll == pytest.approx(ref, abs=1e-9)
+    if not condition_nonempty:
+        assert nll(D, model) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["c-i", "a", "a-pd"])
+def test_infinite_records_counted_and_first_one_named(variant):
+    rng = np.random.default_rng(41)
+    model, D = _model_and_data(variant, 0, rng)
+    if variant == "c-i":
+        model.length_params.logits[1] = -np.inf  # no list of length 2
+    elif variant == "a":
+        model.params.theta[-1] = -np.inf  # END is never chosen
+    else:
+        model.params.gamma[2] = -np.inf  # no list of length 2
+    lp = _per_record_log_probs(model, D)
+    bad = np.flatnonzero(~np.isfinite(lp))
+    assert 0 < bad.size < D.n
+    r = held_out_nll(model, D)
+    assert (r.nll, r.n_infinite) == (float("inf"), bad.size)
+    i = int(bad[0])
+    msg = re.escape(f"record {i} ({list(D.orders[i].items)}) has non-finite")
+    with pytest.raises(NonFiniteLossError, match=msg):
+        nll(D, model)
 
 
 def test_replicate_sample_seeding():

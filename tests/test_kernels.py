@@ -1,14 +1,12 @@
-"""Batch kernels against the per-record reference implementations.
-
-Both the loop (numba-compiled when active) and vectorized numpy twins are
-checked regardless of which backend is selected.
-"""
+"""Batch kernels against the per-record reference implementations."""
 
 import numpy as np
 import pytest
 
 from topkorders import (
     AugmentedModel,
+    CategoricalLengthParams,
+    CompositeModel,
     Dataset,
     PLParams,
     PositionDependentParams,
@@ -17,16 +15,16 @@ from topkorders import (
     augmented_log_prob,
     pl_log_marginal,
 )
+from topkorders import test_nll as held_out_nll
+from topkorders.estimation import _bank_event_counts
 from topkorders.kernels import (
-    _apd_loop,
-    _augs_loop,
-    _pl_loop,
     apd_nll_grad,
     apd_nll_grad_numpy,
     augs_nll_grad,
     augs_nll_grad_numpy,
     pl_nll_grad,
     pl_nll_grad_numpy,
+    unchosen_mask,
 )
 from util import random_orders
 
@@ -40,7 +38,7 @@ def batch():
     D = Dataset(u, orders)
     items, lengths = D.to_padded()
     weights = rng.integers(1, 4, size=n).astype(np.float64)
-    return m, orders, items, lengths, weights
+    return m, orders, items, lengths, unchosen_mask(items, m), weights
 
 
 def _fd(f, x, h=1e-6):
@@ -54,12 +52,15 @@ def _fd(f, x, h=1e-6):
     return g
 
 
-@pytest.mark.parametrize("impl", [_pl_loop, pl_nll_grad_numpy, pl_nll_grad])
+@pytest.mark.parametrize(
+    "impl", [pl_nll_grad_numpy, pl_nll_grad], ids=["pl_nll_grad_numpy", "pl_nll_grad"]
+)
 def test_pl_kernel(batch, impl):
-    m, orders, items, lengths, weights = batch
+    m, orders, items, lengths, unchosen, weights = batch
     rng = np.random.default_rng(1)
     theta = rng.normal(size=m)
-    ll, grad = impl(items, lengths, weights, theta)
+    logp, grad = impl(items, lengths, unchosen, weights, theta[None])
+    ll, grad = weights @ logp, grad[0]
     ref = sum(
         w * pl_log_marginal(q, PLParams(theta)) for q, w in zip(orders, weights)
     )
@@ -73,10 +74,12 @@ def test_pl_kernel(batch, impl):
     np.testing.assert_allclose(grad, _fd(f, theta), atol=1e-6)
 
 
-@pytest.mark.parametrize("impl", [_augs_loop, augs_nll_grad_numpy, augs_nll_grad])
+@pytest.mark.parametrize(
+    "impl", [augs_nll_grad_numpy, augs_nll_grad], ids=["augs_nll_grad_numpy", "augs_nll_grad"]
+)
 @pytest.mark.parametrize("K", [1, 3])
 def test_augs_kernel(batch, impl, K):
-    m, orders, items, lengths, weights = batch
+    m, orders, items, lengths, unchosen, weights = batch
     rng = np.random.default_rng(2)
     banks = rng.normal(size=(K, m + 1))
     u = Universe(m)
@@ -84,16 +87,17 @@ def test_augs_kernel(batch, impl, K):
     def model(b):
         return AugmentedModel("a-s", StratifiedAugmentedParams(b), u)
 
-    ll_by, grad, ev_by = impl(items, lengths, weights, banks)
+    logp, grad = impl(items, lengths, unchosen, weights, banks[None])
     ref = sum(
         w * augmented_log_prob(q, model(banks)) for q, w in zip(orders, weights)
     )
-    assert ll_by.sum() == pytest.approx(ref, abs=1e-9)
+    assert weights @ logp.sum(axis=1) == pytest.approx(ref, abs=1e-9)
+    grad = grad[0]
     # event counts: k item choices plus a terminal END unless k = m
     total_events = sum(
         w * (len(q) + (1 if len(q) < m else 0)) for q, w in zip(orders, weights)
     )
-    assert ev_by.sum() == pytest.approx(total_events)
+    assert _bank_event_counts(lengths, weights, m, K).sum() == pytest.approx(total_events)
 
     def f(b):
         return sum(
@@ -103,9 +107,11 @@ def test_augs_kernel(batch, impl, K):
     np.testing.assert_allclose(grad, _fd(f, banks), atol=1e-5)
 
 
-@pytest.mark.parametrize("impl", [_apd_loop, apd_nll_grad_numpy, apd_nll_grad])
+@pytest.mark.parametrize(
+    "impl", [apd_nll_grad_numpy, apd_nll_grad], ids=["apd_nll_grad_numpy", "apd_nll_grad"]
+)
 def test_apd_kernel(batch, impl):
-    m, orders, items, lengths, weights = batch
+    m, orders, items, lengths, unchosen, weights = batch
     rng = np.random.default_rng(3)
     theta = rng.normal(size=m)
     gamma = rng.normal(size=m)
@@ -114,7 +120,8 @@ def test_apd_kernel(batch, impl):
     def model(t, g):
         return AugmentedModel("a-pd", PositionDependentParams(t, g), u)
 
-    ll, gt, gg = impl(items, lengths, weights, theta, gamma)
+    logp, gt, gg = impl(items, lengths, unchosen, weights, theta[None], gamma)
+    ll, gt = weights @ logp, gt[0]
     ref = sum(
         w * augmented_log_prob(q, model(theta, gamma))
         for q, w in zip(orders, weights)
@@ -146,7 +153,7 @@ def test_empty_orders_supported():
     weights = np.ones(2)
     rng = np.random.default_rng(4)
     banks = rng.normal(size=(2, m + 1))
-    ll_by, grad, ev_by = augs_nll_grad_numpy(items, lengths, weights, banks)
+    logp, _ = augs_nll_grad(items, lengths, unchosen_mask(items, m), weights, banks[None])
     u = Universe(m)
     from topkorders import PartialOrder
 
@@ -154,18 +161,80 @@ def test_empty_orders_supported():
     ref = augmented_log_prob(PartialOrder(()), model) + augmented_log_prob(
         PartialOrder((1,)), model
     )
-    assert ll_by.sum() == pytest.approx(ref)
+    assert logp.sum() == pytest.approx(ref)
 
 
-def test_loop_and_numpy_twins_agree_exactly():
-    rng = np.random.default_rng(5)
-    m, n = 6, 40
-    orders = random_orders(m, n, rng)
-    D = Dataset(Universe(m), orders)
+def test_per_row_utilities(batch):
+    """R = n: row i's log-probability uses utilities i, and the gradient
+    is returned per row."""
+    m, orders, items, lengths, unchosen, weights = batch
+    n = 12
+    orders, items, lengths = orders[:n], items[:n], lengths[:n]
+    unchosen, weights = unchosen[:n], weights[:n]
+    rng = np.random.default_rng(6)
+    u = Universe(m)
+    theta = rng.normal(size=(n, m))
+    gamma = rng.normal(size=m)
+    banks = rng.normal(size=(n, 3, m + 1))
+
+    def pl(t):
+        return [pl_log_marginal(q, PLParams(t[i])) for i, q in enumerate(orders)]
+
+    def apd(t):
+        return [
+            augmented_log_prob(q, AugmentedModel("a-pd", PositionDependentParams(t[i], gamma), u))
+            for i, q in enumerate(orders)
+        ]
+
+    def augs(b):
+        return [
+            augmented_log_prob(q, AugmentedModel("a-s", StratifiedAugmentedParams(b[i]), u))
+            for i, q in enumerate(orders)
+        ]
+
+    for ref, x, (logp, g) in (
+        (pl, theta, pl_nll_grad(items, lengths, unchosen, weights, theta)),
+        (apd, theta, apd_nll_grad(items, lengths, unchosen, weights, theta, gamma)[:2]),
+        (augs, banks, augs_nll_grad(items, lengths, unchosen, weights, banks)),
+    ):
+        np.testing.assert_allclose(logp.reshape(n, -1).sum(axis=1), ref(x), atol=1e-10)
+        np.testing.assert_allclose(g, _fd(lambda y: weights @ np.array(ref(y)), x), atol=1e-5)
+
+
+@pytest.mark.parametrize("spread", [40.0, 200.0])
+def test_large_utility_spreads_stay_exact(spread):
+    """The remaining mass is summed, not subtracted from the total, so the
+    kernels and test_nll keep full precision at any utility spread."""
+    rng = np.random.default_rng(7)
+    m, n, K = 6, 50, 3
+    u = Universe(m)
+    orders = random_orders(m, n, rng, min_len=0)
+    D = Dataset(u, orders, allow_empty=True)
     items, lengths = D.to_padded()
-    weights = np.ones(n)
-    theta = rng.normal(size=m)
-    a = _pl_loop(items, lengths, weights, theta)
-    b = pl_nll_grad_numpy(items, lengths, weights, theta)
-    assert a[0] == pytest.approx(b[0], abs=1e-10)
-    np.testing.assert_allclose(a[1], b[1], atol=1e-10)
+    unchosen, ones = unchosen_mask(items, m), np.ones(n)
+
+    def spread_out(shape):
+        return spread * (rng.permutation(np.linspace(0.0, 1.0, int(np.prod(shape)))) - 0.5).reshape(shape)
+
+    theta, gamma, banks = spread_out(m), spread_out(m), spread_out((K, m + 1))
+    models = {
+        "a-pd": AugmentedModel("a-pd", PositionDependentParams(theta, gamma), u),
+        "a-s": AugmentedModel("a-s", StratifiedAugmentedParams(banks), u),
+    }
+    kernel_lp = {
+        "a-pd": apd_nll_grad(items, lengths, unchosen, ones, theta[None], gamma)[0],
+        "a-s": augs_nll_grad(items, lengths, unchosen, ones, banks[None])[0].sum(axis=1),
+    }
+    for v, model in models.items():
+        ref = np.array([augmented_log_prob(q, model) for q in orders])
+        np.testing.assert_allclose(kernel_lp[v], ref, rtol=0, atol=1e-9)
+        assert held_out_nll(model, D).nll == pytest.approx(-ref.mean(), rel=0, abs=1e-9)
+
+    nonempty = [q for q in orders if len(q)]
+    D = Dataset(u, nonempty)
+    items, lengths = D.to_padded()
+    ref = np.array([pl_log_marginal(q, PLParams(theta)) for q in nonempty])
+    lp, _ = pl_nll_grad(items, lengths, unchosen_mask(items, m), np.ones(D.n), theta[None])
+    np.testing.assert_allclose(lp, ref, rtol=0, atol=1e-9)
+    model = CompositeModel("c-i", CategoricalLengthParams(np.zeros(m)), PLParams(theta), u)
+    assert held_out_nll(model, D).nll == pytest.approx(np.log(m) - ref.mean(), rel=0, abs=1e-9)
