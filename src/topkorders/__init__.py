@@ -12,13 +12,11 @@ from .augmented import (
     PositionDependentParams,
     StratifiedAugmentedParams,
     augmented_log_prob,
-    sample_augmented,
     sample_augmented_dataset,
 )
 from .composite import (
     CompositeModel,
     composite_log_prob,
-    sample_composite,
     sample_composite_dataset,
 )
 from .assignment import (
@@ -133,9 +131,7 @@ __all__ = [
     "parse_preflib",
     "pl_log_marginal",
     "replicate_sample",
-    "sample_augmented",
     "sample_augmented_dataset",
-    "sample_composite",
     "sample_composite_dataset",
     "save_checkpoint",
     "stratified_log_prob",

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .orders import Dataset, PartialOrder, Universe, validate_order
+from .kernels import bank_utilities
+from .orders import Dataset, PartialOrder, Universe, check_covariates, validate_order
 
 AUGMENTED_VARIANTS = ("a", "a-pd", "a-s")
 
@@ -154,53 +155,28 @@ def augmented_log_prob(
     return float(total)
 
 
-def sample_augmented(
-    model: AugmentedModel,
-    rng,
-    x_row: np.ndarray | None = None,
-    no_empty: bool = False,
-) -> PartialOrder:
-    """Draw one partial order by sequential choice until END.
+def _choice_banks(model: AugmentedModel, X) -> np.ndarray:
+    """Per-row augmented utilities (R, K, m+1), R = 1 or one row per agent of
+    X; the choice at position j uses bank min(j, K)."""
+    p, m = model.params, model.universe.m
+    if model.variant == "a-s":
+        return bank_utilities(X, p.banks, p.betas)
+    beta = None if p.beta is None else p.beta[None]
+    if model.variant == "a":
+        return bank_utilities(X, p.theta[None], beta)
+    # a-pd: one bank per position, sharing the item utilities
+    banks = np.column_stack([np.tile(p.theta, (m, 1)), p.gamma])
+    return bank_utilities(X, banks, None if beta is None else np.tile(beta, (m, 1)))
 
-    ``no_empty`` rejection-resamples empty draws; that deviates from exact
-    model sampling and exists for parity with ballot datasets, where every
-    record has k >= 1.
+
+def _draw(U: np.ndarray, n: int, rng):
+    """n lists drawn under per-row utilities U (R, K, m+1), R in {1, n}:
+    (items (n, m) of 0-based ids padded with -1, lengths (n,)).
+
+    Positions advance in lockstep; each round draws one choice for every
+    still-active list by inverse CDF over its available options.
     """
-    rng = np.random.default_rng(rng)
-    m = model.universe.m
-    while True:
-        avail = np.ones(m + 1, dtype=bool)
-        items = []
-        while True:
-            u = _position_utilities(model, len(items) + 1, x_row)
-            logits = u[avail]
-            p = np.exp(logits - logsumexp(logits))
-            p = p / p.sum()
-            idx = np.flatnonzero(avail)[rng.choice(p.shape[0], p=p)]
-            if idx == m:
-                break
-            items.append(int(idx) + 1)
-            avail[idx] = False
-            if len(items) == m:
-                break
-        if items or not no_empty:
-            return PartialOrder(tuple(items))
-
-
-def sample_augmented_batch(
-    model: AugmentedModel, n: int, rng, no_empty: bool = False
-) -> list[PartialOrder]:
-    """Vectorized Algorithm-2 sampling for covariate-free models.
-
-    Positions are advanced in lockstep across all n draws; each round draws
-    one choice for every still-active list.
-    """
-    if getattr(model.params, "beta", None) is not None or getattr(
-        model.params, "betas", None
-    ) is not None:
-        raise ValueError("batch sampling requires a covariate-free model")
-    rng = np.random.default_rng(rng)
-    m = model.universe.m
+    R, K, m = U.shape[0], U.shape[1], U.shape[2] - 1
     items = np.full((n, m), -1, dtype=np.int64)
     avail = np.ones((n, m + 1), dtype=bool)
     active = np.ones(n, dtype=bool)
@@ -208,9 +184,9 @@ def sample_augmented_batch(
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        u = _position_utilities(model, pos, None)
-        w = np.exp(u - u.max()) * avail[idx]
-        cum = np.cumsum(w, axis=1)
+        u = U[:, min(pos, K) - 1] if R == 1 else U[idx, min(pos, K) - 1]
+        cum = np.exp(u - u.max(axis=1, keepdims=True)) * avail[idx]
+        np.cumsum(cum, axis=1, out=cum)
         r = rng.random(idx.size) * cum[:, -1]
         choice = (cum < r[:, None]).sum(axis=1)
         ended = choice == m
@@ -218,19 +194,14 @@ def sample_augmented_batch(
         chose = idx[~ended]
         items[chose, pos - 1] = choice[~ended]
         avail[chose, choice[~ended]] = False
-    lengths = (items >= 0).sum(axis=1)
-    out = [
-        PartialOrder(tuple(int(a) + 1 for a in items[i, : lengths[i]]))
-        for i in range(n)
-    ]
-    if no_empty:
-        empties = [i for i, q in enumerate(out) if len(q) == 0]
-        while empties:
-            redraw = sample_augmented_batch(model, len(empties), rng)
-            for i, q in zip(empties, redraw):
-                out[i] = q
-            empties = [i for i in empties if len(out[i]) == 0]
-    return out
+    return items, (items >= 0).sum(axis=1)
+
+
+def sample_augmented_batch(
+    model: AugmentedModel, n: int, rng, no_empty: bool = False
+) -> list[PartialOrder]:
+    """n draws of a covariate-free model (Algorithm 2) as PartialOrder objects."""
+    return list(sample_augmented_dataset(model, n, rng, no_empty=no_empty).orders)
 
 
 def sample_augmented_dataset(
@@ -240,16 +211,22 @@ def sample_augmented_dataset(
     covariates=None,
     no_empty: bool = False,
 ) -> Dataset:
+    """n partial orders drawn by sequential choice until END (Algorithm 2).
+
+    With covariates, draw i uses the utilities of agent i. ``no_empty``
+    rejection-resamples empty draws; that deviates from exact model sampling
+    and exists for parity with ballot datasets, where every record has k >= 1.
+    """
     rng = np.random.default_rng(rng)
-    if covariates is None:
-        orders = sample_augmented_batch(model, n, rng, no_empty=no_empty)
-    else:
-        orders = []
-        for i in range(n):
-            x_row = covariates.values[i] if covariates is not None else None
-            orders.append(sample_augmented(model, rng, x_row, no_empty=no_empty))
-    return Dataset(
-        model.universe, tuple(orders), covariates=covariates, allow_empty=not no_empty
+    check_covariates(covariates, n, model.universe.m)
+    U = _choice_banks(model, None if covariates is None else covariates.values)
+    items, lengths = _draw(U, n, rng)
+    empty = np.flatnonzero(no_empty & (lengths == 0))
+    while empty.size:
+        items[empty], lengths[empty] = _draw(U if U.shape[0] == 1 else U[empty], empty.size, rng)
+        empty = empty[lengths[empty] == 0]
+    return Dataset.from_padded(
+        model.universe, items, lengths, covariates, allow_empty=not no_empty
     )
 
 

@@ -5,6 +5,7 @@ is deterministic given its full flag set (seeds included) at --workers 1.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -67,7 +68,7 @@ def _load_data(args) -> Dataset:
         cov, _, missing = dataio.load_covariates(args.covariates, D.universe)
         if missing:
             print(f"covariates: {missing} missing (agent, item) pairs zero-filled")
-        D = Dataset(D.universe, D.orders, covariates=cov)
+        D = Dataset.from_padded(D.universe, *D.to_padded(), covariates=cov)
     return D
 
 
@@ -183,7 +184,7 @@ def cmd_fit(args) -> int:
     dataio.save_checkpoint(
         result.model,
         args.out,
-        fit_config=_cfg_echo(cfg),
+        fit_config=dataclasses.asdict(cfg),
         data_hash=dataio.dataset_hash(D),
         seed=cfg.seed,
     )
@@ -198,22 +199,6 @@ def cmd_fit(args) -> int:
         f" objective {result.final_objective:.6f}"
     )
     return EXIT_OK
-
-
-def _cfg_echo(cfg: FitConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "epsilon_opt": cfg.epsilon_opt,
-        "lambda_l2": cfg.lambda_l2,
-        "lambda_laplacian": cfg.lambda_laplacian,
-        "K": cfg.K,
-        "max_epochs": cfg.max_epochs,
-        "tol": cfg.tol,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-    }
 
 
 def cmd_eval(args) -> int:

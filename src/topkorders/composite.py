@@ -15,16 +15,11 @@ from .lengthdist import (
     PoissonLengthParams,
     categorical_log_prob,
     poisson_clipped_log_prob,
-    sample_length,
+    sample_lengths,
 )
-from .orders import Dataset, PartialOrder, Universe, validate_order
-from .ranking import (
-    PLParams,
-    StratifiedPLParams,
-    pl_log_marginal,
-    pl_utilities,
-    stratified_log_prob,
-)
+from .kernels import item_utilities
+from .orders import Dataset, PartialOrder, Universe, check_covariates, validate_order
+from .ranking import PLParams, StratifiedPLParams, pl_log_marginal, stratified_log_prob
 
 COMPOSITE_VARIANTS = ("c-i", "c-ci", "c-ld")
 
@@ -51,9 +46,7 @@ class CompositeModel:
             raise TypeError(f"{self.variant} requires {rank_t.__name__}")
         if self.ranking_params.m != self.universe.m:
             raise ValueError("ranking params m != universe m")
-        if self.length_params.m != self.universe.m and self.variant != "c-ci":
-            raise ValueError("length params m != universe m")
-        if self.variant == "c-ci" and self.length_params.m != self.universe.m:
+        if self.length_params.m != self.universe.m:
             raise ValueError("length params m != universe m")
 
 
@@ -95,76 +88,40 @@ def composite_log_prob(
     return cld_log_prob(Q, model, x_row)
 
 
-def sample_composite(
-    model: CompositeModel, rng, x_row: np.ndarray | None = None
-) -> PartialOrder:
-    """Draw one partial order: a length, then that many PL choices.
-
-    Sequential softmax sampling without replacement is realized with the
-    Gumbel-max trick: the top-l items of utility-plus-Gumbel noise have
-    exactly the Plackett-Luce prefix distribution.
-    """
-    rng = np.random.default_rng(rng)
-    if model.variant == "c-ci":
-        if x_row is None:
-            raise ValueError("c-ci requires covariates")
-        x_agent = np.asarray(x_row, dtype=np.float64).mean(axis=0)
-        length = sample_length(model.length_params, x_agent, rng)
-        u = pl_utilities(model.ranking_params, x_row)
-    else:
-        length = sample_length(model.length_params, rng=rng)
-        if model.variant == "c-ld":
-            bank = model.ranking_params.banks[min(length, model.ranking_params.K) - 1]
-            u = pl_utilities(bank)
-        else:
-            u = pl_utilities(model.ranking_params)
-    g = rng.gumbel(size=u.shape[0])
-    ranked = np.argsort(-(u + g), kind="stable")[:length]
-    return PartialOrder(tuple(int(a) + 1 for a in ranked))
-
-
 def sample_composite_batch(model: CompositeModel, n: int, rng) -> list[PartialOrder]:
-    """Vectorized Algorithm-1 sampling for covariate-free variants."""
-    if model.variant == "c-ci":
-        raise ValueError("batch sampling requires a covariate-free variant")
-    rng = np.random.default_rng(rng)
-    from .lengthdist import categorical_log_pmf
-
-    p = np.exp(categorical_log_pmf(model.length_params))
-    p = p / p.sum()
-    lengths = rng.choice(model.universe.m, size=n, p=p) + 1
-    m = model.universe.m
-    if model.variant == "c-i":
-        u = pl_utilities(model.ranking_params)
-        ranked = np.argsort(-(u[None, :] + rng.gumbel(size=(n, m))), axis=1)
-    else:
-        # stratum bank selected by the drawn length, then Gumbel top-l
-        ranked = np.empty((n, m), dtype=np.int64)
-        K = model.ranking_params.K
-        for b in range(K):
-            mask = (np.minimum(lengths, K) - 1) == b
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            u = pl_utilities(model.ranking_params.banks[b])
-            ranked[mask] = np.argsort(
-                -(u[None, :] + rng.gumbel(size=(cnt, m))), axis=1
-            )
-    return [
-        PartialOrder(tuple(int(a) + 1 for a in ranked[i, : lengths[i]]))
-        for i in range(n)
-    ]
+    """n draws of a covariate-free model (Algorithm 1) as PartialOrder objects."""
+    return list(sample_composite_dataset(model, n, rng).orders)
 
 
 def sample_composite_dataset(
     model: CompositeModel, n: int, rng, covariates=None
 ) -> Dataset:
+    """n partial orders: a length each, then that many Plackett-Luce choices.
+
+    Sequential softmax sampling without replacement is realized with the
+    Gumbel-max trick: the top-l items of utility-plus-Gumbel noise have
+    exactly the Plackett-Luce prefix distribution. c-ld ranks each draw
+    with the bank of its length stratum. With covariates, draw i uses the
+    utilities (and for c-ci the length distribution) of agent i.
+    """
     rng = np.random.default_rng(rng)
-    if covariates is None and model.variant != "c-ci":
-        orders = sample_composite_batch(model, n, rng)
+    m = model.universe.m
+    check_covariates(covariates, n, m)
+    X = None if covariates is None else covariates.values
+    if model.variant == "c-ci":
+        if X is None:
+            raise ValueError("c-ci requires covariates")
+        lengths = sample_lengths(model.length_params, n, rng, X.mean(axis=1))
     else:
-        orders = []
-        for i in range(n):
-            x_row = covariates.values[i] if covariates is not None else None
-            orders.append(sample_composite(model, rng, x_row))
-    return Dataset(model.universe, tuple(orders), covariates=covariates)
+        lengths = sample_lengths(model.length_params, n, rng)
+    ranking = model.ranking_params
+    banks = ranking.banks if model.variant == "c-ld" else (ranking,)
+    strata = np.minimum(lengths, len(banks)) - 1
+    items = np.empty((n, m), dtype=np.int64)
+    for b, bank in enumerate(banks):
+        rows = np.flatnonzero(strata == b)
+        if rows.size:
+            U = item_utilities(None if X is None else X[rows], bank.delta, bank.beta)
+            items[rows] = np.argsort(-(U + rng.gumbel(size=(rows.size, m))), axis=1)
+    items[np.arange(m) >= lengths[:, None]] = -1
+    return Dataset.from_padded(model.universe, items, lengths, covariates)

@@ -25,7 +25,7 @@ from .augmented import (
 )
 from .composite import CompositeModel
 from .lengthdist import CategoricalLengthParams, PoissonLengthParams
-from .orders import CovariateTensor, Dataset, PartialOrder, Universe
+from .orders import CovariateTensor, Dataset, Universe, pad_rows
 from .ranking import PLParams, StratifiedPLParams
 
 CHECKPOINT_VERSION = 1
@@ -75,7 +75,7 @@ def _parse_preflib_2021(path, lines) -> Dataset:
     m = None
     declared_n = None
     labels = {}
-    orders = []
+    ballots, counts = [], []
     for lineno, ln in enumerate(lines, start=1):
         s = ln.strip()
         if not s:
@@ -101,13 +101,12 @@ def _parse_preflib_2021(path, lines) -> Dataset:
             count = int(count_s.strip())
         except ValueError:
             raise ParseError(f"malformed count {count_s.strip()!r}", path, lineno) from None
-        items = _check_ballot(raw_items, m, path, lineno)
-        orders.extend([PartialOrder(items)] * count)
+        ballots.append(_check_ballot(raw_items, m, path, lineno))
+        counts.append(count)
     if m is None:
         raise ParseError("missing NUMBER ALTERNATIVES header", path)
-    _warn_count(declared_n, len(orders), path)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1)) if labels else None
-    return Dataset(Universe(m, label_tuple), tuple(orders))
+    return _ballot_dataset(Universe(m, label_tuple), ballots, counts, declared_n, path)
 
 
 def _parse_preflib_legacy(path, lines) -> Dataset:
@@ -138,7 +137,7 @@ def _parse_preflib_legacy(path, lines) -> Dataset:
     except ValueError:
         raise ParseError(f"malformed count line {rows[idx]!r}", path, idx + 1) from None
     idx += 1
-    orders = []
+    ballots, counts = [], []
     for lineno, row in enumerate(rows[idx:], start=idx + 1):
         parts = row.split(",", 1)
         if len(parts) < 2:
@@ -147,11 +146,20 @@ def _parse_preflib_legacy(path, lines) -> Dataset:
             count = int(parts[0].strip())
         except ValueError:
             raise ParseError(f"malformed count {parts[0].strip()!r}", path, lineno) from None
-        items = _check_ballot(parts[1], m, path, lineno)
-        orders.extend([PartialOrder(items)] * count)
-    _warn_count(declared_n, len(orders), path)
+        ballots.append(_check_ballot(parts[1], m, path, lineno))
+        counts.append(count)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1))
-    return Dataset(Universe(m, label_tuple), tuple(orders))
+    return _ballot_dataset(Universe(m, label_tuple), ballots, counts, declared_n, path)
+
+
+def _ballot_dataset(universe, ballots, counts, declared_n, path) -> Dataset:
+    """Each checked ballot line repeated ``count`` times, in file order."""
+    items, lengths = pad_rows(ballots)
+    repeats = np.maximum(np.array(counts, dtype=np.int64), 0)  # a negative count adds no record
+    items, lengths = np.repeat(items, repeats, axis=0), np.repeat(lengths, repeats)
+    D = Dataset.from_padded(universe, items, lengths)
+    _warn_count(declared_n, D.n, path)
+    return D
 
 
 def _warn_count(declared_n, observed_n, path):
@@ -164,6 +172,18 @@ def _warn_count(declared_n, observed_n, path):
         )
 
 
+def _ballot_texts(D: Dataset) -> list:
+    """Each record's 1-based ids as 'a,b,c' ('' for the empty list), built
+    one list position at a time."""
+    items, lengths = D.to_padded()
+    names = np.array([""] + [str(a) for a in range(1, D.m + 1)], dtype=object)
+    text = names[items[:, 0] + 1]
+    for j in range(1, items.shape[1]):
+        rows = lengths > j
+        text[rows] += "," + names[items[rows, j] + 1]
+    return text.tolist()
+
+
 def write_dataset(D: Dataset, path) -> None:
     """One unit-weight ballot per line, 2021 style: '1: a,b,c'."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -173,8 +193,7 @@ def write_dataset(D: Dataset, path) -> None:
         if D.universe.labels is not None:
             for i, name in enumerate(D.universe.labels, start=1):
                 fh.write(f"# ALTERNATIVE NAME {i}: {name}\n")
-        for q in D.orders:
-            fh.write("1: " + ",".join(str(a) for a in q.items) + "\n")
+        fh.writelines(f"1: {text}\n" for text in _ballot_texts(D))
 
 
 @dataclass(frozen=True)
@@ -407,8 +426,6 @@ def _model_from_doc(doc, path):
 
 
 def dataset_hash(D: Dataset) -> str:
-    h = hashlib.sha256()
-    h.update(str(D.universe.m).encode())
-    for q in D.orders:
-        h.update(b"|" + ",".join(str(a) for a in q.items).encode())
+    h = hashlib.sha256(str(D.universe.m).encode())
+    h.update("".join("|" + text for text in _ballot_texts(D)).encode())
     return h.hexdigest()[:16]

@@ -7,7 +7,7 @@ optimization is a hand-rolled Adam on a flat parameter vector, initialized
 at zero, full-batch by default.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -20,7 +20,14 @@ from .augmented import (
     augmented_log_prob,
 )
 from .composite import CompositeModel, composite_log_prob
-from .kernels import apd_nll_grad, augs_nll_grad, pl_nll_grad, unchosen_mask
+from .kernels import (
+    apd_nll_grad,
+    augs_nll_grad,
+    bank_utilities,
+    item_utilities,
+    pl_nll_grad,
+    unchosen_mask,
+)
 from .lengthdist import (
     CategoricalLengthParams,
     PoissonLengthParams,
@@ -28,7 +35,8 @@ from .lengthdist import (
     poisson_clipped_dlogp_dlam,
     poisson_clipped_log_pmf,
 )
-from .orders import Dataset, InvalidOrderError, PartialOrder
+from .evaluation import test_nll
+from .orders import CovariateTensor, Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
 
 ALL_VARIANTS = ("c-i", "c-ci", "c-ld", "a", "a-pd", "a-s")
@@ -58,6 +66,12 @@ class FitConfig:
             raise ValueError("positive learning rate, tolerance, epoch count required")
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.batch_size != "full" and not (
+            isinstance(self.batch_size, (int, np.integer)) and self.batch_size >= 1
+        ):
+            raise ValueError(
+                f"batch_size must be 'full' or a positive int, got {self.batch_size!r}"
+            )
 
 
 @dataclass
@@ -126,11 +140,13 @@ def stratify_dataset(D: Dataset, K: int, mode: str = "by-length"):
     if K < 1:
         raise ValueError("K must be >= 1")
     if mode == "by-length":
-        groups = [[] for _ in range(K)]
-        for q in D.orders:
-            groups[min(max(len(q), 1), K) - 1].append(q)
+        items, lengths = D.to_padded()
+        strata = np.minimum(np.maximum(lengths, 1), K) - 1
         return [
-            Dataset(D.universe, tuple(g), allow_empty=D.allow_empty) for g in groups
+            Dataset.from_padded(
+                D.universe, items[strata == b], lengths[strata == b], allow_empty=D.allow_empty
+            )
+            for b in range(K)
         ]
     if mode == "by-rank":
         m = D.universe.m
@@ -305,14 +321,14 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
         strata = np.minimum(lengths, len(banks)) - 1
         for b, bank in enumerate(banks):
             rows = np.flatnonzero(strata == b)
-            U = _item_utilities(None if X is None else X[rows], bank.delta, bank.beta)
+            U = item_utilities(None if X is None else X[rows], bank.delta, bank.beta)
             lp[rows] += pl_nll_grad(
                 items[rows], lengths[rows], unchosen[rows], ones[rows], U, grad=False
             )[0]
         return lp
     p = model.params
     if model.variant == "a-pd":
-        U = _item_utilities(X, p.theta, p.beta)
+        U = item_utilities(X, p.theta, p.beta)
         lp = apd_nll_grad(items, lengths, unchosen, ones, U, p.gamma, grad=False)[0]
         first = np.hstack([U, np.full((U.shape[0], 1), p.gamma[0])])
     else:
@@ -320,7 +336,7 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
             banks, betas = p.theta[None], None if p.beta is None else p.beta[None]
         else:
             banks, betas = p.banks, p.betas
-        U = _bank_utilities(X, banks, betas)
+        U = bank_utilities(X, banks, betas)
         lp = augs_nll_grad(items, lengths, unchosen, ones, U, grad=False)[0].sum(axis=1)
         first = U[:, 0]
     if condition_nonempty:
@@ -336,31 +352,15 @@ def nll(D: Dataset, model) -> float:
     bad = np.flatnonzero(~np.isfinite(lp))
     if bad.size:
         i = int(bad[0])
+        items, lengths = D.to_padded()
         raise NonFiniteLossError(
-            f"record {i} ({list(D.orders[i].items)}) has non-finite log-probability"
+            f"record {i} ({(items[i, : lengths[i]] + 1).tolist()}) has non-finite log-probability"
         )
     return -float(lp.sum()) / D.n
 
 
-def _item_utilities(X, delta, beta):
-    """Item utilities (1, ..., m) shared by all rows, or (n, ..., m) with
-    x_i . beta added to row i when the model is covariate-linear."""
-    if beta is None or beta.size == 0:
-        return delta[None]
-    if X is None:
-        raise ValueError("model has covariate weights but no covariates were given")
-    return delta + np.einsum("imd,...d->i...m", X, beta)
-
-
-def _bank_utilities(X, banks, betas):
-    """Augmented utilities (R, K, m+1) from banks (K, m+1); END takes no covariates."""
-    items = _item_utilities(X, banks[:, :-1], betas)
-    end = np.broadcast_to(banks[:, -1:], items.shape[:2] + (1,))
-    return np.concatenate([items, end], axis=2)
-
-
 def _chain(X, dU):
-    """Gradients w.r.t. (delta, beta) of sum(dU * U), U from _item_utilities."""
+    """Gradients w.r.t. (delta, beta) of sum(dU * U), U from item_utilities."""
     gdelta = dU.sum(axis=0)
     if X is None:
         return gdelta, np.zeros(gdelta.shape[:-1] + (0,))
@@ -430,7 +430,7 @@ def objective_and_grad(
             if cnt == 0:
                 continue
             Xb = None if X is None else X[rows]
-            U = _item_utilities(Xb, banks[b, :m], banks[b, m:])
+            U = item_utilities(Xb, banks[b, :m], banks[b, m:])
             logp, dU = pl_nll_grad(
                 data.items[rows], data.lengths[rows], data.unchosen[rows], w[rows], U
             )
@@ -441,21 +441,21 @@ def objective_and_grad(
         lam, len_lp = _poisson_length(data.x_agent, rate_w, data.lengths, m)
         dlam = poisson_clipped_dlogp_dlam(data.lengths, lam, m)
         logp, dU = pl_nll_grad(
-            data.items, data.lengths, data.unchosen, w, _item_utilities(X, delta, beta)
+            data.items, data.lengths, data.unchosen, w, item_utilities(X, delta, beta)
         )
         F = -(w @ (len_lp + logp)) / n
         grad[:d] = -((w * dlam * lam) @ data.x_agent) / n
         grad[d : d + m], grad[d + m :] = _chain(X, -dU / n)
     elif variant == "a-pd":
         theta, gamma, beta = flat[:m], flat[m : 2 * m], flat[2 * m :]
-        U = _item_utilities(X, theta, beta)
+        U = item_utilities(X, theta, beta)
         logp, dU, dgamma = apd_nll_grad(data.items, data.lengths, data.unchosen, w, U, gamma)
         F = -(w @ logp) / n
         grad[:m], grad[2 * m :] = _chain(X, -dU / n)
         grad[m : 2 * m] = -dgamma / n
     elif variant in ("a", "a-s"):
         banks = flat.reshape(K, m + 1 + d)
-        U = _bank_utilities(X, banks[:, : m + 1], banks[:, m + 1 :])
+        U = bank_utilities(X, banks[:, : m + 1], banks[:, m + 1 :])
         logp, dU = augs_nll_grad(data.items, data.lengths, data.unchosen, w, U)
         if variant == "a":
             scale = np.full(K, 1.0 / n)
@@ -597,30 +597,25 @@ def _subset_fitdata(data: _FitData, rows):
 
 def kfold_split(D: Dataset, folds: int = 5, seed: int = 0):
     """Disjoint, exhaustive, seed-deterministic (train, test) partition."""
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
     if D.n < folds:
         raise ValueError(f"need at least {folds} records, have {D.n}")
     perm = np.random.default_rng(seed).permutation(D.n)
-    chunks = np.array_split(perm, folds)
-    pairs = []
-    for f in range(folds):
-        test_idx = np.sort(chunks[f])
-        train_idx = np.sort(np.concatenate([chunks[g] for g in range(folds) if g != f]))
-        pairs.append((_subset_dataset(D, train_idx), _subset_dataset(D, test_idx)))
-    return pairs
+    fold_of = np.empty(D.n, dtype=np.int64)
+    for f, chunk in enumerate(np.array_split(perm, folds)):
+        fold_of[chunk] = f
+    return [
+        (_subset_dataset(D, fold_of != f), _subset_dataset(D, fold_of == f))
+        for f in range(folds)
+    ]
 
 
-def _subset_dataset(D: Dataset, idx) -> Dataset:
-    cov = None
-    if D.covariates is not None:
-        from .orders import CovariateTensor
-
-        cov = CovariateTensor(D.covariates.values[idx])
-    return Dataset(
-        D.universe,
-        tuple(D.orders[i] for i in idx),
-        covariates=cov,
-        allow_empty=D.allow_empty,
-    )
+def _subset_dataset(D: Dataset, rows) -> Dataset:
+    """The records selected by ``rows`` (a mask), in their original order."""
+    items, lengths = D.to_padded()
+    cov = None if D.covariates is None else CovariateTensor(D.covariates.values[rows])
+    return Dataset.from_padded(D.universe, items[rows], lengths[rows], cov, D.allow_empty)
 
 
 def grid_search(
@@ -633,29 +628,13 @@ def grid_search(
 ):
     """5-fold-CV mean validation NLL for each (K, lambda_L); returns argmin + table."""
     cfg = cfg or FitConfig()
+    splits = kfold_split(D, folds, cfg.seed)
     table = []
     best = None
     for K in Ks:
         for lapl in lambda_laplacians:
-            trial = FitConfig(
-                learning_rate=cfg.learning_rate,
-                beta1=cfg.beta1,
-                beta2=cfg.beta2,
-                epsilon_opt=cfg.epsilon_opt,
-                lambda_l2=cfg.lambda_l2,
-                lambda_laplacian=lapl,
-                K=K,
-                max_epochs=cfg.max_epochs,
-                tol=cfg.tol,
-                batch_size=cfg.batch_size,
-                seed=cfg.seed,
-            )
-            nlls = []
-            for train, test in kfold_split(D, folds, cfg.seed):
-                res = fit(variant, train, trial)
-                from .evaluation import test_nll
-
-                nlls.append(test_nll(res.model, test).nll)
+            trial = replace(cfg, K=K, lambda_laplacian=lapl)
+            nlls = [test_nll(fit(variant, train, trial).model, test).nll for train, test in splits]
             mean_nll = float(np.mean(nlls))
             table.append((K, lapl, mean_nll))
             if best is None or mean_nll < best[2]:

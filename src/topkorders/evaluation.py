@@ -103,17 +103,12 @@ def demand_shares(data) -> DemandShares:
     m = datasets[0].universe.m
     first = np.zeros(m)
     overall = np.zeros(m)
-    n_records = 0
-    n_empty = 0
     for d in datasets:
-        for q in d.orders:
-            n_records += 1
-            if len(q) == 0:
-                n_empty += 1
-                continue
-            first[q.items[0] - 1] += 1
-            for a in q.items:
-                overall[a - 1] += 1
+        items, lengths = d.to_padded()
+        first += np.bincount(items[lengths > 0, 0], minlength=m)
+        overall += np.bincount(items[items >= 0], minlength=m)
+    n_records = sum(d.n for d in datasets)
+    n_empty = sum(int(np.count_nonzero(d.lengths() == 0)) for d in datasets)
     total_listed = overall.sum()
     return DemandShares(
         first_position=tuple(float(v) for v in first / n_records),
@@ -139,11 +134,7 @@ def tv_distance(p, q) -> float:
 def length_pmf(datasets, m: int) -> np.ndarray:
     """Empirical pmf over lengths 1..m, pooled over datasets (empties dropped)."""
     datasets = datasets if isinstance(datasets, (list, tuple)) else [datasets]
-    counts = np.zeros(m)
-    for d in datasets:
-        for q in d.orders:
-            if len(q):
-                counts[len(q) - 1] += 1
+    counts = sum(np.bincount(d.lengths(), minlength=m + 1)[1:] for d in datasets)
     return counts / counts.sum()
 
 

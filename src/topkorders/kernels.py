@@ -35,6 +35,23 @@ def backend_name() -> str:
     return "numpy"
 
 
+def item_utilities(X, delta, beta):
+    """Item utilities (1, ..., m) shared by all rows, or (n, ..., m) with
+    x_i . beta added to row i when the model is covariate-linear."""
+    if beta is None or beta.size == 0:
+        return delta[None]
+    if X is None:
+        raise ValueError("model has covariate weights but no covariates were given")
+    return delta + np.einsum("imd,...d->i...m", X, beta)
+
+
+def bank_utilities(X, banks, betas):
+    """Augmented utilities (R, K, m+1) from banks (K, m+1); END takes no covariates."""
+    items = item_utilities(X, banks[:, :-1], betas)
+    end = np.broadcast_to(banks[:, -1:], items.shape[:2] + (1,))
+    return np.concatenate([items, end], axis=2)
+
+
 def unchosen_mask(items: np.ndarray, m: int) -> np.ndarray:
     """(n, m) float mask: 1.0 where item a is not on row i's list."""
     n = items.shape[0]
@@ -226,9 +243,3 @@ def apd_nll_grad(items, lengths, unchosen, weights, theta, gamma, grad=True):
     g_gamma = np.zeros(m)
     g_gamma[: rows.J] = g_end.sum(axis=0)
     return rows.unsort(logp), rows.unsort(g_theta), g_gamma
-
-
-# The numpy kernels under their former explicit names, kept for importers.
-pl_nll_grad_numpy = pl_nll_grad
-augs_nll_grad_numpy = augs_nll_grad
-apd_nll_grad_numpy = apd_nll_grad

@@ -51,10 +51,10 @@ def categorical_log_prob(k: int, params: CategoricalLengthParams) -> float:
     return float(categorical_log_pmf(params)[k - 1])
 
 
-def poisson_rate(x_agent: np.ndarray, params: PoissonLengthParams) -> float:
-    x_agent = np.asarray(x_agent, dtype=np.float64)
-    lam = float(np.exp(params.weights @ x_agent))
-    if not np.isfinite(lam):
+def poisson_rate(x_agent: np.ndarray, params: PoissonLengthParams):
+    """lambda = exp(theta . x) for one agent vector (d,) or for rows (n, d)."""
+    lam = np.exp(np.asarray(x_agent, dtype=np.float64) @ params.weights)
+    if not np.all(np.isfinite(lam)):
         raise ValueError("non-finite Poisson rate")
     return lam
 
@@ -107,16 +107,28 @@ def poisson_clipped_dlogp_dlam(k, lam, m: int):
     return out[()]
 
 
-def sample_length(params, x_agent=None, rng=None) -> int:
-    """Draw a length from the exact pmf of the given parameter family."""
-    rng = np.random.default_rng(rng)
+def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
+    """n lengths drawn from the exact pmf of the given parameter family.
+
+    A Poisson length model takes draw i's rate from row i of ``x_agents``
+    (n, d). The inverse-CDF draw gives, bit for bit, the lengths that
+    ``rng.choice(m, size=n, p=p) + 1`` gives for one shared pmf p.
+    """
     if isinstance(params, CategoricalLengthParams):
-        p = np.exp(categorical_log_pmf(params))
+        p = np.exp(categorical_log_pmf(params))[None]
     elif isinstance(params, PoissonLengthParams):
-        if x_agent is None:
+        if x_agents is None:
             raise ValueError("Poisson length model needs an agent covariate vector")
-        p = np.exp(poisson_clipped_log_pmf(poisson_rate(x_agent, params), params.m))
+        p = np.exp(poisson_clipped_log_pmf(poisson_rate(x_agents, params), params.m))
     else:
         raise TypeError(f"unknown length params {type(params)!r}")
-    p = p / p.sum()
-    return int(rng.choice(params.m, p=p)) + 1
+    p = p / p.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(n)[:, None]).sum(axis=1) + 1
+
+
+def sample_length(params, x_agent=None, rng=None) -> int:
+    """Draw one length from the exact pmf of the given parameter family."""
+    x_agents = None if x_agent is None else np.asarray(x_agent, dtype=np.float64)[None]
+    return int(sample_lengths(params, 1, np.random.default_rng(rng), x_agents)[0])

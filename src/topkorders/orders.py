@@ -5,8 +5,8 @@ strict ordering of k distinct alternatives out of a universe of m; a total
 order is the special case k = m.
 """
 
-from dataclasses import dataclass, field
-from itertools import permutations
+from dataclasses import dataclass
+from itertools import chain, permutations
 from math import factorial
 
 import numpy as np
@@ -102,48 +102,109 @@ class CovariateTensor:
         return self.values.shape[2]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A multiset of partial orders over a shared universe."""
+    """A multiset of top-k partial orders over a shared universe.
 
-    universe: Universe
-    orders: tuple = ()
-    covariates: CovariateTensor | None = None
-    allow_empty: bool = False
+    Records are stored as arrays only: 0-based item ids padded with -1,
+    shape (n, kmax), in the smallest signed integer type that holds -(m + 1)
+    (so ids + 1 cannot overflow), and list lengths (n,) as int64.
+    ``orders`` builds PartialOrder objects from them on each access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
-        for q in self.orders:
-            validate_order(q, self.universe, allow_empty=self.allow_empty)
-        if self.covariates is not None:
-            if self.covariates.n != len(self.orders):
-                raise ValueError(
-                    f"covariate rows ({self.covariates.n}) != number of orders"
-                    f" ({len(self.orders)})"
-                )
-            if self.covariates.values.shape[1] != self.universe.m:
-                raise ValueError("covariate item dimension != universe size")
+    def __init__(self, universe: Universe, orders=(), covariates=None, allow_empty=False):
+        items, lengths = pad_rows([q.items for q in orders])
+        self._set(universe, items, lengths, covariates, allow_empty)
+
+    @classmethod
+    def from_padded(cls, universe, items, lengths, covariates=None, allow_empty=False):
+        """A dataset from arrays shaped as ``to_padded`` returns them: 0-based
+        ids with -1 in every cell past a record's length. Columns past the
+        longest list are dropped after validation."""
+        D = cls.__new__(cls)
+        D._set(universe, items, lengths, covariates, allow_empty)
+        return D
+
+    def _set(self, universe, items, lengths, covariates, allow_empty):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        items = np.asarray(items)
+        width = max(int(lengths.max()) if lengths.size else 0, 1)
+        if items.ndim != 2 or items.shape[0] != lengths.shape[0] or items.shape[1] < width:
+            raise ValueError(f"items of shape {items.shape} do not hold lengths up to {width}")
+        _validate_rows(items, lengths, universe, allow_empty)
+        items = items[:, :width].astype(np.min_scalar_type(-1 - universe.m), copy=False)
+        check_covariates(covariates, lengths.shape[0], universe.m)
+        items.flags.writeable = lengths.flags.writeable = False
+        self.universe, self.covariates, self.allow_empty = universe, covariates, allow_empty
+        self._items, self._lengths = items, lengths
+
+    @property
+    def orders(self) -> tuple:
+        ids = (self._items + 1).tolist()
+        return tuple(PartialOrder(row[:k]) for row, k in zip(ids, self._lengths.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.orders)
+        return self._lengths.shape[0]
 
     @property
     def m(self) -> int:
         return self.universe.m
 
     def lengths(self) -> np.ndarray:
-        return np.array([len(q) for q in self.orders], dtype=np.int64)
+        return self._lengths
 
     def to_padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (items, lengths): 0-based ids padded with -1, shape (n, kmax)."""
-        lengths = self.lengths()
-        kmax = int(lengths.max()) if len(lengths) else 0
-        items = np.full((len(self.orders), max(kmax, 1)), -1, dtype=np.int64)
-        for i, q in enumerate(self.orders):
-            for j, a in enumerate(q.items):
-                items[i, j] = a - 1
-        return items, lengths
+        """Return (items, lengths): 0-based ids padded with -1, shape (n, kmax).
+
+        Both arrays are the stored ones and are read-only; see the class
+        docstring for their integer types.
+        """
+        return self._items, self._lengths
+
+
+def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(items, lengths) of a list of 1-based id sequences: 0-based ids padded
+    with -1 to shape (n, max(kmax, 1))."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    width = max(int(lengths.max()) if lengths.size else 0, 1)
+    items = np.full((lengths.shape[0], width), -1, dtype=np.int64)
+    ids = np.fromiter(chain.from_iterable(rows), np.int64)
+    items[np.arange(width) < lengths[:, None]] = ids - 1
+    return items, lengths
+
+
+def _validate_rows(items, lengths, universe, allow_empty):
+    """Raise for the first invalid record the message validate_order gives it.
+
+    Works one list position at a time, so that no temporary is as large as
+    ``items``.
+    """
+    m, (n, width) = universe.m, items.shape
+    bad = (lengths > m) | ((lengths == 0) & (not allow_empty))
+    seen = np.zeros((n, m + 1), dtype=bool)  # column m takes every cell that is no id in range
+    rows = np.arange(n)
+    for j in range(width):
+        listed, ids = lengths > j, items[:, j]
+        if np.any(ids[~listed] != -1):
+            raise ValueError("padding cells must hold -1")
+        inside = listed & (ids >= 0) & (ids < m)
+        col = np.where(inside, ids, m)
+        bad |= (listed & ~inside) | (seen[rows, col] & inside)
+        seen[rows, col] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        ids = [a + 1 for a in items[i, : lengths[i]].tolist()]
+        validate_order(PartialOrder(ids), universe, allow_empty)
+
+
+def check_covariates(covariates, n: int, m: int) -> None:
+    """Raise unless the covariate tensor has one (m, d) slice per record."""
+    if covariates is None:
+        return
+    if covariates.n != n:
+        raise ValueError(f"covariate rows ({covariates.n}) != number of orders ({n})")
+    if covariates.values.shape[1] != m:
+        raise ValueError("covariate item dimension != universe size")
 
 
 def extension_count(k: int, m: int) -> int:

@@ -183,3 +183,10 @@ def test_cli_import_leaves_out_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_fit_rejects_negative_batch_size(ballots, tmp_path):
+    out = tmp_path / "m.json"
+    args = ["fit", "--data", ballots, "--model", "c-i", "--batch-size", "-5", "--out", out]
+    assert run(args) == EXIT_INPUT
+    assert not out.exists()

@@ -148,6 +148,16 @@ def test_dataset_hash_order_sensitive(legacy_file):
     assert dataset_hash(flipped) != h1
 
 
+def test_dataset_hash_pinned(tmp_path):
+    # values taken from the per-record implementation; checkpoints record them
+    p = tmp_path / "pin.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 5\n3: 2,1\n1: 5,4,1,2,3\n2: 3\n")
+    D = parse_preflib(p)
+    assert [q.items for q in D.orders] == [(2, 1)] * 3 + [(5, 4, 1, 2, 3)] + [(3,)] * 2
+    assert dataset_hash(D) == "33b51225ffc4855b"
+    assert dataset_hash(Dataset(D.universe, tuple(reversed(D.orders)))) == "31f756ad8b435f6b"
+
+
 # ---------------------------------------------------------------------------
 # covariates
 # ---------------------------------------------------------------------------

@@ -422,6 +422,20 @@ def test_kfold_too_few_records():
         kfold_split(D, folds=5)
 
 
+def test_one_fold_rejected():
+    D = Dataset(Universe(3), random_orders(3, 20, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="at least 2 folds"):
+        kfold_split(D, folds=1)
+    with pytest.raises(ValueError, match="at least 2 folds"):
+        grid_search("c-i", D, [1], [0.0], folds=1)
+
+
+@pytest.mark.parametrize("batch_size", [-5, 0, 2.5, "half"])
+def test_bad_batch_size_rejected(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        FitConfig(batch_size=batch_size)
+
+
 def test_grid_search_prefers_stratified_truth():
     # data generated from a strongly position-dependent model: the grid should
     # not pick K = 1 over K = 2 when given both

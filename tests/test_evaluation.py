@@ -11,6 +11,7 @@ from topkorders import (
     Dataset,
     NonFiniteLossError,
     PartialOrder,
+    StratifiedAugmentedParams,
     Universe,
     build_eval_report,
     demand_shares,
@@ -25,7 +26,7 @@ from topkorders import (
 from topkorders import test_nll as held_out_nll
 from topkorders.augmented import empty_list_log_prob
 from topkorders.estimation import ParamLayout
-from util import random_model, random_orders
+from util import empirical_pmf, enum_pmf, random_model, random_orders
 
 
 def toy_dataset():
@@ -241,3 +242,29 @@ def test_report_errors():
         length_stats([], toy_dataset())
     with pytest.raises(ValueError):
         emit_plot_data([], "/tmp/unused")
+
+
+@pytest.mark.parametrize("variant,no_empty", [("c-ci", False), ("a-s", False), ("a-s", True)])
+def test_covariate_sampling_matches_each_agents_pmf(variant, no_empty):
+    rng = np.random.default_rng(40)
+    m, d, per_agent = 3, 2, 50_000
+    if variant == "c-ci":
+        model = random_model("c-ci", m, rng, d=d)
+    else:
+        params = StratifiedAugmentedParams(rng.normal(size=(2, m + 1)), rng.normal(size=(2, d)))
+        model = AugmentedModel("a-s", params, Universe(m))
+    agents = rng.normal(scale=1.5, size=(2, m, d))
+    pmfs = []
+    for x_row in agents:
+        space, p = enum_pmf(model, x_row)
+        if no_empty:  # rejection resampling conditions on k >= 1
+            keep = [i for i, q in enumerate(space) if len(q)]
+            space, p = [space[i] for i in keep], p[keep] / p[keep].sum()
+        pmfs.append((space, p))
+    assert 0.5 * np.abs(pmfs[0][1] - pmfs[1][1]).sum() > 0.1  # the agents differ
+    cov = CovariateTensor(np.repeat(agents, per_agent, axis=0))
+    (D,) = replicate_sample(model, 2 * per_agent, 1, 41, cov, no_empty=no_empty)
+    orders = D.orders
+    for a, (space, p) in enumerate(pmfs):
+        emp = empirical_pmf(orders[a * per_agent : (a + 1) * per_agent], space)
+        assert 0.5 * np.abs(emp - p).sum() < 0.02

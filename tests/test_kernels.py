@@ -19,11 +19,8 @@ from topkorders import test_nll as held_out_nll
 from topkorders.estimation import _bank_event_counts
 from topkorders.kernels import (
     apd_nll_grad,
-    apd_nll_grad_numpy,
     augs_nll_grad,
-    augs_nll_grad_numpy,
     pl_nll_grad,
-    pl_nll_grad_numpy,
     unchosen_mask,
 )
 from util import random_orders
@@ -52,9 +49,7 @@ def _fd(f, x, h=1e-6):
     return g
 
 
-@pytest.mark.parametrize(
-    "impl", [pl_nll_grad_numpy, pl_nll_grad], ids=["pl_nll_grad_numpy", "pl_nll_grad"]
-)
+@pytest.mark.parametrize("impl", [pl_nll_grad], ids=["pl_nll_grad"])
 def test_pl_kernel(batch, impl):
     m, orders, items, lengths, unchosen, weights = batch
     rng = np.random.default_rng(1)
@@ -74,9 +69,7 @@ def test_pl_kernel(batch, impl):
     np.testing.assert_allclose(grad, _fd(f, theta), atol=1e-6)
 
 
-@pytest.mark.parametrize(
-    "impl", [augs_nll_grad_numpy, augs_nll_grad], ids=["augs_nll_grad_numpy", "augs_nll_grad"]
-)
+@pytest.mark.parametrize("impl", [augs_nll_grad], ids=["augs_nll_grad"])
 @pytest.mark.parametrize("K", [1, 3])
 def test_augs_kernel(batch, impl, K):
     m, orders, items, lengths, unchosen, weights = batch
@@ -107,9 +100,7 @@ def test_augs_kernel(batch, impl, K):
     np.testing.assert_allclose(grad, _fd(f, banks), atol=1e-5)
 
 
-@pytest.mark.parametrize(
-    "impl", [apd_nll_grad_numpy, apd_nll_grad], ids=["apd_nll_grad_numpy", "apd_nll_grad"]
-)
+@pytest.mark.parametrize("impl", [apd_nll_grad], ids=["apd_nll_grad"])
 def test_apd_kernel(batch, impl):
     m, orders, items, lengths, unchosen, weights = batch
     rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,3 +95,25 @@ def test_dataset_validation_and_padding():
     assert items.tolist() == [[0, -1], [2, 1]]
     with pytest.raises(InvalidOrderError):
         Dataset(u, (PartialOrder(()),))
+
+
+@pytest.mark.parametrize("bad", [(), (1, 1), (4,), (0,), (1, 2, 3, 1)])
+def test_dataset_names_first_bad_record_as_validate_order_does(bad):
+    u = Universe(3)
+    with pytest.raises(InvalidOrderError) as want:
+        validate_order(PartialOrder(bad), u)
+    orders = (PartialOrder((1, 2)), PartialOrder(bad), PartialOrder((5,)))
+    with pytest.raises(InvalidOrderError, match=re.escape(str(want.value))):
+        Dataset(u, orders)
+
+
+def test_from_padded_round_trip():
+    u = Universe(3)
+    D = Dataset(u, (PartialOrder((1,)), PartialOrder((3, 2))))
+    items, lengths = D.to_padded()
+    assert not items.flags.writeable and not lengths.flags.writeable
+    wide = Dataset.from_padded(u, np.hstack([items, [[-1], [-1]]]), lengths)
+    assert wide.orders == D.orders
+    assert wide.to_padded()[0].shape == (2, 2)
+    with pytest.raises(ValueError, match="padding"):
+        Dataset.from_padded(u, np.array([[0, 1]]), np.array([1]))
