@@ -20,6 +20,7 @@ from .estimation import (
     fit,
     grid_search,
 )
+from .dataio import ParseError
 from .orders import Dataset
 
 EXIT_OK = 0
@@ -141,28 +142,43 @@ def _parse_grid(spec: str):
     return Ks, lapls
 
 
-def _read_capacities(path):
-    caps = {}
+def _side_file(path, header, m):
+    """(line number, id, value text) of each 'id,value' line of a side file,
+    the id checked to lie in [1, m]; blank, comment and header lines skipped."""
     with open(path, encoding="utf-8") as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, start=1):
             ln = ln.strip()
-            if not ln or ln.startswith("#") or ln.startswith("program_id"):
+            if not ln or ln.startswith("#") or ln.startswith(header):
                 continue
-            pid, cap = ln.split(",")
-            caps[int(pid)] = int(cap)
+            fields = ln.split(",", 1)
+            if len(fields) != 2:
+                raise ParseError(f"expected '{header},...'", path, lineno)
+            try:
+                key = int(fields[0])
+            except ValueError:
+                raise ParseError(f"malformed id {fields[0].strip()!r}", path, lineno) from None
+            if not 1 <= key <= m:
+                raise ParseError(f"id {key} outside [1, {m}]", path, lineno)
+            yield lineno, key, fields[1].strip()
+
+
+def _read_capacities(path, m):
+    """Seats of programs 1..m from 'program_id,capacity' lines; 0 if unlisted."""
+    caps = [0] * m
+    for lineno, pid, text in _side_file(path, "program_id", m):
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ParseError(f"malformed capacity {text!r}", path, lineno) from None
+        if cap < 0:
+            raise ParseError(f"negative capacity {cap}", path, lineno)
+        caps[pid - 1] = cap
     return caps
 
 
-def _read_group_map(path):
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("item_id"):
-                continue
-            item, group = ln.split(",", 1)
-            out[int(item)] = group.strip()
-    return out
+def _read_group_map(path, m):
+    """Group labels of items 1..m from 'item_id,group' lines."""
+    return {item: group for _, item, group in _side_file(path, "item_id", m)}
 
 
 def cmd_stats(args) -> int:
@@ -193,10 +209,10 @@ def cmd_fit(args) -> int:
             fh.write("epoch\tobjective\tgrad_norm\n")
             for epoch, obj, gnorm in result.trace:
                 fh.write(f"{epoch}\t{obj!r}\t{gnorm!r}\n")
-    status = "converged" if result.converged else "max-epochs"
+    stop = "|dF| < tol" if result.converged else "max-epochs"
     print(
-        f"fit {args.model}: {status} after {result.epochs_run} epochs,"
-        f" objective {result.final_objective:.6f}"
+        f"fit {args.model}: stopped by {stop} after {result.epochs_run} epochs,"
+        f" objective {result.final_objective:.6f}, gradient norm {result.final_grad_norm:.3g}"
     )
     return EXIT_OK
 
@@ -205,7 +221,7 @@ def cmd_eval(args) -> int:
     model, _ = dataio.load_checkpoint(args.model_ckpt)
     D = _load_data(args)
     n_per = args.n or D.n
-    group_map = _read_group_map(args.group_map) if args.group_map else None
+    group_map = _read_group_map(args.group_map, model.universe.m) if args.group_map else None
     report = evaluation.build_eval_report(
         model_tag=model.variant,
         model=model,
@@ -292,8 +308,7 @@ def cmd_cv(args) -> int:
 
 def cmd_assign(args) -> int:
     D = dataio.parse_preflib(args.preferences)
-    caps_by_id = _read_capacities(args.capacities)
-    capacities = [caps_by_id.get(p, 0) for p in range(1, D.universe.m + 1)]
+    capacities = _read_capacities(args.capacities, D.universe.m)
     priorities = asg.uniform_priorities(D.n, D.universe.m, args.seed)
 
     def run(prefs):

@@ -51,6 +51,16 @@ def parse_preflib(path) -> Dataset:
     return _parse_preflib_legacy(path, lines)
 
 
+def _check_count(raw_count, path, lineno):
+    try:
+        count = int(raw_count.strip())
+    except ValueError:
+        raise ParseError(f"malformed count {raw_count.strip()!r}", path, lineno) from None
+    if count < 0:
+        raise ParseError(f"negative count {count}", path, lineno)
+    return count
+
+
 def _check_ballot(raw_items, m, path, lineno):
     if "{" in raw_items or "}" in raw_items:
         raise ParseError("tied entries ({...}) are unsupported", path, lineno)
@@ -97,12 +107,8 @@ def _parse_preflib_2021(path, lines) -> Dataset:
         if ":" not in s:
             raise ParseError("expected 'count: alt,alt,...'", path, lineno)
         count_s, raw_items = s.split(":", 1)
-        try:
-            count = int(count_s.strip())
-        except ValueError:
-            raise ParseError(f"malformed count {count_s.strip()!r}", path, lineno) from None
+        counts.append(_check_count(count_s, path, lineno))
         ballots.append(_check_ballot(raw_items, m, path, lineno))
-        counts.append(count)
     if m is None:
         raise ParseError("missing NUMBER ALTERNATIVES header", path)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1)) if labels else None
@@ -142,12 +148,8 @@ def _parse_preflib_legacy(path, lines) -> Dataset:
         parts = row.split(",", 1)
         if len(parts) < 2:
             raise ParseError("expected 'count,alt,alt,...'", path, lineno)
-        try:
-            count = int(parts[0].strip())
-        except ValueError:
-            raise ParseError(f"malformed count {parts[0].strip()!r}", path, lineno) from None
+        counts.append(_check_count(parts[0], path, lineno))
         ballots.append(_check_ballot(parts[1], m, path, lineno))
-        counts.append(count)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1))
     return _ballot_dataset(Universe(m, label_tuple), ballots, counts, declared_n, path)
 
@@ -155,7 +157,7 @@ def _parse_preflib_legacy(path, lines) -> Dataset:
 def _ballot_dataset(universe, ballots, counts, declared_n, path) -> Dataset:
     """Each checked ballot line repeated ``count`` times, in file order."""
     items, lengths = pad_rows(ballots)
-    repeats = np.maximum(np.array(counts, dtype=np.int64), 0)  # a negative count adds no record
+    repeats = np.array(counts, dtype=np.int64)
     items, lengths = np.repeat(items, repeats, axis=0), np.repeat(lengths, repeats)
     D = Dataset.from_padded(universe, items, lengths)
     _warn_count(declared_n, D.n, path)

@@ -4,7 +4,8 @@ The objective is F = nll + l2 penalty, plus the Laplacian coupling term
 for the stratified variants (c-ld, a-s), whose per-stratum losses are each
 averaged over their own records or choice events. Gradients are analytic;
 optimization is a hand-rolled Adam on a flat parameter vector, initialized
-at zero, full-batch by default.
+at zero, full-batch by default. A fit of a model without covariates
+evaluates the objective on its event table (see ``events``).
 """
 
 from dataclasses import dataclass, field, replace
@@ -36,11 +37,11 @@ from .lengthdist import (
     poisson_clipped_log_pmf,
 )
 from .evaluation import test_nll
+from .events import event_table
 from .orders import CovariateTensor, Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
 
 ALL_VARIANTS = ("c-i", "c-ci", "c-ld", "a", "a-pd", "a-s")
-END = 0  # marker for the END token in by-rank choice events
 
 
 class NonFiniteLossError(RuntimeError):
@@ -85,6 +86,10 @@ class FitResult:
     def final_objective(self) -> float:
         return self.trace[-1][1]
 
+    @property
+    def final_grad_norm(self) -> float:
+        return self.trace[-1][2]
+
 
 # ---------------------------------------------------------------------------
 # Penalties
@@ -120,51 +125,24 @@ def _laplacian_grad(banks_2d: np.ndarray, lambda_laplacian: float) -> np.ndarray
 # Dataset stratification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChoiceEvent:
-    """A single sequential choice: the chosen id (END = 0) and the choice set."""
-
-    chosen: int
-    available: tuple
-    position: int
-
-
 def stratify_dataset(D: Dataset, K: int, mode: str = "by-length"):
-    """Split D into K strata by list length, or into K banks of choice events.
+    """Split D into K strata by list length.
 
-    by-length: stratum i (1-based) holds orders of length i, the last
-    stratum holds lengths >= K. by-rank: stratum i holds all position-i
-    choice events, including terminal END choices, the last stratum all
-    events at positions >= K.
+    Stratum i (1-based) holds orders of length i, the last stratum holds
+    lengths >= K.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if mode == "by-length":
-        items, lengths = D.to_padded()
-        strata = np.minimum(np.maximum(lengths, 1), K) - 1
-        return [
-            Dataset.from_padded(
-                D.universe, items[strata == b], lengths[strata == b], allow_empty=D.allow_empty
-            )
-            for b in range(K)
-        ]
-    if mode == "by-rank":
-        m = D.universe.m
-        groups = [[] for _ in range(K)]
-        for q in D.orders:
-            remaining = list(range(1, m + 1))
-            for pos, a in enumerate(q.items, start=1):
-                groups[min(pos, K) - 1].append(
-                    ChoiceEvent(a, tuple(remaining) + (END,), pos)
-                )
-                remaining.remove(a)
-            if len(q) < m:
-                pos = len(q) + 1
-                groups[min(pos, K) - 1].append(
-                    ChoiceEvent(END, tuple(remaining) + (END,), pos)
-                )
-        return groups
-    raise ValueError(f"unknown stratification mode {mode!r}")
+    if mode != "by-length":
+        raise ValueError(f"unknown stratification mode {mode!r}")
+    items, lengths = D.to_padded()
+    strata = np.minimum(np.maximum(lengths, 1), K) - 1
+    return [
+        Dataset.from_padded(
+            D.universe, items[strata == b], lengths[strata == b], allow_empty=D.allow_empty
+        )
+        for b in range(K)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +378,7 @@ class _FitData:
     def _set_rows(self, items, lengths, weights, X, unchosen):
         self.items, self.lengths, self.weights, self.X = items, lengths, weights, X
         self.unchosen = unchosen
+        self.events = None  # the fit's EventTable, when it has one
         self.x_agent = None if X is None else X.mean(axis=1)  # the Poisson length features
         self.n = int(weights.sum())
         self.length_counts = np.bincount(lengths, weights=weights, minlength=self.m + 1)[
@@ -410,12 +389,18 @@ class _FitData:
 def objective_and_grad(
     variant: str, data: _FitData, layout: ParamLayout, flat: np.ndarray, cfg: FitConfig
 ):
-    """Return (F, dF/dflat) for the full dataset."""
+    """Return (F, dF/dflat) for the full dataset.
+
+    The fit's event table serves a covariate-free model, the row kernels
+    every other.
+    """
     m, d, K = layout.m, layout.d, layout.K
     n, w, X = data.n, data.weights, data.X
     grad = np.zeros_like(flat)
 
-    if variant in ("c-i", "c-ld"):
+    if data.events is not None and data.events.layout == layout:
+        F, grad = data.events.nll_grad(flat)
+    elif variant in ("c-i", "c-ld"):
         # c-i is c-ld with one bank and no covariates; each bank's ranking
         # term is averaged over the records of its length stratum.
         if variant == "c-i":
@@ -515,6 +500,7 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     K = cfg.K if variant in ("c-ld", "a-s") else 1
     layout = ParamLayout(variant, D.universe.m, d, K)
     data = _FitData(D)
+    data.events = event_table(data, layout)
 
     flat = np.zeros(layout.size)
     mom = np.zeros_like(flat)

@@ -190,3 +190,43 @@ def test_fit_rejects_negative_batch_size(ballots, tmp_path):
     args = ["fit", "--data", ballots, "--model", "c-i", "--batch-size", "-5", "--out", out]
     assert run(args) == EXIT_INPUT
     assert not out.exists()
+
+
+def test_negative_count_is_input_error(tmp_path, capsys):
+    p = tmp_path / "neg.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 3\n2: 3\n-3: 1,2\n")
+    assert run(["stats", "--data", p]) == EXIT_INPUT
+    assert f"{p}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1\n", "x,10\n", "1,ten\n", "1,-1\n", "5,10\n", "0,10\n"],
+    ids=["no-comma", "bad-id", "bad-capacity", "negative-capacity", "id-above-m", "id-zero"],
+)
+def test_bad_capacity_line_is_input_error(ballots, tmp_path, capsys, text):
+    caps = tmp_path / "caps.csv"
+    caps.write_text("program_id,capacity\n2,10\n" + text)
+    rc = run(["assign", "--preferences", ballots, "--capacities", caps])
+    assert rc == EXIT_INPUT
+    assert f"{caps}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1\n", "one,g1\n", "5,g1\n"],
+                         ids=["no-comma", "bad-id", "id-above-m"])
+def test_bad_group_map_line_is_input_error(checkpoint, ballots, tmp_path, capsys, text):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("item_id,group\n2,g1\n" + text)
+    rc = run(["eval", "--model-ckpt", checkpoint, "--data", ballots, "--reps", "1",
+              "--group-map", groups, "--out", tmp_path / "evalout"])
+    assert rc == EXIT_INPUT
+    assert f"{groups}:3:" in capsys.readouterr().err
+
+
+def test_fit_line_names_the_stop_rule(ballots, tmp_path, capsys):
+    flags = ["fit", "--data", ballots, "--model", "c-i", "--lr", "0.05"]
+    assert run([*flags, "--max-epochs", "5", "--tol", "1e-12", "--out", tmp_path / "a.json"]) == 0
+    out = capsys.readouterr().out
+    assert "stopped by max-epochs after 5 epochs" in out and "gradient norm" in out
+    assert run([*flags, "--max-epochs", "500", "--tol", "1", "--out", tmp_path / "b.json"]) == 0
+    assert "stopped by |dF| < tol after 2 epochs" in capsys.readouterr().out

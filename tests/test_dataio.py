@@ -122,6 +122,29 @@ def test_parse_error_carries_location(tmp_path):
     assert str(p) in str(ei.value)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("# NUMBER ALTERNATIVES: 3\n2: 3\n-3: 1,2\n", 3),
+        ("3\n1,a\n2,b\n3,c\n5,5,2\n2,3\n-3,1,2\n", 7),
+    ],
+    ids=["2021", "legacy"],
+)
+def test_negative_count_rejected(tmp_path, text, line):
+    p = tmp_path / "neg.soi"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="negative count") as ei:
+        parse_preflib(p)
+    assert ei.value.line == line
+    assert f"{p}:{line}:" in str(ei.value)
+
+
+def test_zero_count_adds_no_record(tmp_path):
+    p = tmp_path / "zero.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 3\n0: 1,2\n2: 3\n")
+    assert parse_preflib(p).orders == (PartialOrder((3,)), PartialOrder((3,)))
+
+
 def test_count_mismatch_warns_and_uses_observed(tmp_path):
     p = tmp_path / "off.soi"
     p.write_text("# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: 99\n1: 1\n")

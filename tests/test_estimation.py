@@ -20,8 +20,8 @@ from topkorders import (
     sample_composite_dataset,
     stratify_dataset,
 )
+from topkorders import estimation
 from topkorders.estimation import (
-    ChoiceEvent,
     ParamLayout,
     _FitData,
     l2_penalty,
@@ -29,7 +29,15 @@ from topkorders.estimation import (
     model_log_prob,
     objective_and_grad,
 )
-from util import empirical_pmf, enum_pmf, model_space, random_model, random_orders
+from topkorders.events import event_table
+from util import (
+    empirical_pmf,
+    enum_pmf,
+    model_space,
+    random_model,
+    random_orders,
+    stratify_by_rank,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ def test_stratify_by_rank_counts_terminal_events():
         u,
         (PartialOrder((1,)), PartialOrder((1, 2)), PartialOrder((1, 2, 3))),
     )
-    groups = stratify_dataset(D, 2, mode="by-rank")
+    groups = stratify_by_rank(D, 2)
     # position 1: three item choices; positions >= 2: items (2),(2,3)
     # plus END terminals for the length-1 and length-2 lists = 5 events
     assert len(groups[0]) == 3
@@ -164,7 +172,7 @@ def _objective_reference(variant, D, layout, flat, cfg):
             F += total / len(idx)
     elif variant == "a-s":
         # sum over rank strata of the event-mean negative log-likelihood
-        groups = stratify_dataset(D, layout.K, mode="by-rank")
+        groups = stratify_by_rank(D, layout.K)
         # covariate-aware event probabilities need the source record; rebuild
         # events per record instead when covariates are present
         F = 0.0
@@ -272,6 +280,108 @@ def test_objective_value_and_gradient(variant, d):
             - objective_and_grad(variant, data, layout, fm, cfg)[0]
         ) / (2 * h)
     np.testing.assert_allclose(g, fd, atol=1e-4, rtol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Event table: covariate-free objectives against the row kernels
+# ---------------------------------------------------------------------------
+
+TABLE_VARIANTS = [
+    ("c-i", 1), ("c-ld", 1), ("c-ld", 3), ("a", 1), ("a-pd", 1), ("a-s", 1), ("a-s", 3)
+]
+
+
+def _repeated_prefixes(variant, m, n, rng):
+    """n lists of at most 3 items from ids m-5..m (above 62 when m = 70), so
+    that prefix sets repeat and the table has fewer keys than distinct rows."""
+    aug = variant.startswith("a")
+    ids = np.arange(max(1, m - 5), m + 1)
+    orders = [
+        PartialOrder(tuple(int(a) for a in rng.choice(ids, rng.integers(0 if aug else 1, 4), False)))
+        for _ in range(n)
+    ]
+    return Dataset(Universe(m), orders, allow_empty=aug)
+
+
+@pytest.mark.parametrize("m", [4, 70])
+@pytest.mark.parametrize("spread", [0.3, 40.0, 200.0])
+@pytest.mark.parametrize("variant,K", TABLE_VARIANTS)
+def test_event_table_matches_row_kernels(variant, K, spread, m):
+    """The table's objective equals the row kernels' and the reference at
+    every utility spread; its gradient equals the kernels' at spread 0.3 and
+    central differences of its objective at every spread (the kernels'
+    gradient loses precision at large spreads)."""
+    rng = np.random.default_rng(40 + m)
+    D = _repeated_prefixes(variant, m, 150, rng)
+    layout = ParamLayout(variant, m, 0, K)
+    cfg = FitConfig(lambda_l2=1e-3, lambda_laplacian=0.5, K=K)
+    data = _FitData(D)
+    flat = spread * (rng.uniform(size=layout.size) - 0.5)
+    F_rows, g_rows = objective_and_grad(variant, data, layout, flat, cfg)
+    data.events = event_table(data, layout)
+    assert data.events is not None
+    F, g = objective_and_grad(variant, data, layout, flat, cfg)
+    assert F == pytest.approx(F_rows, rel=1e-9)
+    assert F == pytest.approx(_objective_reference(variant, D, layout, flat, cfg), rel=1e-9)
+    if spread < 1:
+        np.testing.assert_allclose(g, g_rows, rtol=1e-9, atol=1e-9 * np.abs(g_rows).max())
+    h = 1e-5
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        step = np.zeros_like(flat)
+        step[i] = h
+        fd[i] = (
+            objective_and_grad(variant, data, layout, flat + step, cfg)[0]
+            - objective_and_grad(variant, data, layout, flat - step, cfg)[0]
+        ) / (2 * h)
+    np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+def test_event_table_rule():
+    """The table serves a model without covariates that has at most as many
+    keys as distinct rows; the row kernels serve every other fit."""
+    rng = np.random.default_rng(50)
+    m = 70
+    long_lists = Dataset(Universe(m), random_orders(m, 40, rng, min_len=20))
+    for variant, K in TABLE_VARIANTS:
+        assert event_table(_FitData(long_lists), ParamLayout(variant, m, 0, K)) is None
+    # c-i keys {} and {1}: as many keys as rows, then one more key than rows
+    at_rule = Dataset(Universe(3), (PartialOrder((1,)), PartialOrder((1, 2))))
+    assert event_table(_FitData(at_rule), ParamLayout("c-i", 3, 0, 1)) is not None
+    past_rule = Dataset(Universe(3), (PartialOrder((1, 2)),))
+    assert event_table(_FitData(past_rule), ParamLayout("c-i", 3, 0, 1)) is None
+    short = _repeated_prefixes("a-s", m, 150, rng)
+    assert event_table(_FitData(short), ParamLayout("a-s", m, 0, 3)) is not None
+    cov = Dataset(short.universe, short.orders, CovariateTensor(rng.normal(size=(150, m, 2))),
+                  allow_empty=True)
+    assert event_table(_FitData(cov), ParamLayout("a-s", m, 2, 3)) is None
+    assert event_table(_FitData(cov), ParamLayout("c-i", m, 2, 1)) is not None
+
+
+@pytest.mark.parametrize("variant", ["c-i", "c-ld", "a", "a-pd", "a-s"])
+def test_fit_trace_matches_row_kernels(variant, monkeypatch):
+    rng = np.random.default_rng(51)
+    m = 5
+    truth = random_model(variant, m, rng, K=3, scale=1.5)
+    sample = sample_composite_dataset if variant[0] == "c" else sample_augmented_dataset
+    D = sample(truth, 2000, rng)
+    cfg = FitConfig(learning_rate=0.01, max_epochs=200, tol=1e-12, K=3, lambda_laplacian=1e-2)
+    K = cfg.K if variant in ("c-ld", "a-s") else 1
+    assert event_table(_FitData(D), ParamLayout(variant, m, 0, K)) is not None
+    table = fit(variant, D, cfg)
+    monkeypatch.setattr(estimation, "event_table", lambda data, layout: None)
+    rows = fit(variant, D, cfg)
+    assert table.epochs_run == rows.epochs_run == 200
+    np.testing.assert_allclose(
+        [t[1:] for t in table.trace], [t[1:] for t in rows.trace], rtol=1e-10
+    )
+
+
+def test_final_grad_norm_is_the_last_traced_norm():
+    D = Dataset(Universe(4), random_orders(4, 100, np.random.default_rng(52)))
+    res = fit("c-i", D, FitConfig(learning_rate=0.05, max_epochs=30, tol=1e-12))
+    assert res.final_grad_norm == res.trace[-1][2] > 0
+    assert not res.converged
 
 
 def test_nll_rejects_impossible_record():

@@ -1,5 +1,7 @@
 """Shared helpers: random model factories and enumeration oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from topkorders import (
@@ -94,3 +96,32 @@ def random_orders(m, n, rng, min_len=1):
         k = int(rng.integers(min_len, m + 1))
         out.append(PartialOrder(tuple(int(a) + 1 for a in rng.permutation(m)[:k])))
     return out
+
+
+END = 0  # the END token's id in by-rank choice events
+
+
+@dataclass(frozen=True)
+class ChoiceEvent:
+    """A single sequential choice: the chosen id (END = 0) and the choice set."""
+
+    chosen: int
+    available: tuple
+    position: int
+
+
+def stratify_by_rank(D, K):
+    """K banks of choice events: bank i holds every position-i choice,
+    terminal END choices included, the last bank every choice at positions
+    >= K; the a-s objective's oracle."""
+    m = D.universe.m
+    groups = [[] for _ in range(K)]
+    for q in D.orders:
+        remaining = list(range(1, m + 1))
+        for pos, a in enumerate(q.items, start=1):
+            groups[min(pos, K) - 1].append(ChoiceEvent(a, tuple(remaining) + (END,), pos))
+            remaining.remove(a)
+        if len(q) < m:
+            pos = len(q) + 1
+            groups[min(pos, K) - 1].append(ChoiceEvent(END, tuple(remaining) + (END,), pos))
+    return groups
