@@ -398,7 +398,7 @@ def objective_and_grad(
     n, w, X = data.n, data.weights, data.X
     grad = np.zeros_like(flat)
 
-    if data.events is not None and data.events.layout == layout:
+    if data.events is not None:
         F, grad = data.events.nll_grad(flat)
     elif variant in ("c-i", "c-ld"):
         # c-i is c-ld with one bank and no covariates; each bank's ranking

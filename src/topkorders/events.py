@@ -14,18 +14,16 @@ import numpy as np
 
 
 class EventTable:
-    """P keys of a fit with parameter layout ``layout``.
-
-    Row p of the (P, m+1) arrays, over the m items and then END, holds the
-    options available at key p, the weighted count of each option chosen
-    there divided by the normalizer of the key's bank, and the flat index
-    of each option's utility (``layout.size`` where it has none, for a
-    utility of 0). For c-i and c-ld one more row holds the list-length
-    counts, a choice among the m length logits.
+    """P keys of a fit. Row p of the (P, m+1) arrays, over the m items and
+    then END, holds the options available at key p, the weighted count of
+    each option chosen there divided by the normalizer of the key's bank,
+    and the flat index of each option's utility (the parameter count where
+    it has none, for a utility of 0). For c-i and c-ld one more row holds
+    the list-length counts, a choice among the m length logits.
     """
 
-    def __init__(self, layout, avail, counts, uidx):
-        self.layout, self.avail, self.counts, self.uidx = layout, avail, counts, uidx
+    def __init__(self, avail, counts, uidx):
+        self.avail, self.counts, self.uidx = avail, counts, uidx
         self.total = counts.sum(axis=1)
 
     def nll_grad(self, flat):
@@ -42,55 +40,59 @@ class EventTable:
 
 def event_table(data, layout):
     """The event table of a fit's rows (a ``_FitData``), or None where the
-    row kernels serve it: a model with covariates, or more keys than rows."""
+    row kernels serve it: a model with covariates, or a table of more cells,
+    P * (m+1), than the rows have choice events. An evaluation touches each
+    table cell a few times, and the row kernels each event, so the rule
+    compares their work analytically. The build stops at the first list
+    position whose keys pass that bound."""
     v, m, K = layout.variant, layout.m, layout.K
     if data.X is not None and v != "c-i":
         return None
     items, lengths, w = data.items, data.lengths, data.weights
     R, aug = lengths.shape[0], v in ("a", "a-pd", "a-s")
-    # one event per listed item, then END after k < m items (augmented),
-    # position by position, with each row's listed items packed into bits
+    # one event per listed item, then END after k < m items (augmented)
     steps = lengths + (aug & (lengths < m))
+    limit = int(steps.sum()) // (m + 1)
+    stratum = np.minimum(np.maximum(lengths, 1), K) - 1
     ids = np.hstack([items, np.full((R, 1), -1)])
-    listed = np.zeros((R, (m + 7) // 8), dtype=np.uint8)
-    row, bits = [], []
-    for j in range(ids.shape[1]):
-        row.append(np.flatnonzero(steps > j))
-        bits.append(listed[row[-1]])  # the prefix set of each event at j
-        on = np.flatnonzero(ids[:, j] >= 0)
-        listed[on, ids[on, j] // 8] |= (128 >> ids[on, j] % 8).astype(np.uint8)
-    pos = np.repeat(np.arange(ids.shape[1]), [r.size for r in row])
-    row, bits = np.concatenate(row), np.concatenate(bits)
-    chosen = ids[row, pos]
-    chosen[chosen < 0] = m
-    if v == "c-ld":
-        stratum = np.minimum(np.maximum(lengths, 1), K) - 1
-        bank = stratum[row]
-    elif v == "a-s":
-        bank = np.minimum(pos, K - 1)
-    elif v == "a-pd":
-        bank = pos
-    else:
-        bank = np.zeros_like(pos)
-    # group the events by key: sort on the prefix bits, then the bank
-    order = np.lexsort([*bits.T, bank])
-    first = np.ones(order.size, dtype=bool)  # the first event of each key
-    first[1:] = (np.diff(bank[order]) != 0) | np.any(np.diff(bits[order], axis=0) != 0, axis=1)
-    rep = order[first]
-    P, index = rep.size, _utility_index(layout)
-    if P > R:
+    listed = np.zeros((R, (m + 7) // 8), dtype=np.uint8)  # each row's listed items, in bits
+    P, cells, wts, sets, banks = 0, [], [], [], []
+    for j in range(int(steps.max(initial=0))):
+        row = np.flatnonzero(steps > j)
+        bits = listed[row]  # the prefix set of each event at j
+        if v == "c-ld":
+            bank = stratum[row]
+        else:
+            bank = np.full(row.size, j if v == "a-pd" else min(j, K - 1))
+        # group the events at j by key; prefix sets at other positions differ in size
+        order = np.lexsort([*bits.T, bank])
+        first = np.ones(row.size, dtype=bool)  # the first event of each key
+        first[1:] = (np.diff(bank[order]) != 0) | np.any(np.diff(bits[order], axis=0) != 0, axis=1)
+        key = np.empty_like(order)
+        key[order] = P + np.cumsum(first) - 1
+        P += int(first.sum())
+        if P > limit:
+            return None
+        chosen = ids[row, j]
+        cells.append(key * (m + 1) + np.where(chosen < 0, m, chosen))
+        wts.append(w[row])
+        sets.append(bits[order[first]])
+        banks.append(bank[order[first]])
+        on = chosen >= 0
+        listed[row[on], chosen[on] // 8] |= (128 >> chosen[on] % 8).astype(np.uint8)
+    if P == 0:  # no choices at all
         return None
-    key = np.empty_like(order)
-    key[order] = np.cumsum(first) - 1
-    bank_of = bank[rep]
+    bank_of, index = np.concatenate(banks), _utility_index(layout)
     avail = np.ones((P, m + 1), dtype=bool)
-    avail[:, :m] = np.unpackbits(bits[rep], axis=1, count=m) == 0
+    avail[:, :m] = np.unpackbits(np.concatenate(sets), axis=1, count=m) == 0
     avail[:, m] = aug
-    counts = np.bincount(key * (m + 1) + chosen, w[row], minlength=P * (m + 1)).reshape(P, m + 1)
+    counts = np.bincount(
+        np.concatenate(cells), np.concatenate(wts), minlength=P * (m + 1)
+    ).reshape(P, m + 1)
     if v == "c-ld":  # each bank's term is averaged over its length stratum's records
         per_bank = np.bincount(stratum, w, minlength=K)
     elif v == "a-s":  # ... or over the choices made with it
-        per_bank = np.bincount(bank, w[row], minlength=K)
+        per_bank = np.bincount(bank_of, counts.sum(axis=1), minlength=K)
     else:
         per_bank = np.full(index.shape[0], data.n)
     counts /= per_bank[bank_of][:, None]
@@ -99,7 +101,7 @@ def event_table(data, layout):
         avail = np.vstack([avail, np.arange(m + 1) < m])
         counts = np.vstack([counts, np.append(data.length_counts[1:], 0.0) / data.n])
         uidx = np.vstack([uidx, np.append(np.arange(m), layout.size)])
-    return EventTable(layout, avail, counts, uidx)
+    return EventTable(avail, counts, uidx)
 
 
 def _utility_index(layout) -> np.ndarray:

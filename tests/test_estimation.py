@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -156,19 +157,19 @@ def _objective_reference(variant, D, layout, flat, cfg):
     if variant == "c-ld":
         from topkorders import PLParams
 
-        K = layout.K
+        K, orders = layout.K, D.orders
         F = -sum(
-            categorical_log_prob(len(q), model.length_params) for q in D.orders
+            categorical_log_prob(len(q), model.length_params) for q in orders
         ) / D.n
         for b in range(K):
-            idx = [i for i, q in enumerate(D.orders) if min(len(q), K) - 1 == b]
+            idx = [i for i, q in enumerate(orders) if min(len(q), K) - 1 == b]
             if not idx:
                 continue
             bank = model.ranking_params.banks[b]
             total = 0.0
             for i in idx:
                 x_row = D.covariates.values[i] if D.covariates is not None else None
-                total -= pl_lp(D.orders[i], bank, x_row)
+                total -= pl_lp(orders[i], bank, x_row)
             F += total / len(idx)
     elif variant == "a-s":
         # sum over rank strata of the event-mean negative log-likelihood
@@ -291,16 +292,17 @@ TABLE_VARIANTS = [
 ]
 
 
-def _repeated_prefixes(variant, m, n, rng):
-    """n lists of at most 3 items from ids m-5..m (above 62 when m = 70), so
-    that prefix sets repeat and the table has fewer keys than distinct rows."""
+def _repeated_prefixes(variant, m, rng):
+    """Lists drawn from every ordering of the last min(m, 6) ids (above 62
+    when m = 70), of all but one of them, of two and of one, twice as many
+    as there are such lists, so that prefix sets repeat and the table has
+    fewer cells than the rows have choices."""
     aug = variant.startswith("a")
-    ids = np.arange(max(1, m - 5), m + 1)
-    orders = [
-        PartialOrder(tuple(int(a) for a in rng.choice(ids, rng.integers(0 if aug else 1, 4), False)))
-        for _ in range(n)
-    ]
-    return Dataset(Universe(m), orders, allow_empty=aug)
+    ids = tuple(range(max(1, m - 5), m + 1))
+    lists = [*permutations(ids), *permutations(ids, len(ids) - 1), *permutations(ids, 2),
+             *permutations(ids, 1), *([()] if aug else [])]
+    pick = rng.integers(len(lists), size=2 * len(lists))
+    return Dataset(Universe(m), [PartialOrder(lists[i]) for i in pick], allow_empty=aug)
 
 
 @pytest.mark.parametrize("m", [4, 70])
@@ -312,7 +314,7 @@ def test_event_table_matches_row_kernels(variant, K, spread, m):
     central differences of its objective at every spread (the kernels'
     gradient loses precision at large spreads)."""
     rng = np.random.default_rng(40 + m)
-    D = _repeated_prefixes(variant, m, 150, rng)
+    D = _repeated_prefixes(variant, m, rng)
     layout = ParamLayout(variant, m, 0, K)
     cfg = FitConfig(lambda_l2=1e-3, lambda_laplacian=0.5, K=K)
     data = _FitData(D)
@@ -338,21 +340,25 @@ def test_event_table_matches_row_kernels(variant, K, spread, m):
 
 
 def test_event_table_rule():
-    """The table serves a model without covariates that has at most as many
-    keys as distinct rows; the row kernels serve every other fit."""
+    """The table serves a model without covariates whose table has no more
+    cells, P * (m+1), than its distinct rows have choices; the row kernels
+    serve every other fit."""
     rng = np.random.default_rng(50)
     m = 70
     long_lists = Dataset(Universe(m), random_orders(m, 40, rng, min_len=20))
     for variant, K in TABLE_VARIANTS:
         assert event_table(_FitData(long_lists), ParamLayout(variant, m, 0, K)) is None
-    # c-i keys {} and {1}: as many keys as rows, then one more key than rows
-    at_rule = Dataset(Universe(3), (PartialOrder((1,)), PartialOrder((1, 2))))
+    # c-i over 3 items: the 6 full orders make 18 choices at all 7 keys (the
+    # proper subsets of {1, 2, 3}); a 2-item list adds 2 choices, a 1-item list 1
+    perms = [PartialOrder(p) for p in permutations((1, 2, 3))]
+    pairs = [PartialOrder(p) for p in permutations((1, 2, 3), 2)]
+    at_rule = Dataset(Universe(3), perms + pairs[:5])  # 28 choices, 7 keys * 4 cells
     assert event_table(_FitData(at_rule), ParamLayout("c-i", 3, 0, 1)) is not None
-    past_rule = Dataset(Universe(3), (PartialOrder((1, 2)),))
+    past_rule = Dataset(Universe(3), perms + pairs[:4] + [PartialOrder((1,))])  # 27 choices
     assert event_table(_FitData(past_rule), ParamLayout("c-i", 3, 0, 1)) is None
-    short = _repeated_prefixes("a-s", m, 150, rng)
+    short = _repeated_prefixes("a-s", m, rng)
     assert event_table(_FitData(short), ParamLayout("a-s", m, 0, 3)) is not None
-    cov = Dataset(short.universe, short.orders, CovariateTensor(rng.normal(size=(150, m, 2))),
+    cov = Dataset(short.universe, short.orders, CovariateTensor(rng.normal(size=(short.n, m, 2))),
                   allow_empty=True)
     assert event_table(_FitData(cov), ParamLayout("a-s", m, 2, 3)) is None
     assert event_table(_FitData(cov), ParamLayout("c-i", m, 2, 1)) is not None
