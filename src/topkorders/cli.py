@@ -67,6 +67,8 @@ def _load_data(args) -> Dataset:
     D = dataio.parse_preflib(args.data)
     if getattr(args, "covariates", None):
         cov, _, missing = dataio.load_covariates(args.covariates, D.universe)
+        if cov.n != D.n:
+            raise ParseError(f"{cov.n} agents, but {D.n} ballots in {args.data}", args.covariates)
         if missing:
             print(f"covariates: {missing} missing (agent, item) pairs zero-filled")
         D = Dataset.from_padded(D.universe, *D.to_padded(), covariates=cov)
@@ -275,8 +277,9 @@ def cmd_sample(args) -> int:
     model, _ = dataio.load_checkpoint(args.model_ckpt)
     covariates = None
     if args.covariates:
-        cov, _, _ = dataio.load_covariates(args.covariates, model.universe)
-        covariates = cov
+        covariates, _, _ = dataio.load_covariates(args.covariates, model.universe)
+        if covariates.n != args.n:
+            raise ParseError(f"{covariates.n} agents, but --n {args.n}", args.covariates)
     reps = evaluation.replicate_sample(
         model, args.n, args.reps, args.seed, covariates, no_empty=args.no_empty
     )

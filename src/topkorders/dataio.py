@@ -6,35 +6,29 @@ the legacy layout (count header lines, then "count,alt,alt,...") and the
 with ties (grouped {} entries) are rejected; ballots listing every
 alternative are kept as length-m orders.
 
-Checkpoints are versioned JSON with parameter arrays keyed by role; floats
-round-trip exactly (shortest-decimal repr, <= 17 significant digits).
+Checkpoints are versioned JSON holding a model's ``ParamLayout`` (variant,
+m, d, K) and the layout's named arrays; floats round-trip exactly
+(shortest-decimal repr, <= 17 significant digits).
 """
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import (
-    AugmentedModel,
-    AugmentedNaiveParams,
-    PositionDependentParams,
-    StratifiedAugmentedParams,
-)
-from .composite import CompositeModel
-from .lengthdist import CategoricalLengthParams, PoissonLengthParams
+from .estimation import ParamLayout
 from .orders import CovariateTensor, Dataset, Universe, pad_rows
-from .ranking import PLParams, StratifiedPLParams
 
 CHECKPOINT_VERSION = 1
 
 
 class ParseError(ValueError):
     def __init__(self, message, path=None, line=None):
-        loc = f"{path}:{line}: " if path else ""
-        super().__init__(f"{loc}{message}")
+        loc = f"{path}: " if line is None else f"{path}:{line}: "
+        super().__init__(f"{loc}{message}" if path else message)
         self.path = path
         self.line = line
 
@@ -257,6 +251,10 @@ def load_covariates(path, universe: Universe):
             raise ParseError(f"non-numeric cell in {ln!r}", path, lineno) from None
         if not 1 <= item <= universe.m:
             raise ParseError(f"unknown item_id {item}", path, lineno)
+        if not all(map(math.isfinite, feats)):
+            raise ParseError(f"non-finite feature in {ln!r}", path, lineno)
+        if (agent, item) in rows:
+            raise ParseError(f"duplicate (agent, item) pair ({agent}, {item})", path, lineno)
         rows[(agent, item)] = feats
     agent_ids = sorted({a for a, _ in rows})
     n = len(agent_ids)
@@ -276,63 +274,18 @@ def load_covariates(path, universe: Universe):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _arrays_for(model) -> dict:
-    if isinstance(model, CompositeModel):
-        out = {}
-        if isinstance(model.length_params, CategoricalLengthParams):
-            out["length_logits"] = model.length_params.logits
-        else:
-            out["rate_weights"] = model.length_params.weights
-        rp = model.ranking_params
-        if isinstance(rp, StratifiedPLParams):
-            out["banks"] = np.stack([b.delta for b in rp.banks])
-            if rp.banks[0].beta is not None:
-                out["bank_betas"] = np.stack([b.beta for b in rp.banks])
-        else:
-            out["delta"] = rp.delta
-            if rp.beta is not None:
-                out["beta"] = rp.beta
-        return out
-    p = model.params
-    if isinstance(p, AugmentedNaiveParams):
-        out = {"delta": p.theta[:-1], "end": p.theta[-1:]}
-        if p.beta is not None:
-            out["beta"] = p.beta
-        return out
-    if isinstance(p, PositionDependentParams):
-        out = {"delta": p.theta, "gamma": p.gamma}
-        if p.beta is not None:
-            out["beta"] = p.beta
-        return out
-    out = {"banks": p.banks}
-    if p.betas is not None:
-        out["bank_betas"] = p.betas
-    return out
-
-
 def save_checkpoint(model, path, fit_config=None, data_hash=None, seed=None) -> None:
-    if isinstance(model, CompositeModel):
-        variant = model.variant
-        K = model.ranking_params.K if variant == "c-ld" else 1
-        d = 0
-        if variant == "c-ci":
-            d = model.length_params.d
-    else:
-        variant = model.variant
-        K = model.params.K if variant == "a-s" else 1
-        beta = getattr(model.params, "beta", None)
-        betas = getattr(model.params, "betas", None)
-        d = beta.shape[0] if beta is not None else (
-            betas.shape[1] if betas is not None else 0
-        )
+    """Write the model's layout and the layout's named arrays as JSON."""
+    layout = ParamLayout.of(model)
+    arrays = layout.arrays(layout.from_model(model))
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "model_type": variant,
-        "m": model.universe.m,
-        "d": d,
-        "K": K,
+        "model_type": layout.variant,
+        "m": layout.m,
+        "d": layout.d,
+        "K": layout.K,
         "labels": list(model.universe.labels) if model.universe.labels else None,
-        "arrays": {k: np.asarray(v).tolist() for k, v in _arrays_for(model).items()},
+        "arrays": {name: view.tolist() for name, view in arrays.items()},
         "fit_config": fit_config,
         "provenance": {"data_hash": data_hash, "seed": seed},
     }
@@ -343,88 +296,55 @@ def save_checkpoint(model, path, fit_config=None, data_hash=None, seed=None) -> 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, metadata) where metadata carries
-    the stored fit_config and provenance dictionaries."""
+    the stored fit_config and provenance dictionaries. Each array must have
+    the name and shape of a view of the stored layout."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid checkpoint: {exc}", path) from None
+    if not isinstance(doc, dict):
+        raise ParseError("checkpoint is not a JSON object", path)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ParseError(
             f"unsupported checkpoint version {doc.get('format_version')}", path
         )
+    arrays = doc.get("arrays")
+    if not isinstance(arrays, dict):
+        raise ParseError("checkpoint has no 'arrays' object", path)
+    m, d, K = (doc.get(key) for key in ("m", "d", "K"))
+    if not all(type(v) is int for v in (m, d, K)):
+        raise ParseError(f"m, d and K must be integers, got {m!r}, {d!r}, {K!r}", path)
+    try:
+        if d == 0 and "bank_betas" in arrays:  # older files wrote d = 0 beside per-bank weights
+            d = int(np.shape(arrays["bank_betas"])[-1])
+        layout = ParamLayout(doc.get("model_type"), m, d, K)
+        universe = Universe(m, tuple(doc["labels"]) if doc.get("labels") else None)
+        # views of a zero-stride vector: the shapes, with nothing allocated for a huge header
+        views = layout.arrays(np.broadcast_to(0.0, layout.size))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ParseError(str(exc), path) from None
+    if sorted(arrays) != sorted(views):
+        raise ParseError(f"arrays {sorted(arrays)}, expected {sorted(views)}", path)
+    values = {}
+    for name, view in views.items():
+        try:
+            values[name] = np.array(arrays[name])
+        except ValueError:  # ragged nesting
+            values[name] = np.array(None)
+        if values[name].dtype.kind not in "iuf":
+            raise ParseError(f"array {name!r} is not numeric", path)
+        if values[name].shape != view.shape:
+            shape = values[name].shape
+            raise ParseError(f"array {name!r} has shape {shape}, expected {view.shape}", path)
+    flat = np.zeros(layout.size)
+    for name, view in layout.arrays(flat).items():
+        view[...] = values[name]
     meta = {
         "fit_config": doc.get("fit_config"),
         "provenance": doc.get("provenance", {}),
     }
-    return _model_from_doc(doc, path), meta
-
-
-def _model_from_doc(doc, path):
-    variant = doc["model_type"]
-    m, d, K = doc["m"], doc["d"], doc["K"]
-    labels = tuple(doc["labels"]) if doc.get("labels") else None
-    universe = Universe(m, labels)
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in doc["arrays"].items()}
-
-    def need(key, shape):
-        if key not in arrays:
-            raise ParseError(f"checkpoint missing array {key!r}", path)
-        if arrays[key].shape != shape:
-            raise ParseError(
-                f"array {key!r} has shape {arrays[key].shape}, expected {shape}", path
-            )
-        return arrays[key]
-
-    if variant == "c-i":
-        return CompositeModel(
-            "c-i",
-            CategoricalLengthParams(need("length_logits", (m,))),
-            PLParams(need("delta", (m,))),
-            universe,
-        )
-    if variant == "c-ci":
-        return CompositeModel(
-            "c-ci",
-            PoissonLengthParams(need("rate_weights", (d,)), m),
-            PLParams(need("delta", (m,)), need("beta", (d,))),
-            universe,
-        )
-    if variant == "c-ld":
-        banks = need("banks", (K, m))
-        betas = arrays.get("bank_betas")
-        pl_banks = tuple(
-            PLParams(banks[i], betas[i] if betas is not None else None)
-            for i in range(K)
-        )
-        return CompositeModel(
-            "c-ld",
-            CategoricalLengthParams(need("length_logits", (m,))),
-            StratifiedPLParams(pl_banks),
-            universe,
-        )
-    if variant == "a":
-        theta = np.concatenate([need("delta", (m,)), need("end", (1,))])
-        return AugmentedModel(
-            "a", AugmentedNaiveParams(theta, arrays.get("beta")), universe
-        )
-    if variant == "a-pd":
-        return AugmentedModel(
-            "a-pd",
-            PositionDependentParams(
-                need("delta", (m,)), need("gamma", (m,)), arrays.get("beta")
-            ),
-            universe,
-        )
-    if variant == "a-s":
-        return AugmentedModel(
-            "a-s",
-            StratifiedAugmentedParams(
-                need("banks", (K, m + 1)), arrays.get("bank_betas")
-            ),
-            universe,
-        )
-    raise ParseError(f"unknown model_type {variant!r}", path)
+    return layout.to_model(flat, universe), meta
 
 
 def dataset_hash(D: Dataset) -> str:

@@ -5,13 +5,13 @@ for the stratified variants (c-ld, a-s), whose per-stratum losses are each
 averaged over their own records or choice events. Gradients are analytic;
 optimization is a hand-rolled Adam on a flat parameter vector, initialized
 at zero, full-batch by default. A fit of a model without covariates
-evaluates the objective on its event table (see ``events``).
+evaluates the objective on its event table (see ``events``); every other
+fit, and held-out scoring, sums the per-row terms of ``_row_terms``.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .augmented import (
     AugmentedModel,
@@ -35,6 +35,7 @@ from .lengthdist import (
     categorical_log_pmf,
     poisson_clipped_dlogp_dlam,
     poisson_clipped_log_pmf,
+    poisson_rate,
 )
 from .evaluation import test_nll
 from .events import event_table
@@ -125,7 +126,7 @@ def _laplacian_grad(banks_2d: np.ndarray, lambda_laplacian: float) -> np.ndarray
 # Dataset stratification
 # ---------------------------------------------------------------------------
 
-def stratify_dataset(D: Dataset, K: int, mode: str = "by-length"):
+def stratify_dataset(D: Dataset, K: int):
     """Split D into K strata by list length.
 
     Stratum i (1-based) holds orders of length i, the last stratum holds
@@ -133,8 +134,6 @@ def stratify_dataset(D: Dataset, K: int, mode: str = "by-length"):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if mode != "by-length":
-        raise ValueError(f"unknown stratification mode {mode!r}")
     items, lengths = D.to_padded()
     strata = np.minimum(np.maximum(lengths, 1), K) - 1
     return [
@@ -151,112 +150,107 @@ def stratify_dataset(D: Dataset, K: int, mode: str = "by-length"):
 
 @dataclass(frozen=True)
 class ParamLayout:
+    """The flat parameter vector of a variant, the named arrays it holds
+    (also the arrays of a checkpoint) and the model it encodes. c-i takes
+    no covariates, so its d is ignored."""
+
     variant: str
     m: int
     d: int  # 0 when covariate-free
     K: int
 
+    def __post_init__(self):
+        if self.variant not in ALL_VARIANTS:
+            raise ValueError(f"unknown model variant {self.variant!r}")
+        if self.m < 1 or self.d < 0 or self.K < 1:
+            raise ValueError(f"need m >= 1, d >= 0 and K >= 1, got {self.m}, {self.d}, {self.K}")
+        if self.variant == "c-ci" and self.d < 1:
+            raise ValueError("c-ci requires covariates")
+
+    @classmethod
+    def of(cls, model) -> "ParamLayout":
+        """A model's layout, with d read from its covariate weights."""
+        v = model.variant
+        p = model.ranking_params if isinstance(model, CompositeModel) else model.params
+        if v == "c-ld":
+            beta = p.banks[0].beta
+        elif v == "a-s":
+            beta = p.betas
+        else:
+            beta = None if v == "c-i" else p.beta
+        K = p.K if v in ("c-ld", "a-s") else 1
+        return cls(v, model.universe.m, 0 if beta is None else beta.shape[-1], K)
+
     @property
     def size(self) -> int:
         m, d, K = self.m, self.d, self.K
-        if self.variant == "c-i":
-            return 2 * m
-        if self.variant == "c-ci":
-            return d + m + d
-        if self.variant == "c-ld":
-            return m + K * (m + d)
-        if self.variant == "a":
-            return m + 1 + d
-        if self.variant == "a-pd":
-            return 2 * m + d
-        if self.variant == "a-s":
-            return K * (m + 1 + d)
-        raise ValueError(self.variant)
+        return {
+            "c-i": 2 * m,
+            "c-ci": d + m + d,
+            "c-ld": m + K * (m + d),
+            "a": m + 1 + d,
+            "a-pd": 2 * m + d,
+            "a-s": K * (m + 1 + d),
+        }[self.variant]
+
+    def arrays(self, flat: np.ndarray) -> dict:
+        """The named arrays as views of flat; covariate weights of size 0
+        are left out."""
+        m, d, K, v = self.m, self.d, self.K, self.variant
+        if v == "c-i":
+            out = {"length_logits": flat[:m], "delta": flat[m:]}
+        elif v == "c-ci":
+            out = {"rate_weights": flat[:d], "delta": flat[d : d + m], "beta": flat[d + m :]}
+        elif v == "c-ld":
+            banks = flat[m:].reshape(K, m + d)
+            out = {"length_logits": flat[:m], "banks": banks[:, :m], "bank_betas": banks[:, m:]}
+        elif v == "a":
+            out = {"delta": flat[:m], "end": flat[m : m + 1], "beta": flat[m + 1 :]}
+        elif v == "a-pd":
+            out = {"delta": flat[:m], "gamma": flat[m : 2 * m], "beta": flat[2 * m :]}
+        else:
+            banks = flat.reshape(K, m + 1 + d)
+            out = {"banks": banks[:, : m + 1], "bank_betas": banks[:, m + 1 :]}
+        return {name: view for name, view in out.items() if view.size}
 
     def to_model(self, flat: np.ndarray, universe) -> object:
-        m, d, K = self.m, self.d, self.K
-        v = self.variant
-        if v == "c-i":
-            return CompositeModel(
-                "c-i",
-                CategoricalLengthParams(flat[:m]),
-                PLParams(flat[m:]),
-                universe,
-            )
-        if v == "c-ci":
-            return CompositeModel(
-                "c-ci",
-                PoissonLengthParams(flat[:d], m),
-                PLParams(flat[d : d + m], flat[d + m :]),
-                universe,
-            )
-        if v == "c-ld":
-            banks = flat[m:].reshape(K, m + d)
-            pl_banks = tuple(
-                PLParams(b[:m], b[m:] if d else None) for b in banks
-            )
-            return CompositeModel(
-                "c-ld",
-                CategoricalLengthParams(flat[:m]),
-                StratifiedPLParams(pl_banks),
-                universe,
-            )
+        """The model built from the views of flat."""
+        a, v = self.arrays(flat), self.variant
+        beta = a.get("beta")
         if v == "a":
-            beta = flat[m + 1 :] if d else None
-            return AugmentedModel(
-                "a", AugmentedNaiveParams(flat[: m + 1], beta), universe
-            )
-        if v == "a-pd":
-            beta = flat[2 * m :] if d else None
-            return AugmentedModel(
-                "a-pd",
-                PositionDependentParams(flat[:m], flat[m : 2 * m], beta),
-                universe,
-            )
-        if v == "a-s":
-            banks = flat.reshape(K, m + 1 + d)
-            betas = banks[:, m + 1 :] if d else None
-            return AugmentedModel(
-                "a-s", StratifiedAugmentedParams(banks[:, : m + 1], betas), universe
-            )
-        raise ValueError(v)
+            params = AugmentedNaiveParams(np.append(a["delta"], a["end"]), beta)
+        elif v == "a-pd":
+            params = PositionDependentParams(a["delta"], a["gamma"], beta)
+        elif v == "a-s":
+            params = StratifiedAugmentedParams(a["banks"], a.get("bank_betas"))
+        if v in ("a", "a-pd", "a-s"):
+            return AugmentedModel(v, params, universe)
+        if v == "c-ld":
+            betas = a.get("bank_betas", [None] * self.K)
+            ranking = StratifiedPLParams(tuple(map(PLParams, a["banks"], betas)))
+        else:
+            ranking = PLParams(a["delta"], beta)
+        if v == "c-ci":
+            length = PoissonLengthParams(a["rate_weights"], self.m)
+        else:
+            length = CategoricalLengthParams(a["length_logits"])
+        return CompositeModel(v, length, ranking, universe)
 
     def from_model(self, model) -> np.ndarray:
+        """The flat vector of a model of this layout."""
         v = self.variant
-        if v == "c-i":
-            return np.concatenate(
-                [model.length_params.logits, model.ranking_params.delta]
-            )
-        if v == "c-ci":
-            return np.concatenate(
-                [
-                    model.length_params.weights,
-                    model.ranking_params.delta,
-                    model.ranking_params.beta,
-                ]
-            )
-        if v == "c-ld":
-            parts = [model.length_params.logits]
-            for b in model.ranking_params.banks:
-                parts.append(b.delta)
-                if b.beta is not None:
-                    parts.append(b.beta)
-            return np.concatenate(parts)
-        if v == "a":
-            parts = [model.params.theta]
-            if model.params.beta is not None:
-                parts.append(model.params.beta)
-            return np.concatenate(parts)
-        if v == "a-pd":
-            parts = [model.params.theta, model.params.gamma]
-            if model.params.beta is not None:
-                parts.append(model.params.beta)
-            return np.concatenate(parts)
         if v == "a-s":
-            if model.params.betas is not None:
-                return np.hstack([model.params.banks, model.params.betas]).ravel()
-            return model.params.banks.ravel()
-        raise ValueError(v)
+            p = model.params
+            return (p.banks if p.betas is None else np.hstack([p.banks, p.betas])).ravel()
+        if isinstance(model, CompositeModel):
+            ranking = model.ranking_params
+            banks = ranking.banks if v == "c-ld" else (ranking,)
+            parts = [model.length_params.weights if v == "c-ci" else model.length_params.logits]
+            parts += [x for b in banks for x in (b.delta, b.beta)]
+        else:
+            p = model.params
+            parts = [p.theta, p.gamma, p.beta] if v == "a-pd" else [p.theta, p.beta]
+        return np.concatenate([x for x in parts if x is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -270,55 +264,31 @@ def model_log_prob(model, Q: PartialOrder, x_row=None) -> float:
 
 
 def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.ndarray:
-    """Log-probability of every record of D under model, through the batch kernels.
+    """Log-probability of every record of D under model: its row terms summed.
 
-    One kernel call covers the dataset (one per length stratum for c-ld).
     ``condition_nonempty`` renormalizes augmented models on k >= 1 by
-    subtracting log(1 - P(empty)) from each record.
+    subtracting log(1 - P(empty)) from each record, P(empty) scored on an
+    all-empty copy of the rows.
     """
-    m = model.universe.m
+    layout = ParamLayout.of(model)
     items, lengths = D.to_padded()
-    if items.max() >= m:
-        raise InvalidOrderError(f"alternative id {items.max() + 1} outside [1, {m}]")
-    unchosen = unchosen_mask(items, m)
+    if items.max() >= layout.m:
+        raise InvalidOrderError(f"alternative id {items.max() + 1} outside [1, {layout.m}]")
+    composite = isinstance(model, CompositeModel)
+    if composite and lengths.min() == 0:
+        raise InvalidOrderError("empty order")
     X = D.covariates.values if D.covariates is not None else None
-    ones = np.ones(D.n)
-    if isinstance(model, CompositeModel):
-        if lengths.min() == 0:
-            raise InvalidOrderError("empty order")
-        if model.variant == "c-ci":
-            if X is None:
-                raise ValueError("c-ci requires covariates")
-            lam, lp = _poisson_length(X.mean(axis=1), model.length_params.weights, lengths, m)
-            if not np.all(np.isfinite(lam)):
-                raise ValueError("non-finite Poisson rate")
-        else:
-            lp = categorical_log_pmf(model.length_params)[lengths - 1]
-        ranking = model.ranking_params
-        banks = ranking.banks if model.variant == "c-ld" else (ranking,)
-        strata = np.minimum(lengths, len(banks)) - 1
-        for b, bank in enumerate(banks):
-            rows = np.flatnonzero(strata == b)
-            U = item_utilities(None if X is None else X[rows], bank.delta, bank.beta)
-            lp[rows] += pl_nll_grad(
-                items[rows], lengths[rows], unchosen[rows], ones[rows], U, grad=False
-            )[0]
-        return lp
-    p = model.params
-    if model.variant == "a-pd":
-        U = item_utilities(X, p.theta, p.beta)
-        lp = apd_nll_grad(items, lengths, unchosen, ones, U, p.gamma, grad=False)[0]
-        first = np.hstack([U, np.full((U.shape[0], 1), p.gamma[0])])
-    else:
-        if model.variant == "a":
-            banks, betas = p.theta[None], None if p.beta is None else p.beta[None]
-        else:
-            banks, betas = p.banks, p.betas
-        U = bank_utilities(X, banks, betas)
-        lp = augs_nll_grad(items, lengths, unchosen, ones, U, grad=False)[0].sum(axis=1)
-        first = U[:, 0]
-    if condition_nonempty:
-        lp = lp - np.log1p(-np.exp(first[:, m] - logsumexp(first, axis=1)))
+    data = _FitData.from_rows(layout.m, items, lengths, np.ones(D.n), X)
+    if model.variant == "c-ci":
+        if X is None:
+            raise ValueError("c-ci requires covariates")
+        poisson_rate(data.x_agent, model.length_params)  # raises on a non-finite rate
+    flat = layout.from_model(model)
+    lp = _row_terms(model.variant, data, layout, flat)[0].sum(axis=1)
+    if condition_nonempty and not composite:
+        no_items = np.full((D.n, 1), -1)
+        empty = _FitData.from_rows(layout.m, no_items, np.zeros(D.n, np.int64), data.weights, X)
+        lp -= np.log1p(-np.exp(_row_terms(model.variant, empty, layout, flat)[0].sum(axis=1)))
     return lp
 
 
@@ -345,14 +315,8 @@ def _chain(X, dU):
     return gdelta, np.einsum("imd,i...m->...d", X, dU)
 
 
-def _poisson_length(x_agent, rate_w, lengths, m):
-    """Rates lambda_i = exp(rate_w . x_i) and the clipped-Poisson log-probabilities."""
-    lam = np.exp(x_agent @ rate_w)
-    return lam, poisson_clipped_log_pmf(lam, m)[np.arange(lam.shape[0]), lengths - 1]
-
-
 # ---------------------------------------------------------------------------
-# Objective and analytic gradient
+# Row terms, the objective and its analytic gradient
 # ---------------------------------------------------------------------------
 
 class _FitData:
@@ -363,7 +327,6 @@ class _FitData:
     """
 
     def __init__(self, D: Dataset):
-        self.m = D.universe.m
         items, lengths = D.to_padded()
         if D.covariates is None:
             rows = np.hstack([lengths[:, None], items])
@@ -373,17 +336,83 @@ class _FitData:
             order = np.argsort(lengths, kind="stable")
             items, lengths = items[order], lengths[order]
             weights, X = np.ones(D.n), D.covariates.values[order]
-        self._set_rows(items, lengths, weights, X, unchosen_mask(items, self.m))
+        self._set_rows(D.universe.m, items, lengths, weights, X)
 
-    def _set_rows(self, items, lengths, weights, X, unchosen):
-        self.items, self.lengths, self.weights, self.X = items, lengths, weights, X
-        self.unchosen = unchosen
+    @classmethod
+    def from_rows(cls, m, items, lengths, weights, X):
+        """Rows taken as given: not merged, not reordered."""
+        data = cls.__new__(cls)
+        data._set_rows(m, items, lengths, weights, X)
+        return data
+
+    def _set_rows(self, m, items, lengths, weights, X):
+        self.m, self.items, self.lengths, self.weights, self.X = m, items, lengths, weights, X
+        self.unchosen = unchosen_mask(items, m)
         self.events = None  # the fit's EventTable, when it has one
         self.x_agent = None if X is None else X.mean(axis=1)  # the Poisson length features
         self.n = int(weights.sum())
-        self.length_counts = np.bincount(lengths, weights=weights, minlength=self.m + 1)[
-            : self.m + 1
-        ]
+        self.length_counts = np.bincount(lengths, weights=weights, minlength=m + 1)[: m + 1]
+
+
+def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, coef=None):
+    """Each row's log-probability terms (rows, T), and, when coef (T,) is
+    given, the gradient w.r.t. flat of sum_i w_i terms_i . coef.
+
+    A composite's terms are its length term and one ranking term per bank,
+    the bank of the row's length stratum (the others hold 0); an augmented
+    model's are the log-probabilities of its choices made with each bank.
+    """
+    m, d, K = layout.m, layout.d, layout.K
+    w, X, grad = data.weights, data.X, coef is not None
+    rows = (data.items, data.lengths, data.unchosen, w)
+    g = np.zeros_like(flat) if grad else None
+    if variant in ("a", "a-s"):
+        banks = flat.reshape(K, m + 1 + d)
+        U = bank_utilities(X, banks[:, : m + 1], banks[:, m + 1 :])
+        terms, dU = augs_nll_grad(*rows, U, grad=grad)
+        if grad:
+            dU = dU * coef[:, None]
+            gbanks = g.reshape(K, m + 1 + d)
+            gbanks[:, :m], gbanks[:, m + 1 :] = _chain(X, dU[..., :m])
+            gbanks[:, m] = dU[..., m].sum(axis=0)
+        return terms, g
+    if variant == "a-pd":
+        U = item_utilities(X, flat[:m], flat[2 * m :])
+        logp, dU, dgamma = apd_nll_grad(*rows, U, flat[m : 2 * m], grad=grad)
+        if grad:
+            g[:m], g[2 * m :] = _chain(X, dU * coef[0])
+            g[m : 2 * m] = dgamma * coef[0]
+        return logp[:, None], g
+    terms = np.zeros((data.lengths.shape[0], 1 + K))
+    if variant == "c-ci":
+        lam = np.exp(data.x_agent @ flat[:d])
+        terms[:, 0] = poisson_clipped_log_pmf(lam, m)[np.arange(lam.shape[0]), data.lengths - 1]
+        if grad:
+            dlam = poisson_clipped_dlogp_dlam(data.lengths, lam, m)
+            g[:d] = coef[0] * ((w * dlam * lam) @ data.x_agent)
+        start = d
+    else:  # c-i is c-ld with one bank and no covariates
+        if variant == "c-i":
+            d, X = 0, None
+        logp = categorical_log_pmf(CategoricalLengthParams(flat[:m]))
+        terms[:, 0] = np.append(0.0, logp)[data.lengths]  # an empty list has no length term
+        if grad:
+            counts = data.length_counts[1:]
+            g[:m] = coef[0] * (counts - counts.sum() * np.exp(logp))
+        start = m
+    banks = flat[start:].reshape(K, m + d)
+    strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
+    for b in range(K):
+        sel = slice(None) if K == 1 else np.flatnonzero(strata == b)
+        if K > 1 and sel.size == 0:
+            continue
+        Xb = None if X is None else X[sel]
+        U = item_utilities(Xb, banks[b, :m], banks[b, m:])
+        terms[sel, 1 + b], dU = pl_nll_grad(*(r[sel] for r in rows), U, grad=grad)
+        if grad:
+            gbank = g[start:].reshape(K, m + d)[b]
+            gbank[:m], gbank[m:] = _chain(Xb, dU * coef[1 + b])
+    return terms, g
 
 
 def objective_and_grad(
@@ -391,91 +420,36 @@ def objective_and_grad(
 ):
     """Return (F, dF/dflat) for the full dataset.
 
-    The fit's event table serves a covariate-free model, the row kernels
+    The fit's event table serves a covariate-free model, the row terms
     every other.
     """
-    m, d, K = layout.m, layout.d, layout.K
-    n, w, X = data.n, data.weights, data.X
-    grad = np.zeros_like(flat)
-
+    m, K = layout.m, layout.K
     if data.events is not None:
         F, grad = data.events.nll_grad(flat)
-    elif variant in ("c-i", "c-ld"):
-        # c-i is c-ld with one bank and no covariates; each bank's ranking
-        # term is averaged over the records of its length stratum.
-        if variant == "c-i":
-            d, X = 0, None
-        F, grad[:m] = _categorical_nll_grad(flat[:m], data.length_counts, n)
-        banks = flat[m:].reshape(K, m + d)
-        gbanks = grad[m:].reshape(K, m + d)
-        strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
-        for b in range(K):
-            rows = slice(None) if K == 1 else np.flatnonzero(strata == b)
-            cnt = float(w[rows].sum())
-            if cnt == 0:
-                continue
-            Xb = None if X is None else X[rows]
-            U = item_utilities(Xb, banks[b, :m], banks[b, m:])
-            logp, dU = pl_nll_grad(
-                data.items[rows], data.lengths[rows], data.unchosen[rows], w[rows], U
-            )
-            F -= w[rows] @ logp / cnt
-            gbanks[b, :m], gbanks[b, m:] = _chain(Xb, -dU / cnt)
-    elif variant == "c-ci":
-        rate_w, delta, beta = flat[:d], flat[d : d + m], flat[d + m :]
-        lam, len_lp = _poisson_length(data.x_agent, rate_w, data.lengths, m)
-        dlam = poisson_clipped_dlogp_dlam(data.lengths, lam, m)
-        logp, dU = pl_nll_grad(
-            data.items, data.lengths, data.unchosen, w, item_utilities(X, delta, beta)
-        )
-        F = -(w @ (len_lp + logp)) / n
-        grad[:d] = -((w * dlam * lam) @ data.x_agent) / n
-        grad[d : d + m], grad[d + m :] = _chain(X, -dU / n)
-    elif variant == "a-pd":
-        theta, gamma, beta = flat[:m], flat[m : 2 * m], flat[2 * m :]
-        U = item_utilities(X, theta, beta)
-        logp, dU, dgamma = apd_nll_grad(data.items, data.lengths, data.unchosen, w, U, gamma)
-        F = -(w @ logp) / n
-        grad[:m], grad[2 * m :] = _chain(X, -dU / n)
-        grad[m : 2 * m] = -dgamma / n
-    elif variant in ("a", "a-s"):
-        banks = flat.reshape(K, m + 1 + d)
-        U = bank_utilities(X, banks[:, : m + 1], banks[:, m + 1 :])
-        logp, dU = augs_nll_grad(data.items, data.lengths, data.unchosen, w, U)
-        if variant == "a":
-            scale = np.full(K, 1.0 / n)
-        else:  # each bank's log-likelihood is averaged over the choices it made
-            ev = _bank_event_counts(data.lengths, w, m, K)
-            scale = np.where(ev > 0, 1.0 / np.maximum(ev, 1.0), 0.0)
-        F = -((w @ logp) @ scale)
-        dU = -dU * scale[:, None]
-        gbanks = grad.reshape(K, m + 1 + d)
-        gbanks[:, :m], gbanks[:, m + 1 :] = _chain(X, dU[..., :m])
-        gbanks[:, m] = dU[..., m].sum(axis=0)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        # each term is averaged over the records, over the records of its
+        # length stratum (c-ld banks) or over the choices made with its bank (a-s)
+        w = data.weights
+        if variant == "c-ld":
+            strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
+            norm = np.append(data.n, np.bincount(strata, w, minlength=K))
+        elif variant == "a-s":
+            norm = _bank_event_counts(data.lengths, w, m, K)
+        else:
+            norm = np.full(2 if variant.startswith("c") else 1, float(data.n))
+        coef = -np.divide(1.0, norm, out=np.zeros(norm.shape), where=norm > 0)
+        terms, grad = _row_terms(variant, data, layout, flat, coef)
+        F = (w @ terms) @ coef
 
     F += l2_penalty(flat, cfg.lambda_l2)
     grad += 2.0 * cfg.lambda_l2 * flat
 
     if variant in ("c-ld", "a-s") and cfg.lambda_laplacian:
-        if variant == "c-ld":
-            banks = flat[m:].reshape(K, m + d)
-            F += laplacian_penalty(banks, cfg.lambda_laplacian)
-            grad[m:] += _laplacian_grad(banks, cfg.lambda_laplacian).ravel()
-        else:
-            banks = flat.reshape(K, m + 1 + d)
-            F += laplacian_penalty(banks, cfg.lambda_laplacian)
-            grad[:] += _laplacian_grad(banks, cfg.lambda_laplacian).ravel()
+        start = m if variant == "c-ld" else 0
+        banks = flat[start:].reshape(K, -1)
+        F += laplacian_penalty(banks, cfg.lambda_laplacian)
+        grad[start:] += _laplacian_grad(banks, cfg.lambda_laplacian).ravel()
     return float(F), grad
-
-
-def _categorical_nll_grad(logits, length_counts, n):
-    p = softmax(logits)
-    counts = length_counts[1:]
-    f = -(counts @ (np.log(p))) / n
-    g = (counts.sum() * p - counts) / n
-    return float(f), g
 
 
 def _bank_event_counts(lengths, weights, m, K):
@@ -565,16 +539,8 @@ def _adam_step(flat, g, mom, vel, t, lr, b1, b2, eps):
 
 
 def _subset_fitdata(data: _FitData, rows):
-    sub = _FitData.__new__(_FitData)
-    sub.m = data.m
-    sub._set_rows(
-        data.items[rows],
-        data.lengths[rows],
-        data.weights[rows],
-        None if data.X is None else data.X[rows],
-        data.unchosen[rows],
-    )
-    return sub
+    X = None if data.X is None else data.X[rows]
+    return _FitData.from_rows(data.m, data.items[rows], data.lengths[rows], data.weights[rows], X)
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,35 @@ def test_fit_line_names_the_stop_rule(ballots, tmp_path, capsys):
     assert "stopped by max-epochs after 5 epochs" in out and "gradient norm" in out
     assert run([*flags, "--max-epochs", "500", "--tol", "1", "--out", tmp_path / "b.json"]) == 0
     assert "stopped by |dF| < tol after 2 epochs" in capsys.readouterr().out
+
+
+def test_malformed_checkpoint_is_input_error(ballots, tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps({"format_version": 1, "model_type": "a", "d": 0, "K": 1,
+                              "arrays": {"delta": [0.0] * 4, "end": [0.0]}}))
+    rc = run(["eval", "--model-ckpt", ck, "--data", ballots, "--out", tmp_path / "evalout"])
+    assert rc == EXIT_INPUT
+    assert f"{ck}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows,where",
+    [("7,1,0.5\n7,1,0.7\n", ":3:"), ("7,1,nan\n", ":2:"), ("7,1,0.5\n", ": ")],
+    ids=["duplicate-pair", "non-finite", "agent-count"],
+)
+def test_bad_covariate_file_is_input_error(ballots, tmp_path, capsys, rows, where):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("agent_id,item_id,f1\n" + rows)
+    rc = run(["fit", "--data", ballots, "--model", "a", "--covariates", cov,
+              "--max-epochs", "1", "--out", tmp_path / "x.json"])
+    assert rc == EXIT_INPUT
+    assert f"{cov}{where}" in capsys.readouterr().err
+
+
+def test_sample_covariate_count_is_input_error(checkpoint, tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("agent_id,item_id,f1\n7,1,0.5\n")
+    rc = run(["sample", "--model-ckpt", checkpoint, "--covariates", cov, "--n", "5",
+              "--out", tmp_path / "synth"])
+    assert rc == EXIT_INPUT
+    assert f"{cov}: 1 agents, but --n 5" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -19,6 +20,7 @@ from topkorders.dataio import (
     dataset_hash,
     load_covariates,
 )
+from topkorders.estimation import ParamLayout
 from util import random_model, random_orders
 
 LEGACY = """3
@@ -224,23 +226,117 @@ def test_load_covariates_errors(tmp_path):
 
 @pytest.mark.parametrize(
     "variant,d",
-    [("c-i", 0), ("c-ci", 2), ("c-ld", 0), ("a", 0), ("a-pd", 0), ("a-s", 0)],
+    [("c-i", 0), ("c-ci", 2), ("c-ld", 0), ("a", 0), ("a-pd", 0), ("a-s", 0),
+     ("c-ld", 2), ("a", 2), ("a-pd", 2), ("a-s", 2)],
 )
 def test_checkpoint_roundtrip_exact(tmp_path, variant, d):
     rng = np.random.default_rng(5)
-    model = random_model(variant, 4, rng, K=3, d=d)
-    p = tmp_path / "ck.json"
-    save_checkpoint(model, p, fit_config={"lr": 0.001}, data_hash="abc", seed=11)
-    loaded, meta = load_checkpoint(p)
-    from topkorders.estimation import ParamLayout
-
     K = 3 if variant in ("c-ld", "a-s") else 1
     layout = ParamLayout(variant, 4, d, K)
+    model = layout.to_model(rng.normal(size=layout.size), Universe(4))
+    p = tmp_path / "ck.json"
+    save_checkpoint(model, p, fit_config={"lr": 0.001}, data_hash="abc", seed=11)
+    assert json.loads(p.read_text())["d"] == d
+    loaded, meta = load_checkpoint(p)
     np.testing.assert_array_equal(
         layout.from_model(loaded), layout.from_model(model)
     )
     assert meta["provenance"] == {"data_hash": "abc", "seed": 11}
     assert meta["fit_config"] == {"lr": 0.001}
+
+
+def _pinned_checkpoint(path, variant, d):
+    K = 3 if variant in ("c-ld", "a-s") else 1
+    layout = ParamLayout(variant, 4, d, K)
+    flat = (np.arange(layout.size) - layout.size / 2) / 7
+    model = layout.to_model(flat, Universe(4, ("w", "x", "y", "z")))
+    save_checkpoint(model, path, fit_config={"lr": 0.001}, data_hash="abc", seed=3)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "variant,d,digest",
+    [
+        ("c-i", 0, "f1bd83c8534be3c2fa6f0b0e62ea33b809126363c30b1e9a38f9fa321749e2b9"),
+        ("c-ci", 2, "4dea46c1a9b1a1ceb6aa65532124440314160b31dd11b7c80670a221fbe9bb69"),
+        ("c-ld", 0, "06f7c7f6bd423e7f284d4ecb9676b43fc61d0d6591185afdf59afb4cd8cfe064"),
+        ("a", 0, "e8e80fe7bee5b66d556b1ab09e1f3dac24b6bdb3e0e401b6468ccda896f3c516"),
+        ("a-pd", 0, "08ed666927db0e2edfda7a09504faf3c6db4e2ef0e2195537b641f5ae78af65e"),
+        ("a-s", 0, "5bd72c79964f9837ff8b4fa197cd5ceb06f46bf1474af71dc16128eb5a73fc3e"),
+        ("a", 2, "5a1a00fabf54178aa46524ecb6fde1460020651675265d206dc88d2645c921d3"),
+        ("a-pd", 2, "49db1d23b918036041d841ef74dc753deb88e2a26e5cfb4b202bb8ead7b5a329"),
+        ("a-s", 2, "e5d070e7103935665cfc1044bf98ddcc164b9b5e6fe938a7ec81be7233d848a0"),
+    ],
+)
+def test_checkpoint_bytes_pinned(tmp_path, variant, d, digest):
+    # digests of files written before the arrays became ParamLayout views
+    assert _pinned_checkpoint(tmp_path / "ck.json", variant, d) == digest
+
+
+def test_checkpoint_with_bank_weights_and_d_zero_loads(tmp_path):
+    # c-ld files with covariates once recorded d = 0; d is read from bank_betas
+    p = tmp_path / "ck.json"
+    _pinned_checkpoint(p, "c-ld", 2)
+    doc = json.loads(p.read_text())
+    assert doc["d"] == 2
+    doc["d"] = 0
+    p.write_text(json.dumps(doc))
+    model, _ = load_checkpoint(p)
+    layout = ParamLayout("c-ld", 4, 2, 3)
+    np.testing.assert_array_equal(
+        layout.from_model(model), (np.arange(layout.size) - layout.size / 2) / 7
+    )
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        (None, [1, 2]),
+        ("m", DELETE),
+        ("m", "3"),
+        ("m", 10**15),
+        ("d", 1.5),
+        ("K", True),
+        ("model_type", DELETE),
+        ("model_type", "b-x"),
+        ("labels", ["only-one"]),
+        ("arrays", [1.0]),
+        (("arrays", "bogus"), [1.0]),
+        (("arrays", "end"), DELETE),
+        (("arrays", "beta"), [0.1, 0.2, 0.3]),
+        (("arrays", "delta"), [[0.0, 0.0, 0.0]]),
+        (("arrays", "delta"), [0.0, "x", 0.0]),
+        (("arrays", "delta"), [0.0, None, 0.0]),
+        (("arrays", "delta"), [[0.0], [0.0, 0.0], [0.0]]),
+    ],
+    ids=["list", "no-m", "str-m", "huge-m", "float-d", "bool-K", "no-variant", "unknown-variant",
+         "labels", "arrays-list", "extra-array", "missing-array", "beta-shape",
+         "delta-shape", "str-entry", "null-entry", "ragged"],
+)
+def test_malformed_checkpoint_names_its_path(tmp_path, key, value):
+    layout = ParamLayout("a", 3, 2, 1)
+    p = tmp_path / "ck.json"
+    save_checkpoint(layout.to_model(np.arange(layout.size) / 4.0, Universe(3)), p)
+    doc = json.loads(p.read_text())
+    if key is None:
+        doc = value
+    else:
+        *parents, last = key if isinstance(key, tuple) else (key,)
+        target = doc
+        for k in parents:
+            target = target[k]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as ei:
+        load_checkpoint(p)
+    assert ei.value.path == p
+    assert str(ei.value).startswith(f"{p}: ")
 
 
 def test_checkpoint_is_versioned_json(tmp_path):

@@ -72,7 +72,7 @@ def test_stratify_by_length_example():
             PartialOrder((2,)),
         ),
     )
-    strata = stratify_dataset(D, 2, mode="by-length")
+    strata = stratify_dataset(D, 2)
     assert [s.n for s in strata] == [2, 2]
     assert all(len(q) == 1 for q in strata[0].orders)
     assert all(len(q) >= 2 for q in strata[1].orders)
@@ -83,7 +83,7 @@ def test_stratify_by_length_exhaustive_partition():
     m = 5
     D = Dataset(Universe(m), random_orders(m, 60, rng))
     for K in (1, 2, 4):
-        strata = stratify_dataset(D, K, mode="by-length")
+        strata = stratify_dataset(D, K)
         assert sum(s.n for s in strata) == D.n
 
 
@@ -107,10 +107,9 @@ def test_stratify_by_rank_counts_terminal_events():
 
 def test_stratify_rejects_bad_k():
     D = Dataset(Universe(2), (PartialOrder((1,)),))
-    with pytest.raises(ValueError):
-        stratify_dataset(D, 0)
-    with pytest.raises(ValueError):
-        stratify_dataset(D, 1, mode="nope")
+    for K in (0, -1):
+        with pytest.raises(ValueError):
+            stratify_dataset(D, K)
 
 
 # ---------------------------------------------------------------------------
