@@ -57,6 +57,7 @@ from .lengthdist import CategoricalLengthParams, PoissonLengthParams
 from .orders import (
     CovariateTensor,
     Dataset,
+    OrderView,
     PartialOrder,
     Universe,
     enumerate_partial_orders,
@@ -95,6 +96,7 @@ __all__ = [
     "Market",
     "Matching",
     "NonFiniteLossError",
+    "OrderView",
     "OutcomeRates",
     "PLParams",
     "ParseError",

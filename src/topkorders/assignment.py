@@ -3,45 +3,58 @@
 A generic assignment harness: students submit (possibly truncated) ranked
 lists over programs, each program has a capacity and a strict priority
 order over students. The output is the student-optimal stable matching
-with respect to the submitted lists.
+with respect to the submitted lists (Gale & Shapley 1962, in the school-choice
+form of Abdulkadiroglu & Sonmez 2003). Priorities must be strict: the stable
+matching is then unique, so the order in which proposals are processed
+cannot change it.
 """
 
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 
 import numpy as np
 
-from .orders import PartialOrder
+from .orders import Dataset, Universe, padded_orders
 
 UNASSIGNED = 0
 
 
 @dataclass(frozen=True)
 class Market:
-    """preferences: per-student PartialOrder over programs (1-based ids);
-    capacities: (m,) nonnegative ints; priority_rank[p][s]: rank of student
-    s at program p (lower is better)."""
+    """preferences: the students' lists over programs (1-based ids), given as
+    a Dataset over m programs, an OrderView or a sequence of PartialOrders, and
+    stored as a Dataset; capacities: (m,) nonnegative ints; priority_rank[p][s]:
+    rank of student s at program p (lower is better), no two equal in a row."""
 
-    preferences: tuple
+    preferences: Dataset
     capacities: tuple
     priority_rank: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "preferences", tuple(self.preferences))
-        object.__setattr__(
-            self, "capacities", tuple(int(c) for c in self.capacities)
-        )
+        caps = tuple(int(c) for c in self.capacities)
+        m = len(caps)
+        prefs = self.preferences
+        if isinstance(prefs, Dataset):
+            if prefs.m != m:
+                raise ValueError(f"preferences over {prefs.m} programs, but {m} capacities")
+        else:
+            prefs = Dataset.from_padded(Universe(m), *padded_orders(prefs), allow_empty=True)
         pr = np.asarray(self.priority_rank, dtype=np.int64)
+        object.__setattr__(self, "preferences", prefs)
+        object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "priority_rank", pr)
-        m = len(self.capacities)
-        n = len(self.preferences)
-        if pr.shape != (m, n):
-            raise ValueError(f"priority_rank shape {pr.shape}, expected ({m}, {n})")
-        if any(c < 0 for c in self.capacities):
+        if pr.shape != (m, prefs.n):
+            raise ValueError(f"priority_rank shape {pr.shape}, expected ({m}, {prefs.n})")
+        if any(c < 0 for c in caps):
             raise ValueError("capacities must be nonnegative")
+        srt = np.sort(pr, axis=1)
+        tied = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if tied.any():
+            raise ValueError(f"priority_rank row {int(np.argmax(tied))} has tied ranks")
 
     @property
     def n(self) -> int:
-        return len(self.preferences)
+        return self.preferences.n
 
     @property
     def m(self) -> int:
@@ -59,11 +72,10 @@ def uniform_priorities(n: int, m: int, seed: int) -> np.ndarray:
 
 
 def make_market(preferences, capacities, seed: int = 0, priority_rank=None) -> Market:
-    prefs = tuple(preferences)
-    caps = tuple(capacities)
     if priority_rank is None:
-        priority_rank = uniform_priorities(len(prefs), len(caps), seed)
-    return Market(prefs, caps, priority_rank)
+        n = len(padded_orders(preferences)[1])
+        priority_rank = uniform_priorities(n, len(capacities), seed)
+    return Market(preferences, capacities, priority_rank)
 
 
 @dataclass(frozen=True)
@@ -77,58 +89,85 @@ class Matching:
 
 
 def deferred_acceptance(market: Market) -> Matching:
-    n, m = market.n, market.m
-    next_choice = [0] * n
-    held: list[list[int]] = [[] for _ in range(m)]  # students held, any order
-    assignment = [UNASSIGNED] * n
-    free = list(range(n))
-    pr = market.priority_rank
+    """The student-optimal stable matching.
+
+    Each program holds its tentatively accepted students in a heap keyed by
+    minus their priority rank, so its worst-ranked student is at the top and
+    a proposal to a full program costs O(log capacity).
+    """
+    items, lengths = market.preferences.to_padded()
+    rows, lens = items.tolist(), lengths.tolist()
+    rank = market.priority_rank.tolist()
+    caps = market.capacities
+    held: list[list[tuple[int, int]]] = [[] for _ in range(market.m)]
+    next_choice = [0] * market.n
+    assignment = [UNASSIGNED] * market.n
+    free = list(range(market.n))
     while free:
         s = free.pop()
-        prefs = market.preferences[s].items
-        while next_choice[s] < len(prefs):
-            p = prefs[next_choice[s]] - 1
-            next_choice[s] += 1
-            cap = market.capacities[p]
-            if cap == 0:
-                continue
-            if len(held[p]) < cap:
-                held[p].append(s)
+        row, j = rows[s], next_choice[s]
+        while j < lens[s]:
+            p = row[j]
+            j += 1
+            heap, key = held[p], -rank[p][s]
+            if len(heap) < caps[p]:
+                heappush(heap, (key, s))
                 assignment[s] = p + 1
                 break
-            worst = max(held[p], key=lambda t: pr[p, t])
-            if pr[p, s] < pr[p, worst]:
-                held[p].remove(worst)
+            if heap and key > heap[0][0]:
+                _, worst = heapreplace(heap, (key, s))
                 assignment[worst] = UNASSIGNED
                 free.append(worst)
-                held[p].append(s)
                 assignment[s] = p + 1
                 break
         # list exhausted -> stays unassigned
+        next_choice[s] = j
     return Matching(tuple(assignment))
 
 
+def _assignment_array(assignment, n: int) -> np.ndarray:
+    a = np.asarray(assignment, dtype=np.int64).reshape(-1)
+    if a.shape[0] != n:
+        raise ValueError(f"matching of {a.shape[0]} students, expected {n}")
+    return a
+
+
+def _match_positions(items, lengths, a):
+    """(listed, pos): whether each student's match is on their list, and its
+    position there (the list length where it is not)."""
+    listed_cell = np.arange(items.shape[1]) < lengths[:, None]
+    hit = (items == (a - 1)[:, None]) & listed_cell & (a != UNASSIGNED)[:, None]
+    listed = hit.any(axis=1)
+    return listed, np.where(listed, hit.argmax(axis=1), lengths)
+
+
 def find_blocking_pair(market: Market, matching: Matching):
-    """Exhaustive scan; returns a (student, program) blocking pair or None."""
-    pr = market.priority_rank
-    held: list[list[int]] = [[] for _ in range(market.m)]
-    for s, p in enumerate(matching.assignment):
-        if p != UNASSIGNED:
-            held[p - 1].append(s)
-    for s in range(market.n):
-        prefs = market.preferences[s].items
-        assigned = matching.assignment[s]
-        assigned_pos = prefs.index(assigned) if assigned in prefs else len(prefs)
-        for pos in range(assigned_pos):
-            p = prefs[pos] - 1
-            if market.capacities[p] == 0:
-                continue
-            if len(held[p]) < market.capacities[p]:
-                return (s, p + 1)
-            worst = max(held[p], key=lambda t: pr[p, t])
-            if pr[p, s] < pr[p, worst]:
-                return (s, p + 1)
-    return None
+    """The first (student, program) blocking pair in (student, list position)
+    order, or None.
+
+    A pair blocks when the student lists the program above their match and the
+    program, having seats, has a free one or holds a student of worse priority.
+    """
+    items, lengths = market.preferences.to_padded()
+    n, m, pr = market.n, market.m, market.priority_rank
+    a = _assignment_array(matching.assignment, n)
+    if a.size and (a.min() < UNASSIGNED or a.max() > m):
+        raise ValueError(f"matching holds a program id outside [0, {m}]")
+    caps = np.asarray(market.capacities, dtype=np.int64)
+    held = np.flatnonzero(a != UNASSIGNED)
+    prog = a[held] - 1
+    load = np.bincount(prog, minlength=m)
+    worst = np.full(m, np.iinfo(np.int64).min)
+    np.maximum.at(worst, prog, pr[prog, held])
+    _, pos = _match_positions(items, lengths, a)
+    above = np.arange(items.shape[1]) < pos[:, None]
+    p = np.where(above, items, 0)
+    better = pr[p, np.arange(n)[:, None]] < worst[p]
+    block = above & (caps[p] > 0) & ((load[p] < caps[p]) | better)
+    if not block.any():
+        return None
+    s, j = divmod(int(block.argmax()), items.shape[1])
+    return (s, int(items[s, j]) + 1)
 
 
 @dataclass(frozen=True)
@@ -139,17 +178,13 @@ class OutcomeRates:
 
 
 def outcome_stats(matching: Matching, preferences) -> OutcomeRates:
-    """Fractions assigned to top-1, any of top-3, and any listed program."""
-    n = len(matching.assignment)
-    top1 = top3 = anyl = 0
-    for s, p in enumerate(matching.assignment):
-        prefs = preferences[s].items
-        if p == UNASSIGNED or p not in prefs:
-            continue
-        pos = prefs.index(p)
-        anyl += 1
-        if pos < 3:
-            top3 += 1
-        if pos == 0:
-            top1 += 1
-    return OutcomeRates(top1 / n, top3 / n, anyl / n)
+    """Fractions assigned to top-1, any of top-3, and any listed program.
+
+    preferences: a Dataset, an OrderView or a sequence of PartialOrders."""
+    items, lengths = padded_orders(preferences)
+    n = lengths.shape[0]
+    a = _assignment_array(matching.assignment, n)
+    listed, pos = _match_positions(items, lengths, a)
+    top1 = int((listed & (pos == 0)).sum())
+    top3 = int((listed & (pos < 3)).sum())
+    return OutcomeRates(top1 / n, top3 / n, int(listed.sum()) / n)

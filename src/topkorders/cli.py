@@ -13,8 +13,10 @@ import numpy as np
 
 from . import assignment as asg
 from . import dataio, evaluation
+from .augmented import AugmentedModel
 from .estimation import (
     ALL_VARIANTS,
+    STRATIFIED_VARIANTS,
     FitConfig,
     NonFiniteLossError,
     fit,
@@ -42,6 +44,24 @@ def _add_fit_flags(p):
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--batch-size", default="full")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _check_counts(args, **minimums):
+    """Raise unless each named count flag is at least its minimum."""
+    for name, low in minimums.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ValueError(f"--{name} must be >= {low}, got {value}")
+
+
+def _check_fit_flags(args):
+    """Raise for a fit flag the chosen variant would ignore."""
+    if args.model == "c-i" and args.covariates:
+        raise ValueError("--model c-i takes no --covariates")
+    if args.model not in STRATIFIED_VARIANTS and (args.K != 1 or args.lambda_laplacian != 0):
+        raise ValueError(
+            f"--K and --lambda-laplacian apply only to c-ld and a-s, not to {args.model}"
+        )
 
 
 def _fit_config(args) -> FitConfig:
@@ -196,6 +216,7 @@ def cmd_stats(args) -> int:
 def cmd_fit(args) -> int:
     if args.model == "c-ci" and not args.covariates:
         raise ValueError("--model c-ci requires --covariates")
+    _check_fit_flags(args)
     D = _load_data(args)
     cfg = _fit_config(args)
     result = fit(args.model, D, cfg)
@@ -220,7 +241,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_counts(args, reps=0, n=0)
     model, _ = dataio.load_checkpoint(args.model_ckpt)
+    if args.condition_nonempty and not isinstance(model, AugmentedModel):
+        raise ValueError(
+            f"--condition-nonempty applies only to augmented models, not {model.variant}"
+        )
     D = _load_data(args)
     n_per = args.n or D.n
     group_map = _read_group_map(args.group_map, model.universe.m) if args.group_map else None
@@ -274,6 +300,7 @@ def _report_doc(r: evaluation.EvalReport) -> dict:
 def cmd_sample(args) -> int:
     import os
 
+    _check_counts(args, reps=0, n=1)
     model, _ = dataio.load_checkpoint(args.model_ckpt)
     covariates = None
     if args.covariates:
@@ -291,9 +318,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    if args.K != 1 or args.lambda_laplacian != 0:
+        raise ValueError("cv takes K and lambda_L from --grid, not --K or --lambda-laplacian")
+    _check_fit_flags(args)
+    Ks, lapls = _parse_grid(args.grid)
+    if args.model not in STRATIFIED_VARIANTS and (any(K != 1 for K in Ks) or any(lapls)):
+        raise ValueError(
+            f"--grid K other than 1 or lapl other than 0 has no effect on {args.model}"
+        )
     D = _load_data(args)
     cfg = _fit_config(args)
-    Ks, lapls = _parse_grid(args.grid)
     (best_K, best_lapl), table = grid_search(
         args.model, D, Ks, lapls, cfg, folds=args.folds
     )
@@ -310,23 +344,23 @@ def cmd_cv(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    _check_counts(args, reps=0)
     D = dataio.parse_preflib(args.preferences)
     capacities = _read_capacities(args.capacities, D.universe.m)
     priorities = asg.uniform_priorities(D.n, D.universe.m, args.seed)
 
     def run(prefs):
-        market = asg.Market(tuple(prefs), tuple(capacities), priorities)
-        matching = asg.deferred_acceptance(market)
-        return asg.outcome_stats(matching, prefs)
+        market = asg.Market(prefs, capacities, priorities)
+        return asg.outcome_stats(asg.deferred_acceptance(market), prefs)
 
-    rows = [("true", run(D.orders))]
+    rows = [("true", run(D))]
     if args.synthetic_from:
         model, _ = dataio.load_checkpoint(args.synthetic_from)
         reps = evaluation.replicate_sample(
             model, D.n, args.reps, args.seed, no_empty=True
         )
         for r, rep in enumerate(reps):
-            rows.append((f"synthetic_{r:03d}", run(rep.orders)))
+            rows.append((f"synthetic_{r:03d}", run(rep)))
     lines = ["source\ttop1\ttop3\tany_listed"]
     for tag, rates in rows:
         lines.append(f"{tag}\t{rates.top1!r}\t{rates.top3!r}\t{rates.any_listed!r}")

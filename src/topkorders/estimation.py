@@ -43,6 +43,7 @@ from .orders import CovariateTensor, Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
 
 ALL_VARIANTS = ("c-i", "c-ci", "c-ld", "a", "a-pd", "a-s")
+STRATIFIED_VARIANTS = ("c-ld", "a-s")  # the only variants that read K and lambda_L
 
 
 class NonFiniteLossError(RuntimeError):
@@ -178,7 +179,7 @@ class ParamLayout:
             beta = p.betas
         else:
             beta = None if v == "c-i" else p.beta
-        K = p.K if v in ("c-ld", "a-s") else 1
+        K = p.K if v in STRATIFIED_VARIANTS else 1
         return cls(v, model.universe.m, 0 if beta is None else beta.shape[-1], K)
 
     @property
@@ -444,7 +445,7 @@ def objective_and_grad(
     F += l2_penalty(flat, cfg.lambda_l2)
     grad += 2.0 * cfg.lambda_l2 * flat
 
-    if variant in ("c-ld", "a-s") and cfg.lambda_laplacian:
+    if variant in STRATIFIED_VARIANTS and cfg.lambda_laplacian:
         start = m if variant == "c-ld" else 0
         banks = flat[start:].reshape(K, -1)
         F += laplacian_penalty(banks, cfg.lambda_laplacian)
@@ -471,7 +472,7 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     if needs_cov and D.covariates is None:
         raise ValueError(f"{variant} requires covariates")
     d = D.covariates.d if D.covariates is not None else 0
-    K = cfg.K if variant in ("c-ld", "a-s") else 1
+    K = cfg.K if variant in STRATIFIED_VARIANTS else 1
     layout = ParamLayout(variant, D.universe.m, d, K)
     data = _FitData(D)
     data.events = event_table(data, layout)

@@ -5,6 +5,7 @@ strict ordering of k distinct alternatives out of a universe of m; a total
 order is the special case k = m.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, permutations
 from math import factorial
@@ -61,6 +62,48 @@ class PartialOrder:
         return iter(self.items)
 
 
+class OrderView(Sequence):
+    """A read-only sequence of PartialOrders over padded id arrays.
+
+    Holds the arrays a Dataset stores and builds a PartialOrder only when a
+    record is read, so taking the view costs nothing. Slices are views too. A
+    view equals any sequence that holds the same orders in the same order.
+    """
+
+    __slots__ = ("_items", "_lengths")
+    __hash__ = None
+
+    def __init__(self, items: np.ndarray, lengths: np.ndarray):
+        self._items, self._lengths = items, lengths
+
+    def __len__(self) -> int:
+        return self._lengths.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OrderView(self._items[i], self._lengths[i])
+        k = self._lengths[i]
+        return PartialOrder((self._items[i, :k] + 1).tolist())
+
+    def __iter__(self):
+        ids = (self._items + 1).tolist()
+        return (PartialOrder(row[:k]) for row, k in zip(ids, self._lengths.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, OrderView):
+            # padding cells hold -1, so equal lengths leave only the common columns to compare
+            w = min(self._items.shape[1], other._items.shape[1])
+            return np.array_equal(self._lengths, other._lengths) and np.array_equal(
+                self._items[:, :w], other._items[:, :w]
+            )
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"OrderView({len(self)} orders)"
+
+
 def validate_order(order: PartialOrder, universe: Universe, allow_empty: bool = False) -> None:
     """Raise InvalidOrderError unless ids are distinct, in range, and k in [1, m]."""
     items = order.items
@@ -108,11 +151,12 @@ class Dataset:
     Records are stored as arrays only: 0-based item ids padded with -1,
     shape (n, kmax), in the smallest signed integer type that holds -(m + 1)
     (so ids + 1 cannot overflow), and list lengths (n,) as int64.
-    ``orders`` builds PartialOrder objects from them on each access.
+    ``orders`` is an OrderView over them.
     """
 
     def __init__(self, universe: Universe, orders=(), covariates=None, allow_empty=False):
-        items, lengths = pad_rows([q.items for q in orders])
+        """``orders``: a Dataset, an OrderView or a sequence of PartialOrders."""
+        items, lengths = padded_orders(orders)
         self._set(universe, items, lengths, covariates, allow_empty)
 
     @classmethod
@@ -138,9 +182,8 @@ class Dataset:
         self._items, self._lengths = items, lengths
 
     @property
-    def orders(self) -> tuple:
-        ids = (self._items + 1).tolist()
-        return tuple(PartialOrder(row[:k]) for row, k in zip(ids, self._lengths.tolist()))
+    def orders(self) -> OrderView:
+        return OrderView(self._items, self._lengths)
 
     @property
     def n(self) -> int:
@@ -160,6 +203,17 @@ class Dataset:
         docstring for their integer types.
         """
         return self._items, self._lengths
+
+
+def padded_orders(orders) -> tuple[np.ndarray, np.ndarray]:
+    """(items, lengths) as ``Dataset.to_padded`` gives them, of a Dataset, an
+    OrderView or a sequence of PartialOrders. A Dataset or a view hands over its
+    stored arrays; only a sequence of objects is padded, and nothing is validated."""
+    if isinstance(orders, Dataset):
+        return orders.to_padded()
+    if isinstance(orders, OrderView):
+        return orders._items, orders._lengths
+    return pad_rows([q.items for q in orders])
 
 
 def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:

@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkorders import (
+    Dataset,
     Market,
+    Matching,
     PartialOrder,
+    Universe,
     deferred_acceptance,
     find_blocking_pair,
     make_market,
     outcome_stats,
     uniform_priorities,
 )
+from util import scan_blocking_pair, scan_deferred_acceptance
 
 
 def P(*items):
@@ -137,3 +141,89 @@ def test_da_always_stable_and_feasible(data, n, m):
         assert load[p] <= caps[p]
     # stability: no blocking pair under the brute-force oracle
     assert find_blocking_pair(market, match) is None
+
+
+@pytest.mark.parametrize(
+    "prefs,match",
+    [((P(1), P(3)), "outside"), ((P(0),), "outside"), ((P(2, 2),), "duplicate")],
+    ids=["id-above-m", "id-zero", "repeated-id"],
+)
+def test_market_rejects_bad_ids(prefs, match):
+    with pytest.raises(ValueError, match=match):
+        make_market(prefs, (1, 1))
+
+
+def test_market_rejects_dataset_over_other_universe():
+    D = Dataset(Universe(3), (P(1, 2), P(3)))
+    with pytest.raises(ValueError, match="3 programs, but 2 capacities"):
+        Market(D, (1, 1), identity_priorities(2, 2))
+
+
+def test_market_rejects_tied_priorities():
+    with pytest.raises(ValueError, match="row 1 has tied ranks"):
+        Market((P(1), P(2), P(1)), (1, 1), np.array([[0, 1, 2], [0, 1, 1]]))
+
+
+def test_market_keeps_a_dataset_and_converts_orders():
+    D = Dataset(Universe(2), (P(1, 2), P(2)))
+    pr = identity_priorities(2, 2)
+    assert Market(D, (1, 1), pr).preferences is D
+    for prefs in (D.orders, list(D.orders)):
+        market = Market(prefs, (1, 1), pr)
+        assert market.preferences.orders == D.orders
+        assert deferred_acceptance(market).assignment == (1, 2)
+
+
+def test_blocking_pair_found():
+    market = Market((P(1, 2), P(1, 2), P(2)), (1, 2), identity_priorities(2, 3))
+    # student 0 (top priority) sits at program 2 while student 1 holds program 1
+    assert find_blocking_pair(market, Matching((2, 1, 2))) == (0, 1)
+    # student 2 is unassigned while program 2 has a free seat
+    assert find_blocking_pair(market, Matching((1, 2, 0))) == (2, 2)
+    assert find_blocking_pair(market, deferred_acceptance(market)) is None
+
+
+def test_outcome_stats_takes_a_dataset():
+    orders = (P(1, 2), P(1, 2, 3), P(1), P(3, 2), P(2, 3, 1, 4))
+    D = Dataset(Universe(4), orders)
+    match = Matching((1, 3, 0, 2, 4))
+    rates = outcome_stats(match, orders)
+    assert (rates.top1, rates.top3, rates.any_listed) == (1 / 5, 3 / 5, 4 / 5)
+    assert outcome_stats(match, D) == rates
+    assert outcome_stats(match, D.orders) == rates
+
+
+def _random_market(rng, n, m, caps_kind):
+    prefs = [P(*(int(a) + 1 for a in rng.permutation(m)[:k])) for k in rng.integers(0, m + 1, n)]
+    caps = {
+        "zero": np.zeros(m, dtype=int),
+        "tight": rng.integers(0, 3, m),
+        "mixed": rng.integers(0, n + 2, m),
+        "ample": np.full(m, n),
+    }[caps_kind]
+    return make_market(prefs, caps, seed=int(rng.integers(1000)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), m=st.integers(1, 20),
+       caps_kind=st.sampled_from(["zero", "tight", "mixed", "ample"]))
+def test_heap_da_matches_scan_oracle(seed, n, m, caps_kind):
+    market = _random_market(np.random.default_rng(seed), n, m, caps_kind)
+    assert deferred_acceptance(market).assignment == scan_deferred_acceptance(market)
+
+
+def test_blocking_pair_matches_scan_oracle_on_perturbed_matchings():
+    rng = np.random.default_rng(9)
+    found = 0
+    for trial in range(300):
+        n, m = int(rng.integers(1, 121)), int(rng.integers(1, 13))
+        market = _random_market(rng, n, m, ("zero", "tight", "mixed", "ample")[trial % 4])
+        assignment = np.array(deferred_acceptance(market).assignment)
+        moved = rng.random(n) < rng.choice([0.02, 0.2, 1.0])
+        assignment[moved] = rng.integers(0, m + 1, int(moved.sum()))
+        want = scan_blocking_pair(market, tuple(int(a) for a in assignment))
+        got = find_blocking_pair(market, Matching(tuple(int(a) for a in assignment)))
+        assert got == want
+        assert got is None or all(type(v) is int for v in got)
+        found += want is not None
+    assert 100 < found < 300  # both outcomes occur

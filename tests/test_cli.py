@@ -262,3 +262,94 @@ def test_sample_covariate_count_is_input_error(checkpoint, tmp_path, capsys):
               "--out", tmp_path / "synth"])
     assert rc == EXIT_INPUT
     assert f"{cov}: 1 agents, but --n 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd,flags,name",
+    [("assign", ["--reps", "-1"], "--reps"), ("sample", ["--reps", "-2"], "--reps"),
+     ("sample", ["--n", "0"], "--n"), ("eval", ["--reps", "-1"], "--reps"),
+     ("eval", ["--reps", "1", "--n", "-3"], "--n")],
+    ids=["assign-reps", "sample-reps", "sample-n", "eval-reps", "eval-n"],
+)
+def test_negative_count_flag_is_input_error(checkpoint, ballots, tmp_path, capsys, cmd, flags,
+                                            name):
+    out = tmp_path / "out"
+    if cmd == "assign":
+        caps = tmp_path / "caps.csv"
+        caps.write_text("program_id,capacity\n1,10\n")
+        args = ["assign", "--preferences", ballots, "--capacities", caps,
+                "--synthetic-from", checkpoint]
+    elif cmd == "sample":
+        args = ["sample", "--model-ckpt", checkpoint, "--n", "5"]
+    else:
+        args = ["eval", "--model-ckpt", checkpoint, "--data", ballots]
+    assert run([*args, *flags, "--out", out]) == EXIT_INPUT
+    assert f"error: {name} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cmd,model,flags,message",
+    [("fit", "a", ["--K", "3"], "--K and --lambda-laplacian apply only"),
+     ("fit", "c-i", ["--lambda-laplacian", "0.5"], "--K and --lambda-laplacian apply only"),
+     ("fit", "c-i", ["--covariates", "COV"], "--model c-i takes no --covariates"),
+     ("cv", "a-pd", ["--grid", "K=1,2;lapl=0"], "--grid K other than 1"),
+     ("cv", "a", ["--grid", "K=1;lapl=0,0.1"], "--grid K other than 1"),
+     ("cv", "c-ld", ["--grid", "K=1,2;lapl=0", "--K", "2"], "cv takes K and lambda_L from --grid"),
+     ("cv", "a-s", ["--grid", "K=2;lapl=0", "--lambda-laplacian", "1"],
+      "cv takes K and lambda_L from --grid"),
+     ("cv", "c-i", ["--grid", "K=1;lapl=0", "--covariates", "COV"],
+      "--model c-i takes no --covariates")],
+    ids=["fit-K", "fit-lapl", "fit-ci-cov", "cv-grid-K", "cv-grid-lapl", "cv-K", "cv-lapl",
+         "cv-ci-cov"],
+)
+def test_ignored_fit_flag_is_input_error(ballots, tmp_path, capsys, cmd, model, flags, message):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("agent_id,item_id,f1\n1,1,0.5\n")
+    flags = [str(cov) if f == "COV" else f for f in flags]
+    out = tmp_path / "out"
+    assert run([cmd, "--data", ballots, "--model", model, *flags, "--out", out]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stratified_fit_flags_and_unit_grid_still_run(ballots, tmp_path):
+    fit_flags = ["--max-epochs", "3", "--lr", "0.05"]
+    assert run(["fit", "--data", ballots, "--model", "a-s", "--K", "2", "--lambda-laplacian",
+                "0.1", *fit_flags, "--out", tmp_path / "as.json"]) == EXIT_OK
+    assert run(["cv", "--data", ballots, "--model", "c-i", "--grid", "K=1;lapl=0.0",
+                "--folds", "2", *fit_flags]) == EXIT_OK
+
+
+def test_condition_nonempty_on_composite_is_input_error(checkpoint, ballots, tmp_path, capsys):
+    rc = run(["eval", "--model-ckpt", checkpoint, "--data", ballots, "--condition-nonempty",
+              "--out", tmp_path / "evalout"])
+    assert rc == EXIT_INPUT
+    assert "--condition-nonempty applies only to augmented models" in capsys.readouterr().err
+
+
+ASSIGN_TSV_PINNED = (
+    "source\ttop1\ttop3\tany_listed\n"
+    "true\t0.2\t0.3125\t0.3125\n"
+    "synthetic_000\t0.15\t0.3\t0.3125\n"
+    "synthetic_001\t0.15\t0.275\t0.3125\n"
+    "synthetic_mean\t0.15\t0.2875\t0.3125\n"
+    "synthetic_std\t0.0\t0.012499999999999983\t0.0\n"
+)
+
+
+def test_assign_output_pinned(ballots, tmp_path):
+    """The assign table of a fixed market and model, as the scan-based
+    deferred acceptance wrote it."""
+    caps = tmp_path / "caps.csv"
+    caps.write_text("program_id,capacity\n1,10\n2,10\n3,5\n4,0\n")
+    model = topkorders.CompositeModel(
+        "c-i", topkorders.CategoricalLengthParams(np.array([0.2, -0.1, 0.4, 0.0])),
+        topkorders.PLParams(np.array([0.5, 0.0, -0.3, 0.1])), Universe(4))
+    ck = tmp_path / "model.json"
+    topkorders.save_checkpoint(model, ck)
+    out = tmp_path / "assign.tsv"
+    rc = run(["assign", "--preferences", ballots, "--capacities", caps, "--seed", "3",
+              "--synthetic-from", ck, "--reps", "2", "--out", out])
+    assert rc == EXIT_OK
+    assert out.read_text() == ASSIGN_TSV_PINNED

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from topkorders import (
     Dataset,
+    OrderView,
     PartialOrder,
     Universe,
     enumerate_partial_orders,
@@ -117,3 +118,37 @@ def test_from_padded_round_trip():
     assert wide.to_padded()[0].shape == (2, 2)
     with pytest.raises(ValueError, match="padding"):
         Dataset.from_padded(u, np.array([[0, 1]]), np.array([1]))
+
+
+def test_order_view_is_a_lazy_sequence():
+    u = Universe(4)
+    orders = tuple(PartialOrder(q) for q in ((1, 2), (4,), (3, 1, 2, 4), (2,)))
+    D = Dataset(u, orders)
+    view = D.orders
+    assert isinstance(view, OrderView) and len(view) == 4
+    assert view[0] == orders[0] and view[-1] == orders[-1] and view[2] == orders[2]
+    with pytest.raises(IndexError):
+        view[4]
+    assert list(view) == list(orders) and tuple(view) == orders
+    assert list(reversed(view)) == list(reversed(orders))
+    assert PartialOrder((4,)) in view and PartialOrder((4, 1)) not in view
+    part = view[1:3]
+    assert isinstance(part, OrderView) and part == orders[1:3] and len(view[::2]) == 2
+    assert view[::-1] == orders[::-1]
+    assert view == orders and orders == view and view == list(orders)
+    assert view != orders[:3] and view != orders[::-1] and view != "abcd" and view != 4
+    # views of the same orders stored at different widths are equal
+    assert Dataset(u, orders[1:2] + orders[3:]).orders == view[1::2]
+    assert view[:2] != view[2:]
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+def test_dataset_from_view_keeps_the_orders():
+    u = Universe(3)
+    D = Dataset(u, (PartialOrder((1, 3)), PartialOrder((2,))))
+    for source in (D.orders, D, D.orders[::-1]):
+        E = Dataset(u, source)
+        assert E.orders == tuple(source.orders if source is D else source)
+    with pytest.raises(InvalidOrderError):
+        Dataset(Universe(2), D.orders)

@@ -125,3 +125,63 @@ def stratify_by_rank(D, K):
             pos = len(q) + 1
             groups[min(pos, K) - 1].append(ChoiceEvent(END, tuple(remaining) + (END,), pos))
     return groups
+
+
+def scan_deferred_acceptance(market):
+    """Student-proposing deferred acceptance that scans each full program's
+    held students for the worst one; the oracle of the heap version."""
+    n, m = market.n, market.m
+    orders = market.preferences.orders
+    next_choice = [0] * n
+    held = [[] for _ in range(m)]  # students held, any order
+    assignment = [0] * n
+    free = list(range(n))
+    pr = market.priority_rank
+    while free:
+        s = free.pop()
+        prefs = orders[s].items
+        while next_choice[s] < len(prefs):
+            p = prefs[next_choice[s]] - 1
+            next_choice[s] += 1
+            cap = market.capacities[p]
+            if cap == 0:
+                continue
+            if len(held[p]) < cap:
+                held[p].append(s)
+                assignment[s] = p + 1
+                break
+            worst = max(held[p], key=lambda t: pr[p, t])
+            if pr[p, s] < pr[p, worst]:
+                held[p].remove(worst)
+                assignment[worst] = 0
+                free.append(worst)
+                held[p].append(s)
+                assignment[s] = p + 1
+                break
+    return tuple(assignment)
+
+
+def scan_blocking_pair(market, assignment):
+    """The first (student, program) blocking pair of an assignment tuple, in
+    (student, list position) order, or None, by an exhaustive scan; the
+    oracle of find_blocking_pair."""
+    pr = market.priority_rank
+    orders = market.preferences.orders
+    held = [[] for _ in range(market.m)]
+    for s, p in enumerate(assignment):
+        if p != 0:
+            held[p - 1].append(s)
+    for s in range(market.n):
+        prefs = orders[s].items
+        assigned = assignment[s]
+        assigned_pos = prefs.index(assigned) if assigned in prefs else len(prefs)
+        for pos in range(assigned_pos):
+            p = prefs[pos] - 1
+            if market.capacities[p] == 0:
+                continue
+            if len(held[p]) < market.capacities[p]:
+                return (s, p + 1)
+            worst = max(held[p], key=lambda t: pr[p, t])
+            if pr[p, s] < pr[p, worst]:
+                return (s, p + 1)
+    return None
