@@ -33,12 +33,7 @@ class Market:
     def __post_init__(self):
         caps = tuple(int(c) for c in self.capacities)
         m = len(caps)
-        prefs = self.preferences
-        if isinstance(prefs, Dataset):
-            if prefs.m != m:
-                raise ValueError(f"preferences over {prefs.m} programs, but {m} capacities")
-        else:
-            prefs = Dataset.from_padded(Universe(m), *padded_orders(prefs), allow_empty=True)
+        prefs = _as_dataset(self.preferences, m)
         pr = np.asarray(self.priority_rank, dtype=np.int64)
         object.__setattr__(self, "preferences", prefs)
         object.__setattr__(self, "capacities", caps)
@@ -61,6 +56,15 @@ class Market:
         return len(self.capacities)
 
 
+def _as_dataset(preferences, m: int) -> Dataset:
+    """The students' lists as a Dataset over m programs, converted in one pass."""
+    if isinstance(preferences, Dataset):
+        if preferences.m != m:
+            raise ValueError(f"preferences over {preferences.m} programs, but {m} capacities")
+        return preferences
+    return Dataset.from_padded(Universe(m), *padded_orders(preferences), allow_empty=True)
+
+
 def uniform_priorities(n: int, m: int, seed: int) -> np.ndarray:
     """One independent uniform priority permutation per program."""
     rng = np.random.default_rng(seed)
@@ -72,9 +76,9 @@ def uniform_priorities(n: int, m: int, seed: int) -> np.ndarray:
 
 
 def make_market(preferences, capacities, seed: int = 0, priority_rank=None) -> Market:
+    preferences = _as_dataset(preferences, len(capacities))
     if priority_rank is None:
-        n = len(padded_orders(preferences)[1])
-        priority_rank = uniform_priorities(n, len(capacities), seed)
+        priority_rank = uniform_priorities(preferences.n, len(capacities), seed)
     return Market(preferences, capacities, priority_rank)
 
 

@@ -71,7 +71,6 @@ class OrderView(Sequence):
     """
 
     __slots__ = ("_items", "_lengths")
-    __hash__ = None
 
     def __init__(self, items: np.ndarray, lengths: np.ndarray):
         self._items, self._lengths = items, lengths
@@ -90,12 +89,6 @@ class OrderView(Sequence):
         return (PartialOrder(row[:k]) for row, k in zip(ids, self._lengths.tolist()))
 
     def __eq__(self, other):
-        if isinstance(other, OrderView):
-            # padding cells hold -1, so equal lengths leave only the common columns to compare
-            w = min(self._items.shape[1], other._items.shape[1])
-            return np.array_equal(self._lengths, other._lengths) and np.array_equal(
-                self._items[:, :w], other._items[:, :w]
-            )
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))

@@ -153,6 +153,15 @@ def test_market_rejects_bad_ids(prefs, match):
         make_market(prefs, (1, 1))
 
 
+def test_make_market_takes_a_one_shot_iterable():
+    prefs = (P(1, 2), P(2), P())
+    from_gen = make_market((q for q in prefs), (1, 1), seed=3)
+    from_tuple = make_market(prefs, (1, 1), seed=3)
+    assert from_gen.preferences.orders == prefs
+    assert np.array_equal(from_gen.priority_rank, from_tuple.priority_rank)
+    assert deferred_acceptance(from_gen) == deferred_acceptance(from_tuple)
+
+
 def test_market_rejects_dataset_over_other_universe():
     D = Dataset(Universe(3), (P(1, 2), P(3)))
     with pytest.raises(ValueError, match="3 programs, but 2 capacities"):
