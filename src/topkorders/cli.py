@@ -219,12 +219,10 @@ def cmd_fit(args) -> int:
     _check_fit_flags(args)
     D = _load_data(args)
     cfg = _fit_config(args)
+    data_hash = dataio.dataset_hash(D)  # before the fit, so that their peaks do not add up
     result = fit(args.model, D, cfg)
     dataio.save_checkpoint(
-        result.model,
-        args.out,
-        fit_config=dataclasses.asdict(cfg),
-        data_hash=dataio.dataset_hash(D),
+        result.model, args.out, fit_config=dataclasses.asdict(cfg), data_hash=data_hash,
         seed=cfg.seed,
     )
     if args.trace:

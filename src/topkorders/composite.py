@@ -17,7 +17,7 @@ from .lengthdist import (
     poisson_clipped_log_prob,
     sample_lengths,
 )
-from .kernels import item_utilities
+from .kernels import item_utilities, length_strata
 from .orders import Dataset, PartialOrder, Universe, check_covariates, validate_order
 from .ranking import PLParams, StratifiedPLParams, pl_log_marginal, stratified_log_prob
 
@@ -116,7 +116,7 @@ def sample_composite_dataset(
         lengths = sample_lengths(model.length_params, n, rng)
     ranking = model.ranking_params
     banks = ranking.banks if model.variant == "c-ld" else (ranking,)
-    strata = np.minimum(lengths, len(banks)) - 1
+    strata = length_strata(lengths, len(banks))
     items = np.empty((n, m), dtype=np.int64)
     for b, bank in enumerate(banks):
         rows = np.flatnonzero(strata == b)

@@ -10,6 +10,7 @@ fit, and held-out scoring, sums the per-row terms of ``_row_terms``.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .kernels import (
     augs_nll_grad,
     bank_utilities,
     item_utilities,
+    length_strata,
     pl_nll_grad,
     unchosen_mask,
 )
@@ -38,7 +40,7 @@ from .lengthdist import (
     poisson_rate,
 )
 from .evaluation import test_nll
-from .events import event_table
+from .events import _bank_event_counts, event_table
 from .orders import CovariateTensor, Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
 
@@ -136,7 +138,7 @@ def stratify_dataset(D: Dataset, K: int):
     if K < 1:
         raise ValueError("K must be >= 1")
     items, lengths = D.to_padded()
-    strata = np.minimum(np.maximum(lengths, 1), K) - 1
+    strata = length_strata(lengths, K)
     return [
         Dataset.from_padded(
             D.universe, items[strata == b], lengths[strata == b], allow_empty=D.allow_empty
@@ -321,38 +323,35 @@ def _chain(X, dU):
 # ---------------------------------------------------------------------------
 
 class _FitData:
-    """Padded arrays prepared once per fit, rows in order of length.
-
-    Without covariates, duplicate rows are merged and weighted by their
-    multiplicity; with covariates every record keeps its own row.
+    """Padded arrays prepared once per fit: one row of weight 1 per record,
+    with its covariates, in order of length as the kernels take them.
+    Duplicate records are not merged; the event table merges their choices.
     """
 
     def __init__(self, D: Dataset):
         items, lengths = D.to_padded()
-        if D.covariates is None:
-            rows = np.hstack([lengths[:, None], items])
-            uniq, counts = np.unique(rows, axis=0, return_counts=True)
-            items, lengths, weights, X = uniq[:, 1:], uniq[:, 0], counts.astype(np.float64), None
-        else:  # in order of length, as the kernels take them
-            order = np.argsort(lengths, kind="stable")
-            items, lengths = items[order], lengths[order]
-            weights, X = np.ones(D.n), D.covariates.values[order]
-        self._set_rows(D.universe.m, items, lengths, weights, X)
+        order = np.argsort(lengths, kind="stable")
+        X = None if D.covariates is None else D.covariates.values[order]
+        self._set_rows(D.universe.m, items[order], lengths[order], np.ones(D.n), X)
 
     @classmethod
     def from_rows(cls, m, items, lengths, weights, X):
-        """Rows taken as given: not merged, not reordered."""
+        """Rows taken as given, each weighted by its multiplicity: not
+        merged, not reordered."""
         data = cls.__new__(cls)
         data._set_rows(m, items, lengths, weights, X)
         return data
 
     def _set_rows(self, m, items, lengths, weights, X):
         self.m, self.items, self.lengths, self.weights, self.X = m, items, lengths, weights, X
-        self.unchosen = unchosen_mask(items, m)
         self.events = None  # the fit's EventTable, when it has one
         self.x_agent = None if X is None else X.mean(axis=1)  # the Poisson length features
-        self.n = int(weights.sum())
         self.length_counts = np.bincount(lengths, weights=weights, minlength=m + 1)[: m + 1]
+
+    @cached_property
+    def unchosen(self):
+        """The (rows, m) mask of unlisted items, built when the row kernels run."""
+        return unchosen_mask(self.items, self.m)
 
 
 def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, coef=None):
@@ -402,7 +401,7 @@ def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, c
             g[:m] = coef[0] * (counts - counts.sum() * np.exp(logp))
         start = m
     banks = flat[start:].reshape(K, m + d)
-    strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
+    strata = length_strata(data.lengths, K)
     for b in range(K):
         sel = slice(None) if K == 1 else np.flatnonzero(strata == b)
         if K > 1 and sel.size == 0:
@@ -428,19 +427,10 @@ def objective_and_grad(
     if data.events is not None:
         F, grad = data.events.nll_grad(flat)
     else:
-        # each term is averaged over the records, over the records of its
-        # length stratum (c-ld banks) or over the choices made with its bank (a-s)
-        w = data.weights
-        if variant == "c-ld":
-            strata = np.minimum(np.maximum(data.lengths, 1), K) - 1
-            norm = np.append(data.n, np.bincount(strata, w, minlength=K))
-        elif variant == "a-s":
-            norm = _bank_event_counts(data.lengths, w, m, K)
-        else:
-            norm = np.full(2 if variant.startswith("c") else 1, float(data.n))
+        norm = _bank_event_counts(data.lengths, data.weights, m, K, variant)
         coef = -np.divide(1.0, norm, out=np.zeros(norm.shape), where=norm > 0)
         terms, grad = _row_terms(variant, data, layout, flat, coef)
-        F = (w @ terms) @ coef
+        F = (data.weights @ terms) @ coef
 
     F += l2_penalty(flat, cfg.lambda_l2)
     grad += 2.0 * cfg.lambda_l2 * flat
@@ -452,12 +442,6 @@ def objective_and_grad(
         grad[start:] += _laplacian_grad(banks, cfg.lambda_laplacian).ravel()
     return float(F), grad
 
-
-def _bank_event_counts(lengths, weights, m, K):
-    """Weighted number of choices made with each bank (k items, plus END if k < m)."""
-    per_row = np.maximum((lengths + (lengths < m))[:, None] - np.arange(K), 0)
-    per_row[:, :-1] = np.minimum(per_row[:, :-1], 1)
-    return weights @ per_row
 
 # ---------------------------------------------------------------------------
 # Fitting
@@ -487,39 +471,23 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     prev_F = None
     converged = False
     epoch = 0
-    full_batch = cfg.batch_size == "full" or (
-        isinstance(cfg.batch_size, int) and cfg.batch_size >= data.weights.shape[0]
-    )
+    full_batch = cfg.batch_size == "full" or cfg.batch_size >= D.n
     step = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        if full_batch:
-            F, g = objective_and_grad(variant, data, layout, flat, cfg)
-            if not np.isfinite(F):
-                raise NonFiniteLossError(
-                    f"objective diverged at epoch {epoch}; trace={trace}"
-                )
-            step += 1
-            flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
-            gnorm = float(np.linalg.norm(g))
-        else:
-            # mini-batches over the aggregated rows, reshuffled per epoch
-            nrows = data.weights.shape[0]
-            perm = rng.permutation(nrows)
-            for lo in range(0, nrows, int(cfg.batch_size)):
-                sub = perm[lo : lo + int(cfg.batch_size)]
-                sub_data = _subset_fitdata(data, sub)
+        if not full_batch:  # mini-batches of records, reshuffled per epoch
+            perm = rng.permutation(D.n)
+            for lo in range(0, D.n, int(cfg.batch_size)):
+                sub_data = _subset_fitdata(data, perm[lo : lo + int(cfg.batch_size)])
                 _, g = objective_and_grad(variant, sub_data, layout, flat, cfg)
                 step += 1
-                flat = _adam_step(
-                    flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps
-                )
-            F, g = objective_and_grad(variant, data, layout, flat, cfg)
-            if not np.isfinite(F):
-                raise NonFiniteLossError(
-                    f"objective diverged at epoch {epoch}; trace={trace}"
-                )
-            gnorm = float(np.linalg.norm(g))
-        trace.append((epoch, F, gnorm))
+                flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
+        F, g = objective_and_grad(variant, data, layout, flat, cfg)
+        if not np.isfinite(F):
+            raise NonFiniteLossError(f"objective diverged at epoch {epoch}; trace={trace}")
+        if full_batch:
+            step += 1
+            flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
+        trace.append((epoch, F, float(np.linalg.norm(g))))
         if prev_F is not None and abs(F - prev_F) < cfg.tol:
             converged = True
             break

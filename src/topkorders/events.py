@@ -1,16 +1,19 @@
 """Covariate-free choices merged into one table keyed by (bank, prefix set).
 
 Without covariates a Plackett-Luce or augmented choice depends only on its
-bank and on the set of items listed before it, so a fit's weighted rows
-collapse onto one count table, the sufficient statistics of Hunter (2004),
-"MM algorithms for generalized Bradley-Terry models". One evaluation of the
-objective is then a few dense operations on that table, however many
-records it summarizes. The bank of a choice is the length stratum
-min(k, K) for c-ld, the rank stratum min(j, K) for a-s, the position j for
-a-pd (its END utility), and the one bank of c-i and a.
+bank and on the set of items listed before it, so a fit's records collapse
+onto one count table, the sufficient statistics of Hunter (2004), "MM
+algorithms for generalized Bradley-Terry models", which merges duplicate
+records by itself. One evaluation of the objective is then a few dense
+operations on that table, however many records it summarizes. The bank of
+a choice is the length stratum min(k, K) for c-ld, the rank stratum
+min(j, K) for a-s, the position j for a-pd (its END utility), and the one
+bank of c-i and a.
 """
 
 import numpy as np
+
+from .kernels import length_strata
 
 
 class EventTable:
@@ -39,12 +42,12 @@ class EventTable:
 
 
 def event_table(data, layout):
-    """The event table of a fit's rows (a ``_FitData``), or None where the
-    row kernels serve it: a model with covariates, or a table of more cells,
-    P * (m+1), than the rows have choice events. An evaluation touches each
-    table cell a few times, and the row kernels each event, so the rule
-    compares their work analytically. The build stops at the first list
-    position whose keys pass that bound."""
+    """The event table of a fit's records (a ``_FitData``), or None where
+    the row kernels serve it: a model with covariates, or a table of more
+    cells, P * (m+1), than the records have choice events. An evaluation
+    touches each table cell a few times, and the row kernels each event, so
+    the rule compares their work analytically. The build stops at the first
+    list position whose keys pass that bound."""
     v, m, K = layout.variant, layout.m, layout.K
     if data.X is not None and v != "c-i":
         return None
@@ -52,11 +55,11 @@ def event_table(data, layout):
     R, aug = lengths.shape[0], v in ("a", "a-pd", "a-s")
     # one event per listed item, then END after k < m items (augmented)
     steps = lengths + (aug & (lengths < m))
-    limit = int(steps.sum()) // (m + 1)
-    stratum = np.minimum(np.maximum(lengths, 1), K) - 1
-    ids = np.hstack([items, np.full((R, 1), -1)])
+    limit = int(w @ steps) // (m + 1)
+    stratum = length_strata(lengths, K)
+    ids = np.hstack([items, np.full((R, 1), -1, items.dtype)])
     listed = np.zeros((R, (m + 7) // 8), dtype=np.uint8)  # each row's listed items, in bits
-    P, cells, wts, sets, banks = 0, [], [], [], []
+    P, tables, sets, banks = 0, [], [], []
     for j in range(int(steps.max(initial=0))):
         row = np.flatnonzero(steps > j)
         bits = listed[row]  # the prefix set of each event at j
@@ -69,13 +72,14 @@ def event_table(data, layout):
         first = np.ones(row.size, dtype=bool)  # the first event of each key
         first[1:] = (np.diff(bank[order]) != 0) | np.any(np.diff(bits[order], axis=0) != 0, axis=1)
         key = np.empty_like(order)
-        key[order] = P + np.cumsum(first) - 1
-        P += int(first.sum())
+        key[order] = np.cumsum(first) - 1
+        keys = int(first.sum())
+        P += keys
         if P > limit:
             return None
-        chosen = ids[row, j]
-        cells.append(key * (m + 1) + np.where(chosen < 0, m, chosen))
-        wts.append(w[row])
+        chosen = ids[row, j].astype(np.intp)
+        cells = key * (m + 1) + np.where(chosen < 0, m, chosen)
+        tables.append(np.bincount(cells, w[row], minlength=keys * (m + 1)).reshape(keys, m + 1))
         sets.append(bits[order[first]])
         banks.append(bank[order[first]])
         on = chosen >= 0
@@ -86,22 +90,33 @@ def event_table(data, layout):
     avail = np.ones((P, m + 1), dtype=bool)
     avail[:, :m] = np.unpackbits(np.concatenate(sets), axis=1, count=m) == 0
     avail[:, m] = aug
-    counts = np.bincount(
-        np.concatenate(cells), np.concatenate(wts), minlength=P * (m + 1)
-    ).reshape(P, m + 1)
-    if v == "c-ld":  # each bank's term is averaged over its length stratum's records
-        per_bank = np.bincount(stratum, w, minlength=K)
-    elif v == "a-s":  # ... or over the choices made with it
-        per_bank = np.bincount(bank_of, counts.sum(axis=1), minlength=K)
-    else:
-        per_bank = np.full(index.shape[0], data.n)
-    counts /= per_bank[bank_of][:, None]
+    # each bank's counts over the normalizer of its term: a composite's
+    # term 0 is its length, and a-pd's position banks share its one term
+    composite = v in ("c-i", "c-ld")
+    norm = _bank_event_counts(lengths, w, m, K, v)
+    counts = np.concatenate(tables) / norm[composite + bank_of * (v != "a-pd")][:, None]
     uidx = index[bank_of]
-    if v in ("c-i", "c-ld"):
+    if composite:
         avail = np.vstack([avail, np.arange(m + 1) < m])
-        counts = np.vstack([counts, np.append(data.length_counts[1:], 0.0) / data.n])
+        counts = np.vstack([counts, np.append(data.length_counts[1:], 0.0) / norm[0]])
         uidx = np.vstack([uidx, np.append(np.arange(m), layout.size)])
     return EventTable(avail, counts, uidx)
+
+
+def _bank_event_counts(lengths, weights, m, K, variant="a-s"):
+    """The normalizer of each term of a variant's objective, in the order of
+    its row terms. A composite averages its length term over the records
+    and its K ranking terms over the records of each length stratum; a-s
+    averages each bank's term over the choices made with it (k items, plus
+    END if k < m); a and a-pd average their one term over the records."""
+    if variant == "a-s":
+        per_row = np.maximum((lengths + (lengths < m))[:, None] - np.arange(K), 0)
+        per_row[:, :-1] = np.minimum(per_row[:, :-1], 1)
+        return weights @ per_row
+    n = weights.sum()
+    if variant in ("a", "a-pd"):
+        return np.full(1, n)
+    return np.append(n, np.bincount(length_strata(lengths, K), weights, minlength=K))
 
 
 def _utility_index(layout) -> np.ndarray:

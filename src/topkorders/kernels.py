@@ -9,9 +9,9 @@ bank (``augs_nll_grad``; naive A is K = 1) or one END utility per position
 Inputs are padded ballot arrays: ``items`` (n, kmax) of 0-based ids with -1
 padding, ``lengths`` (n,), ``unchosen`` (n, m), 1.0 where an item is not on
 the row's list (see :func:`unchosen_mask`), and ``weights`` (n,)
-multiplicities. Utilities are per row: their leading axis R is 1, shared by
-every row (covariate-free models, on deduplicated rows), or n, where row i
-carries delta + x_i . beta.
+multiplicities, 1 for a row that is one record. Utilities are per row:
+their leading axis R is 1, shared by every row (covariate-free models), or
+n, where row i carries delta + x_i . beta.
 
 Each kernel returns the per-row log-probabilities and, unless ``grad`` is
 false, the gradient of sum_i w_i log p_i with respect to the utilities, in
@@ -24,7 +24,8 @@ the number of choices, not with n times the longest list. The mass left at
 each choice is a sum of positive terms: the row's unchosen items (and END)
 plus a suffix sum over the list items not chosen yet. Subtracting the
 chosen prefix from the total mass instead loses all precision once the
-utility spread passes about 36.
+utility spread passes about 36. The gradient likewise charges each item
+only at the choices where it is still available, so no term is taken back.
 """
 
 import numpy as np
@@ -50,6 +51,12 @@ def bank_utilities(X, banks, betas):
     items = item_utilities(X, banks[:, :-1], betas)
     end = np.broadcast_to(banks[:, -1:], items.shape[:2] + (1,))
     return np.concatenate([items, end], axis=2)
+
+
+def length_strata(lengths, K):
+    """The 0-based length stratum of each list, min(max(k, 1), K) - 1: an
+    empty list falls in the first, every list of K or more items in the last."""
+    return np.minimum(np.maximum(lengths, 1), K) - 1
 
 
 def unchosen_mask(items: np.ndarray, m: int) -> np.ndarray:
@@ -122,60 +129,58 @@ def _pass(rows, e, t, p0, p1, end_e=None, end_t=None, grad=True):
     e and t are the (R, m) exp-shifted and shifted item utilities; end_e and
     end_t the (R, J) END utilities by position, or None where END is no
     option (Plackett-Luce). Items listed from p1 on count in the remaining
-    mass; items listed before p0 are gone at p0..p1-1, which only the
-    gradient sees.
+    mass; items listed before p0 are gone at p0..p1-1.
 
     Returns the rows' log-probability terms (n,) and, unless grad is false,
     the gradients w.r.t. the item utilities (R, m) and the END utilities
-    (R, J) of sum_i w_i log p_i.
+    (R, J) of sum_i w_i log p_i. An item is charged w e_a / (remaining mass)
+    at each choice where it is still available: an unchosen item at every
+    choice of the pass, a listed item at the choices up to its own position.
+    No charge is taken back, so the gradient stays exact at any spread.
     """
     n, lo, w = rows.n, rows.lo, rows.weights
     R, m = e.shape
     free = _free(rows.unchosen, e)
     logp = np.zeros(n)
     acc = np.zeros(0)  # mass of the items listed at positions >= j
-    tail = np.zeros(0)  # weight over remaining mass, summed over later choices
-    dense = np.zeros(n)
-    idx, vals = [], []  # gradient terms of the items listed at each position
+    listed, inv = [], {}  # each position's listed items; weight over remaining mass
     g_end = np.zeros((R, rows.J)) if grad and end_e is not None else None
-    for j in range(rows.J - 1, -1 if grad else p0 - 1, -1):
+    for j in range(rows.J - 1, p0 - 1, -1):
         a = lo[j + 1]
         ids = rows.ids[j, a:]
         E = _at(e, ids, a)
-        if j >= p0:
-            acc = E + _pad(acc, n - a)
-        if p0 <= j < p1:
-            b = a if end_e is None else lo[j]  # rows choosing an item or END at j
-            rem = _pad(acc, n - b) + free[b:]
-            if end_e is not None:
-                rem += _col(end_e, j, b, n)
-            log_rem = np.log(rem)
-            logp[a:] += _at(t, ids, a) - log_rem[a - b :]
-            if end_e is not None:
-                logp[b:a] += _col(end_t, j, b, a) - log_rem[: a - b]
-            if not grad:
-                continue
-            inv = w[b:] / rem
-            idx.append((a, ids))
-            vals.append(w[a:] + E * _pad(tail, n - a))
-            tail = inv + _pad(tail, n - b)
-            dense[b:] += inv
-            if end_e is not None:
-                if R == 1:
-                    g_end[0, j] = w[b:a].sum() - end_e[0, j] * inv.sum()
-                else:
-                    g_end[b:, j] = -end_e[b:, j] * inv
-                    g_end[b:a, j] += w[b:a]
-        elif j < p0 and tail.size:  # item j is gone at the pass's choices
-            idx.append((a, ids))
-            vals.append(E * _pad(tail, n - a))
+        acc = E + _pad(acc, n - a)
+        listed.append((j, a, ids, E))
+        if j >= p1:
+            continue
+        b = a if end_e is None else lo[j]  # rows choosing an item or END at j
+        rem = _pad(acc, n - b) + free[b:]
+        if end_e is not None:
+            rem += _col(end_e, j, b, n)
+        log_rem = np.log(rem)
+        logp[a:] += _at(t, ids, a) - log_rem[a - b :]
+        if end_e is not None:
+            logp[b:a] += _col(end_t, j, b, a) - log_rem[: a - b]
+        if not grad:
+            continue
+        inv[j] = w[b:] / rem
+        if end_e is not None:
+            if R == 1:
+                g_end[0, j] = w[b:a].sum() - end_e[0, j] * inv[j].sum()
+            else:
+                g_end[b:, j] = -end_e[b:, j] * inv[j]
+                g_end[b:a, j] += w[b:a]
     if not grad:
         return logp, None, None
-    dense = dense.sum(keepdims=True) if R == 1 else dense
-    g = -e * dense[:, None]
-    if idx:
-        at = [ids if R == 1 else ids + m * np.arange(a, n) for a, ids in idx]
-        g += np.bincount(np.concatenate(at), np.concatenate(vals), minlength=R * m).reshape(R, m)
+    head = np.zeros(n)  # per row, inv summed over the pass's choices up to j
+    at, vals = [], []  # the listed items' gradient terms
+    for j, a, ids, E in reversed(listed):
+        if j < p1:
+            head[n - inv[j].shape[0] :] += inv[j]
+        at.append(ids if R == 1 else ids + m * np.arange(a, n))
+        vals.append((w[a:] if j < p1 else 0.0) - E * head[a:])
+    g = -e * (head @ rows.unchosen if R == 1 else rows.unchosen * head[:, None])
+    g += np.bincount(np.concatenate(at), np.concatenate(vals), minlength=R * m).reshape(R, m)
     return logp, g, g_end
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -308,10 +309,9 @@ def _repeated_prefixes(variant, m, rng):
 @pytest.mark.parametrize("spread", [0.3, 40.0, 200.0])
 @pytest.mark.parametrize("variant,K", TABLE_VARIANTS)
 def test_event_table_matches_row_kernels(variant, K, spread, m):
-    """The table's objective equals the row kernels' and the reference at
-    every utility spread; its gradient equals the kernels' at spread 0.3 and
-    central differences of its objective at every spread (the kernels'
-    gradient loses precision at large spreads)."""
+    """The table's objective equals the row kernels' and the reference, and
+    its gradient the kernels' and central differences of its objective, at
+    every utility spread."""
     rng = np.random.default_rng(40 + m)
     D = _repeated_prefixes(variant, m, rng)
     layout = ParamLayout(variant, m, 0, K)
@@ -324,8 +324,7 @@ def test_event_table_matches_row_kernels(variant, K, spread, m):
     F, g = objective_and_grad(variant, data, layout, flat, cfg)
     assert F == pytest.approx(F_rows, rel=1e-9)
     assert F == pytest.approx(_objective_reference(variant, D, layout, flat, cfg), rel=1e-9)
-    if spread < 1:
-        np.testing.assert_allclose(g, g_rows, rtol=1e-9, atol=1e-9 * np.abs(g_rows).max())
+    np.testing.assert_allclose(g, g_rows, rtol=1e-9, atol=1e-9 * np.abs(g_rows).max())
     h = 1e-5
     fd = np.zeros_like(flat)
     for i in range(flat.size):
@@ -340,8 +339,8 @@ def test_event_table_matches_row_kernels(variant, K, spread, m):
 
 def test_event_table_rule():
     """The table serves a model without covariates whose table has no more
-    cells, P * (m+1), than its distinct rows have choices; the row kernels
-    serve every other fit."""
+    cells, P * (m+1), than its records have choices; the row kernels serve
+    every other fit."""
     rng = np.random.default_rng(50)
     m = 70
     long_lists = Dataset(Universe(m), random_orders(m, 40, rng, min_len=20))
@@ -399,15 +398,44 @@ def test_nll_rejects_impossible_record():
         nll(D, model)
 
 
-def test_fitdata_aggregates_duplicates():
-    u = Universe(3)
-    D = Dataset(
-        u,
-        (PartialOrder((1, 2)), PartialOrder((1, 2)), PartialOrder((3,))),
-    )
-    data = _FitData(D)
-    assert data.weights.sum() == 3
-    assert data.weights.shape[0] == 2
+def test_fitdata_keeps_each_record():
+    """_FitData keeps one unit-weight row per record, in order of length,
+    with or without covariates; the event table of those rows equals, array
+    for array, that of the same records merged into count-weighted distinct
+    rows."""
+    rng = np.random.default_rng(53)
+    m = 5
+    for variant, K in TABLE_VARIANTS:
+        D = _repeated_prefixes(variant, m, rng)
+        items, lengths = D.to_padded()
+        order = np.argsort(lengths, kind="stable")
+        data = _FitData(D)
+        np.testing.assert_array_equal(data.weights, np.ones(D.n))
+        np.testing.assert_array_equal(data.items, items[order])
+        np.testing.assert_array_equal(data.lengths, lengths[order])
+        uniq, counts = np.unique(np.hstack([lengths[:, None], items]), axis=0, return_counts=True)
+        assert uniq.shape[0] < D.n
+        merged = _FitData.from_rows(m, uniq[:, 1:], uniq[:, 0], counts.astype(np.float64), None)
+        layout = ParamLayout(variant, m, 0, K)
+        table, merged_table = event_table(data, layout), event_table(merged, layout)
+        for name in ("avail", "counts", "uidx", "total"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(merged_table, name))
+    cov = CovariateTensor(rng.normal(size=(D.n, m, 2)))
+    data = _FitData(Dataset(D.universe, D.orders, cov, allow_empty=True))
+    np.testing.assert_array_equal(data.X, cov.values[order])
+    np.testing.assert_array_equal(data.lengths, lengths[order])
+
+
+def test_batch_size_counts_records():
+    """120 records over at most 15 distinct lists take mini-batch steps at
+    batch_size 32; only a batch of all 120 records is the full batch."""
+    D = Dataset(Universe(3), random_orders(3, 120, np.random.default_rng(54)))
+    items, lengths = D.to_padded()
+    assert np.unique(np.hstack([lengths[:, None], items]), axis=0).shape[0] <= 15
+    cfg = FitConfig(learning_rate=0.01, max_epochs=20, tol=1e-12, seed=7)
+    full = fit("c-i", D, cfg).trace
+    assert fit("c-i", D, replace(cfg, batch_size=120)).trace == full
+    assert fit("c-i", D, replace(cfg, batch_size=32)).trace != full
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,54 @@ def test_large_utility_spreads_stay_exact(spread):
     np.testing.assert_allclose(lp, ref, rtol=0, atol=1e-9)
     model = CompositeModel("c-i", CategoricalLengthParams(np.zeros(m)), PLParams(theta), u)
     assert held_out_nll(model, D).nll == pytest.approx(np.log(m) - ref.mean(), rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["R=1", "R=n"])
+@pytest.mark.parametrize("spread", [0.3, 40.0, 200.0])
+@pytest.mark.parametrize("kernel,K", [("pl", 1), ("augs", 1), ("augs", 3), ("apd", 1)])
+def test_kernel_gradients_exact_at_large_spreads(kernel, K, spread, per_row):
+    """Each kernel's gradient against central differences of its own
+    log-probabilities, which stay exact at any spread, with utilities drawn
+    uniformly over ``spread``; R = n perturbs one row's utilities at a time."""
+    rng = np.random.default_rng(8)
+    m, n = 8, 40
+    aug = kernel != "pl"
+    D = Dataset(Universe(m), random_orders(m, n, rng, min_len=0 if aug else 1), allow_empty=aug)
+    items, lengths = D.to_padded()
+    weights = rng.integers(1, 4, size=n).astype(np.float64)
+    rows = (items, lengths, unchosen_mask(items, m), weights)
+    R = n if per_row else 1
+
+    def uniform(*shape):
+        return spread * (rng.uniform(size=shape) - 0.5)
+
+    if kernel == "pl":
+        params = [uniform(R, m)]
+
+        def run(p, grad=True):
+            return pl_nll_grad(*rows, *p, grad=grad)
+    elif kernel == "augs":
+        params = [uniform(R, K, m + 1)]
+
+        def run(p, grad=True):
+            logp, g = augs_nll_grad(*rows, *p, grad=grad)
+            return logp.sum(axis=1), g
+    else:
+        params = [uniform(R, m), uniform(m)]
+
+        def run(p, grad=True):
+            return apd_nll_grad(*rows, *p, grad=grad)
+
+    grads = run(params)[1:]
+    h = 1e-5
+    for x, g in zip(params, grads):
+        fd = np.zeros(x.size)
+        for i in range(x.size):
+            saved = x.flat[i]
+            x.flat[i] = saved + h
+            up = run(params, grad=False)[0]
+            x.flat[i] = saved - h
+            down = run(params, grad=False)[0]
+            x.flat[i] = saved
+            fd[i] = weights @ (up - down) / (2 * h)
+        np.testing.assert_allclose(g.ravel(), fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
