@@ -16,9 +16,9 @@ the END token never receives covariates.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kernels import bank_utilities
+from .lengthdist import logsumexp
 from .orders import Dataset, PartialOrder, Universe, check_covariates, validate_order
 
 AUGMENTED_VARIANTS = ("a", "a-pd", "a-s")

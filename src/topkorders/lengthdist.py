@@ -9,7 +9,23 @@ so the support sums to one.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, pdtrc, xlogy
+
+
+def logsumexp(a) -> np.float64:
+    """log(sum(exp(a))) over all entries, shifted by the largest one.
+
+    An input whose entries are all -inf gives -inf.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max()
+    shift = top if np.isfinite(top) else 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - shift).sum()) + shift
+
+
+def _log_factorials(m: int) -> np.ndarray:
+    """log(k!) for k = 0..m."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + 1)))))
 
 
 @dataclass(frozen=True)
@@ -69,17 +85,41 @@ def poisson_clipped_log_pmf(lam, m: int) -> np.ndarray:
     if m == 1:
         return np.zeros(lam.shape)
     ks = np.arange(1, m + 1)
-    logp = ks * np.log(lam) - lam - gammaln(ks + 1)
-    # k=1 absorbs the k=0 mass; k=m absorbs the upper tail, computed as a
-    # stable complementary sum 1 - CDF(m-1).
+    logp = ks * np.log(lam) - lam - _log_factorials(m)[1:]
+    # k=1 absorbs the k=0 mass; k=m absorbs the upper tail P(X > m-1),
+    # computed in log space so that it stays finite where it underflows.
     logp[..., 0] = np.logaddexp(-lam[..., 0], logp[..., 0])
     logp[..., -1] = _poisson_logsf(m - 1, lam[..., 0])
     return logp
 
 
-def _poisson_logsf(k, lam):
-    """log P(X > k) for X ~ Poisson(lam)."""
-    return np.log(pdtrc(k, lam))
+def _poisson_logsf(k: int, lam):
+    """log P(X > k) for X ~ Poisson(lam), k >= 0 an integer.
+
+    Below lam = k + 1 the tail is pmf(k+1) times the series of the
+    regularized incomplete gamma function (Numerical Recipes, sec. 6.2),
+    sum_n prod_{i<=n} lam / (k+1+i) = sum_n b_n y^n, where y = lam / (k+1) < 1
+    and b_n = prod_{i<=n} (k+1) / (k+1+i). Its log stays finite where the
+    tail underflows. From lam = k + 1 on, 1 - CDF(k) is at least about 1/2,
+    so log1p(-CDF(k)) loses nothing to cancellation.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    logfact = _log_factorials(k + 1)
+    out = np.empty(lam.shape)
+    low = lam < k + 1  # False for NaN, which takes the CDF branch
+    x = lam[low]
+    y = x / (k + 1)
+    # b_n < 1e-17 from n = k + 60 on, for every k; the sum stops before the
+    # first term below 1e-17 at the largest y, so every dropped term of every
+    # series is below 1e-17 of its total.
+    b = np.cumprod((k + 1) / np.arange(k + 2, 2 * k + 62))
+    n = np.count_nonzero(b * y.max(initial=0.0) ** np.arange(1, k + 61) >= 1e-17)
+    total = np.polyval(np.append(b[:n][::-1], 1.0), y)
+    out[low] = (k + 1) * np.log(x) - x - logfact[k + 1] + np.log(total)
+    x = lam[~low][:, None]
+    cdf = np.exp(np.arange(k + 1) * np.log(x) - x - logfact[:-1]).sum(axis=1)
+    out[~low] = np.log1p(-cdf)
+    return out[()]
 
 
 def poisson_clipped_log_prob(
@@ -102,7 +142,9 @@ def poisson_clipped_dlogp_dlam(k, lam, m: int):
         return np.zeros(np.broadcast(k, lam).shape)[()]
     # P(1) = e^-lam (1 + lam), so dlog/dlam = -lam / (1 + lam); for the
     # absorbed upper tail, d/dlam P(X >= m) = pmf(m-1; lam).
-    upper = np.exp(xlogy(m - 1, lam) - gammaln(m) - lam - _poisson_logsf(m - 1, lam))
+    upper = np.exp(
+        (m - 1) * np.log(lam) - _log_factorials(m - 1)[-1] - lam - _poisson_logsf(m - 1, lam)
+    )
     out = np.where(k == 1, -lam / (1.0 + lam), np.where(k < m, k / lam - 1.0, upper))
     return out[()]
 

@@ -8,8 +8,8 @@ choice probabilities. All arithmetic is in log space.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .lengthdist import logsumexp
 from .orders import PartialOrder
 
 

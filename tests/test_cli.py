@@ -185,6 +185,22 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_scipy():
+    """scipy, and the numpy.testing and numpy.f2py it loads, are test-only."""
+    src = str(Path(topkorders.__file__).resolve().parents[1])
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys, topkorders.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m in ('numpy.testing', 'numpy.f2py')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_fit_rejects_negative_batch_size(ballots, tmp_path):
     out = tmp_path / "m.json"
     args = ["fit", "--data", ballots, "--model", "c-i", "--batch-size", "-5", "--out", out]

@@ -5,13 +5,40 @@ import pytest
 
 from topkorders import CategoricalLengthParams, PoissonLengthParams
 from topkorders.lengthdist import (
+    _log_factorials,
+    _poisson_logsf,
     categorical_log_pmf,
     categorical_log_prob,
+    logsumexp,
     poisson_clipped_dlogp_dlam,
     poisson_clipped_log_pmf,
     poisson_clipped_log_prob,
     sample_length,
 )
+
+
+@pytest.fixture(scope="module")
+def sp():
+    """scipy.special, the test-only oracle for the numpy special functions."""
+    return pytest.importorskip("scipy.special")
+
+
+def assert_matches(got, want, tol=1e-12):
+    """Relative error where |want| >= 1, absolute error below that; the
+    non-finite entries must be equal."""
+    got, want = np.broadcast_arrays(np.asarray(got, float), np.asarray(want, float))
+    fin = np.isfinite(want)
+    np.testing.assert_array_equal(got[~fin], want[~fin])
+    err = np.abs(got[fin] - want[fin]) / np.maximum(np.abs(want[fin]), 1.0)
+    assert err.max(initial=0.0) <= tol
+
+
+def oracle_rates(k):
+    """Rates from 1e-8 to 1e3, the integers, and rates at and either side of
+    k + 1, where _poisson_logsf switches from the series to the CDF."""
+    edge = [np.nextafter(k + 1.0, 0), k + 1.0, np.nextafter(k + 1.0, np.inf)]
+    near = (k + 1.0) * np.array([1 - 1e-9, 1 + 1e-9])
+    return np.concatenate([np.geomspace(1e-8, 1e3), np.arange(1.0, 101.0), edge, near])
 
 
 def test_categorical_uniform():
@@ -101,3 +128,64 @@ def test_sample_length_poisson_tv():
     draws = np.array([sample_length(p, x, rng) for _ in range(20000)])
     emp = np.bincount(draws, minlength=m + 1)[1:] / draws.size
     assert 0.5 * np.abs(emp - exact).sum() < 0.02
+
+
+def test_logsumexp_matches_scipy(sp):
+    rng = np.random.default_rng(3)
+    cases = [np.array([-np.inf]), np.full(4, -np.inf), np.array([np.inf, 1.0]), np.array([2.5])]
+    for size in (2, 9, 100):
+        for scale in (1.0, 100.0, 1e4):
+            a = rng.normal(scale=scale, size=size)
+            cases.append(a)
+            cases.append(np.where(rng.random(size) < 0.5, -np.inf, a))
+    for a in cases:
+        assert_matches(logsumexp(a), sp.logsumexp(a))
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
+def test_log_factorials_match_gammaln(sp):
+    assert_matches(_log_factorials(60), sp.gammaln(np.arange(61) + 1.0))
+
+
+def test_poisson_logsf_matches_scipy(sp):
+    for m in range(2, 61):
+        lam = oracle_rates(m - 1)
+        with np.errstate(divide="ignore"):
+            want = np.log(sp.pdtrc(m - 1, lam))
+        fin = np.isfinite(want)
+        assert fin[lam >= 1e-3].all()
+        assert_matches(_poisson_logsf(m - 1, lam)[fin], want[fin])
+
+
+def test_poisson_clipped_terms_match_scipy_formulas(sp):
+    """The log pmf and the top length's derivative against the scipy.special
+    formulas they replace, wherever the scipy tail is finite."""
+    for m in range(2, 61):
+        lam = oracle_rates(m - 1)
+        ks = np.arange(1, m + 1)
+        with np.errstate(divide="ignore"):
+            logsf = np.log(sp.pdtrc(m - 1, lam))
+        want = ks * np.log(lam[:, None]) - lam[:, None] - sp.gammaln(ks + 1)
+        want[:, 0] = np.logaddexp(-lam, want[:, 0])
+        want[:, -1] = logsf
+        fin = np.isfinite(logsf)
+        assert_matches(poisson_clipped_log_pmf(lam, m)[fin], want[fin])
+        upper = np.exp(sp.xlogy(m - 1, lam) - sp.gammaln(m) - lam - logsf)
+        assert_matches(poisson_clipped_dlogp_dlam(m, lam, m)[fin], upper[fin])
+
+
+@pytest.mark.parametrize("m", [2, 8, 30, 60])
+def test_poisson_top_length_finite_at_small_rates(m):
+    """P(X >= m) underflows at small rates; its log and derivative do not."""
+    lam = np.geomspace(1e-15, 0.5, 12)
+    logp = poisson_clipped_log_pmf(lam, m)[:, -1]
+    js = np.arange(m, m + 80)
+    log_pmf = js * np.log(lam[:, None]) - lam[:, None] - [math.lgamma(j + 1) for j in js]
+    assert np.isfinite(logp).all()
+    assert_matches(logp, np.logaddexp.reduce(log_pmf, axis=1))
+    h = 1e-5 * lam
+    up, down = (poisson_clipped_log_pmf(lam + s, m)[:, -1] for s in (h, -h))
+    fd = (up - down) / (2 * h)
+    d = poisson_clipped_dlogp_dlam(m, lam, m)
+    assert np.isfinite(d).all()
+    np.testing.assert_allclose(d, fd, rtol=1e-6)
