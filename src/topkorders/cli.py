@@ -91,7 +91,7 @@ def _load_data(args) -> Dataset:
             raise ParseError(f"{cov.n} agents, but {D.n} ballots in {args.data}", args.covariates)
         if missing:
             print(f"covariates: {missing} missing (agent, item) pairs zero-filled")
-        D = Dataset.from_padded(D.universe, *D.to_padded(), covariates=cov)
+        D = Dataset(D.universe, D, covariates=cov)
     return D
 
 

@@ -9,6 +9,7 @@ evaluates the objective on its event table (see ``events``); every other
 fit, and held-out scoring, sums the per-row terms of ``_row_terms``.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -34,9 +35,8 @@ from .kernels import (
 from .lengthdist import (
     CategoricalLengthParams,
     PoissonLengthParams,
+    _poisson_clipped_terms,
     categorical_log_pmf,
-    poisson_clipped_dlogp_dlam,
-    poisson_clipped_log_pmf,
     poisson_rate,
 )
 from .evaluation import test_nll
@@ -109,20 +109,19 @@ def laplacian_penalty(banks, lambda_laplacian: float) -> float:
     banks = [np.asarray(b, dtype=np.float64).ravel() for b in banks]
     if len({b.shape[0] for b in banks}) > 1:
         raise ValueError("bank shape mismatch")
-    total = 0.0
-    for prev, cur in zip(banks, banks[1:]):
-        diff = cur - prev
-        total += float(diff @ diff)
-    return lambda_laplacian * total
+    return _add_laplacian(np.stack(banks), lambda_laplacian) if banks else 0.0
 
 
-def _laplacian_grad(banks_2d: np.ndarray, lambda_laplacian: float) -> np.ndarray:
-    grad = np.zeros_like(banks_2d)
-    if banks_2d.shape[0] > 1:
-        diff = banks_2d[1:] - banks_2d[:-1]
-        grad[1:] += 2.0 * lambda_laplacian * diff
-        grad[:-1] -= 2.0 * lambda_laplacian * diff
-    return grad
+def _add_laplacian(banks, lambda_laplacian, grad=None) -> float:
+    """The Laplacian penalty of the rows of ``banks`` (K, p); its gradient
+    is added to ``grad``, of the same shape, when given."""
+    diff = banks[1:] - banks[:-1]
+    penalty = lambda_laplacian * float(np.vdot(diff, diff))
+    if grad is not None:
+        diff *= 2.0 * lambda_laplacian
+        grad[1:] += diff
+        grad[:-1] -= diff
+    return penalty
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +385,8 @@ def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, c
     terms = np.zeros((data.lengths.shape[0], 1 + K))
     if variant == "c-ci":
         lam = np.exp(data.x_agent @ flat[:d])
-        terms[:, 0] = poisson_clipped_log_pmf(lam, m)[np.arange(lam.shape[0]), data.lengths - 1]
+        terms[:, 0], dlam = _poisson_clipped_terms(data.lengths, lam, m)
         if grad:
-            dlam = poisson_clipped_dlogp_dlam(data.lengths, lam, m)
             g[:d] = coef[0] * ((w * dlam * lam) @ data.x_agent)
         start = d
     else:  # c-i is c-ld with one bank and no covariates
@@ -432,14 +430,15 @@ def objective_and_grad(
         terms, grad = _row_terms(variant, data, layout, flat, coef)
         F = (data.weights @ terms) @ coef
 
-    F += l2_penalty(flat, cfg.lambda_l2)
+    F += cfg.lambda_l2 * float(flat @ flat)
     grad += 2.0 * cfg.lambda_l2 * flat
 
     if variant in STRATIFIED_VARIANTS and cfg.lambda_laplacian:
         start = m if variant == "c-ld" else 0
-        banks = flat[start:].reshape(K, -1)
-        F += laplacian_penalty(banks, cfg.lambda_laplacian)
-        grad[start:] += _laplacian_grad(banks, cfg.lambda_laplacian).ravel()
+        shape = (K, (flat.size - start) // K)
+        F += _add_laplacian(
+            flat[start:].reshape(shape), cfg.lambda_laplacian, grad[start:].reshape(shape)
+        )
     return float(F), grad
 
 
@@ -482,12 +481,12 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
                 step += 1
                 flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
         F, g = objective_and_grad(variant, data, layout, flat, cfg)
-        if not np.isfinite(F):
+        if not math.isfinite(F):
             raise NonFiniteLossError(f"objective diverged at epoch {epoch}; trace={trace}")
         if full_batch:
             step += 1
             flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
-        trace.append((epoch, F, float(np.linalg.norm(g))))
+        trace.append((epoch, F, math.sqrt(g @ g)))
         if prev_F is not None and abs(F - prev_F) < cfg.tol:
             converged = True
             break
@@ -501,10 +500,16 @@ def _adam_step(flat, g, mom, vel, t, lr, b1, b2, eps):
     mom *= b1
     mom += (1 - b1) * g
     vel *= b2
-    vel += (1 - b2) * g * g
-    mhat = mom / (1 - b1**t)
-    vhat = vel / (1 - b2**t)
-    return flat - lr * mhat / (np.sqrt(vhat) + eps)
+    g2 = g * g
+    g2 *= 1 - b2
+    vel += g2
+    # lr * mhat / (sqrt(vhat) + eps), the bias corrections moved onto scalars
+    root = math.sqrt(1 - b2**t)
+    den = np.sqrt(vel, out=g2)
+    den += eps * root
+    step = mom * (lr * root / (1 - b1**t))
+    step /= den
+    return flat - step
 
 
 def _subset_fitdata(data: _FitData, rows):

@@ -132,21 +132,35 @@ def poisson_clipped_log_prob(
 
 
 def poisson_clipped_dlogp_dlam(k, lam, m: int):
-    """d/dlambda of the clipped log pmf at k; used by the analytic gradients.
+    """d/dlambda of the clipped log pmf at k in [1, m]; used by the analytic
+    gradients.
 
     ``k`` and ``lam`` broadcast against each other.
     """
-    k = np.asarray(k)
-    lam = np.asarray(lam, dtype=np.float64)
+    k, lam = np.broadcast_arrays(np.asarray(k), np.asarray(lam, dtype=np.float64))
+    return _poisson_clipped_terms(k.ravel(), lam.ravel(), m)[1].reshape(k.shape)[()]
+
+
+def _poisson_clipped_terms(k, lam, m: int):
+    """The clipped log pmf at each length k and its d/dlambda, for 1-d
+    lengths and rates of one shape. The upper tail is evaluated once, at
+    the rows with k = m only, and no (n, m) array is built."""
     if m == 1:
-        return np.zeros(np.broadcast(k, lam).shape)[()]
+        return np.zeros(k.shape), np.zeros(k.shape)
+    logfact = _log_factorials(m)
+    logp = k * np.log(lam) - lam - logfact[k]
+    dlam = k / lam - 1.0
     # P(1) = e^-lam (1 + lam), so dlog/dlam = -lam / (1 + lam); for the
     # absorbed upper tail, d/dlam P(X >= m) = pmf(m-1; lam).
-    upper = np.exp(
-        (m - 1) * np.log(lam) - _log_factorials(m - 1)[-1] - lam - _poisson_logsf(m - 1, lam)
-    )
-    out = np.where(k == 1, -lam / (1.0 + lam), np.where(k < m, k / lam - 1.0, upper))
-    return out[()]
+    low = k == 1
+    x = lam[low]
+    logp[low] = np.logaddexp(-x, logp[low])
+    dlam[low] = -x / (1.0 + x)
+    top = k == m
+    x = lam[top]
+    logp[top] = tail = _poisson_logsf(m - 1, x)
+    dlam[top] = np.exp((m - 1) * np.log(x) - logfact[m - 1] - x - tail)
+    return logp, dlam
 
 
 def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:

@@ -148,9 +148,16 @@ class Dataset:
     """
 
     def __init__(self, universe: Universe, orders=(), covariates=None, allow_empty=False):
-        """``orders``: a Dataset, an OrderView or a sequence of PartialOrders."""
+        """``orders``: a Dataset, an OrderView or a sequence of PartialOrders.
+        The rows of a Dataset over the same universe object, checked under
+        an ``allow_empty`` no looser than this one, are not checked again."""
         items, lengths = padded_orders(orders)
-        self._set(universe, items, lengths, covariates, allow_empty)
+        checked = (
+            isinstance(orders, Dataset)
+            and orders.universe is universe
+            and (allow_empty or not orders.allow_empty)
+        )
+        self._set(universe, items, lengths, covariates, allow_empty, check_rows=not checked)
 
     @classmethod
     def from_padded(cls, universe, items, lengths, covariates=None, allow_empty=False):
@@ -161,13 +168,14 @@ class Dataset:
         D._set(universe, items, lengths, covariates, allow_empty)
         return D
 
-    def _set(self, universe, items, lengths, covariates, allow_empty):
+    def _set(self, universe, items, lengths, covariates, allow_empty, check_rows=True):
         lengths = np.asarray(lengths, dtype=np.int64)
         items = np.asarray(items)
         width = max(int(lengths.max()) if lengths.size else 0, 1)
         if items.ndim != 2 or items.shape[0] != lengths.shape[0] or items.shape[1] < width:
             raise ValueError(f"items of shape {items.shape} do not hold lengths up to {width}")
-        _validate_rows(items, lengths, universe, allow_empty)
+        if check_rows:
+            _validate_rows(items, lengths, universe, allow_empty)
         items = items[:, :width].astype(np.min_scalar_type(-1 - universe.m), copy=False)
         check_covariates(covariates, lengths.shape[0], universe.m)
         items.flags.writeable = lengths.flags.writeable = False

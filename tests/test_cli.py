@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import topkorders
 from topkorders import Dataset, Universe, parse_preflib, write_dataset
-from topkorders.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _parse_grid, main
+from topkorders import orders
+from topkorders.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _load_data, _parse_grid, main
 from util import random_orders
 
 
@@ -269,6 +271,19 @@ def test_bad_covariate_file_is_input_error(ballots, tmp_path, capsys, rows, wher
               "--max-epochs", "1", "--out", tmp_path / "x.json"])
     assert rc == EXIT_INPUT
     assert f"{cov}{where}" in capsys.readouterr().err
+
+
+def test_load_data_checks_the_rows_once_with_covariates(ballots, tmp_path, monkeypatch):
+    """Attaching covariates to the parsed ballots does not check the rows again."""
+    cov = tmp_path / "cov.csv"
+    cov.write_text("agent_id,item_id,f1\n" + "".join(f"{a},1,0.5\n" for a in range(80)))
+    calls = []
+    check = orders._validate_rows
+    monkeypatch.setattr(orders, "_validate_rows", lambda *a: calls.append(1) or check(*a))
+    D = _load_data(argparse.Namespace(data=ballots, covariates=str(cov)))
+    assert calls == [1]  # the parse's
+    assert D.covariates.values.shape == (80, 4, 1)
+    np.testing.assert_array_equal(D.to_padded()[0], parse_preflib(ballots).to_padded()[0])
 
 
 def test_sample_covariate_count_is_input_error(checkpoint, tmp_path, capsys):

@@ -7,12 +7,16 @@ import pytest
 
 from topkorders import (
     AugmentedModel,
+    CategoricalLengthParams,
+    CompositeModel,
     CovariateTensor,
     Dataset,
     FitConfig,
     FitResult,
     NonFiniteLossError,
     PartialOrder,
+    PLParams,
+    StratifiedPLParams,
     Universe,
     fit,
     grid_search,
@@ -26,18 +30,23 @@ from topkorders import estimation
 from topkorders.estimation import (
     ParamLayout,
     _FitData,
+    _row_terms,
     l2_penalty,
     laplacian_penalty,
     model_log_prob,
     objective_and_grad,
 )
-from topkorders.events import event_table
+from topkorders.events import EventTable, event_table
+from topkorders.lengthdist import poisson_clipped_log_pmf
 from util import (
     empirical_pmf,
     enum_pmf,
     model_space,
     random_model,
     random_orders,
+    reference_event_table,
+    reference_nll_grad,
+    reference_poisson_dlogp_dlam,
     stratify_by_rank,
 )
 
@@ -360,6 +369,113 @@ def test_event_table_rule():
                   allow_empty=True)
     assert event_table(_FitData(cov), ParamLayout("a-s", m, 2, 3)) is None
     assert event_table(_FitData(cov), ParamLayout("c-i", m, 2, 1)) is not None
+
+
+# a-s and c-ld with more banks than the longest list (4 items) has positions
+# or lengths, so that some banks have no events
+ORACLE_VARIANTS = TABLE_VARIANTS + [("a-s", 6), ("c-ld", 6)]
+
+
+@pytest.mark.parametrize("m", [4, 70])
+@pytest.mark.parametrize("variant,K", ORACLE_VARIANTS)
+def test_event_table_build_matches_reference(variant, K, m):
+    """The suffix build gives, array for array, the table of the fancy-indexed
+    build, for rows in order of length and for the same rows shuffled."""
+    rng = np.random.default_rng(60 + m)
+    D = _repeated_prefixes(variant, m, rng)
+    layout = ParamLayout(variant, m, 0, K)
+    data = _FitData(D)
+    perm = rng.permutation(D.n)
+    shuffled = _FitData.from_rows(m, data.items[perm], data.lengths[perm], data.weights, None)
+    for rows in (data, shuffled):
+        table, (avail, counts, uidx) = event_table(rows, layout), reference_event_table(rows, layout)
+        np.testing.assert_array_equal(table.avail, avail)
+        np.testing.assert_array_equal(table.counts, counts)
+        np.testing.assert_array_equal(table.uidx, uidx)
+        np.testing.assert_array_equal(table.total, counts.sum(axis=1))
+
+
+@pytest.mark.parametrize("m", [4, 70])
+@pytest.mark.parametrize("spread", [0.3, 40.0, 200.0])
+@pytest.mark.parametrize("variant,K", ORACLE_VARIANTS)
+def test_event_table_nll_grad_matches_oracle(variant, K, spread, m):
+    """The transposed evaluation equals the (P, m+1) formula; at m = 70 the
+    a-pd table references fewer parameters than its layout holds."""
+    rng = np.random.default_rng(70 + m)
+    layout = ParamLayout(variant, m, 0, K)
+    table = event_table(_FitData(_repeated_prefixes(variant, m, rng)), layout)
+    assert table is not None
+    flat = spread * (rng.uniform(size=layout.size) - 0.5)
+    F, g = table.nll_grad(flat)
+    F_ref, g_ref = reference_nll_grad(table, flat)
+    assert g.shape == g_ref.shape == flat.shape
+    assert F == pytest.approx(F_ref, rel=1e-12)
+    np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
+
+
+def test_fit_with_oracle_nll_grad_runs_the_same_epochs(monkeypatch):
+    """A default c-ld K = 3 fit on 5,000 short lists over 8 items stops at
+    the same epoch, at the same objective, when the (P, m+1) formula
+    evaluates its table."""
+    rng = np.random.default_rng(61)
+    m = 8
+    pmf = np.array([0.37, 0.25, 0.15, 0.09, 0.05, 0.04, 0.03, 0.02])
+    banks = np.linspace(0.8, -0.8, m) + 0.5 * rng.standard_normal((3, m))
+    truth = CompositeModel(
+        "c-ld", CategoricalLengthParams(np.log(pmf)),
+        StratifiedPLParams(tuple(map(PLParams, banks))), Universe(m),
+    )
+    D = sample_composite_dataset(truth, 5000, rng)
+    cfg = FitConfig(K=3, lambda_laplacian=0.01)
+    lean = fit("c-ld", D, cfg)
+    monkeypatch.setattr(EventTable, "nll_grad", reference_nll_grad)
+    oracle = fit("c-ld", D, cfg)
+    assert lean.converged and oracle.converged
+    assert lean.epochs_run == oracle.epochs_run
+    assert lean.final_objective == pytest.approx(oracle.final_objective, rel=1e-12)
+
+
+def test_adam_step_is_the_bias_corrected_update():
+    """Adam with its bias corrections on scalars takes the textbook steps."""
+    rng = np.random.default_rng(63)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-3  # an eps that the corrections scale visibly
+    flat, mom, vel = rng.normal(size=7), np.zeros(7), np.zeros(7)
+    want, m1, m2 = flat.copy(), np.zeros(7), np.zeros(7)
+    for t in range(1, 6):
+        g = rng.normal(size=7) * 10.0 ** rng.integers(-6, 2, size=7)
+        flat = estimation._adam_step(flat, g, mom, vel, t, lr, b1, b2, eps)
+        m1 = b1 * m1 + (1 - b1) * g
+        m2 = b2 * m2 + (1 - b2) * g * g
+        want = want - lr * (m1 / (1 - b1**t)) / (np.sqrt(m2 / (1 - b2**t)) + eps)
+        np.testing.assert_allclose(flat, want, rtol=1e-13)
+
+
+def test_cci_objective_evaluates_the_poisson_tail_once(monkeypatch):
+    """One c-ci evaluation calls _poisson_logsf once, and its length terms
+    and rate-weight gradient equal those of the full clipped pmf and the
+    three-branch derivative."""
+    from topkorders import lengthdist
+
+    rng = np.random.default_rng(62)
+    m, n, d = 5, 400, 2
+    D = _make_dataset("c-ci", m, n, d, rng)
+    layout = ParamLayout("c-ci", m, d, 1)
+    data = _FitData(D)
+    flat = rng.normal(size=layout.size)
+    flat[:d] = [1.2, -0.4]  # rates on both sides of m - 1, where the tail switches formula
+    calls = []
+    logsf = lengthdist._poisson_logsf
+    monkeypatch.setattr(lengthdist, "_poisson_logsf", lambda k, lam: calls.append(k) or logsf(k, lam))
+    objective_and_grad("c-ci", data, layout, flat, FitConfig())
+    assert calls == [m - 1]
+    coef = np.array([-1.0 / n, -1.0 / n])
+    terms, g = _row_terms("c-ci", data, layout, flat, coef)
+    lam = np.exp(data.x_agent @ flat[:d])
+    assert lam.min() < m - 1 < lam.max()
+    want = poisson_clipped_log_pmf(lam, m)[np.arange(n), data.lengths - 1]
+    np.testing.assert_allclose(terms[:, 0], want, rtol=1e-12)
+    dlam = reference_poisson_dlogp_dlam(data.lengths, lam, m)
+    np.testing.assert_allclose(g[:d], coef[0] * ((dlam * lam) @ data.x_agent), rtol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["c-i", "c-ld", "a", "a-pd", "a-s"])

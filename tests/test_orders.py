@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topkorders import (
+    CovariateTensor,
     Dataset,
     OrderView,
     PartialOrder,
@@ -14,6 +15,7 @@ from topkorders import (
     extension_count,
     validate_order,
 )
+from topkorders import orders as orders_module
 from topkorders.orders import InvalidOrderError, num_partial_orders
 
 
@@ -152,3 +154,29 @@ def test_dataset_from_view_keeps_the_orders():
         assert E.orders == tuple(source.orders if source is D else source)
     with pytest.raises(InvalidOrderError):
         Dataset(Universe(2), D.orders)
+
+
+def test_dataset_of_a_checked_dataset_skips_the_row_check(monkeypatch):
+    """A Dataset over the same universe object, checked under an allow_empty
+    no looser than the new one, is not checked again; another universe, or
+    allow_empty going from True to False, still runs the check, which still
+    rejects an empty row. Covariates are always checked."""
+    u = Universe(3)
+    D = Dataset(u, (PartialOrder((1, 3)), PartialOrder((2,))))
+    E = Dataset(u, (PartialOrder(()), PartialOrder((2, 1))), allow_empty=True)
+    calls = []
+    check = orders_module._validate_rows
+    monkeypatch.setattr(orders_module, "_validate_rows", lambda *a: calls.append(1) or check(*a))
+    cov = CovariateTensor(np.zeros((2, 3, 1)))
+    assert Dataset(u, D, covariates=cov).orders == D.orders
+    assert Dataset(u, D, allow_empty=True).orders == D.orders
+    assert Dataset(u, E, allow_empty=True).orders == E.orders
+    assert calls == []
+    with pytest.raises(ValueError, match="covariate rows"):
+        Dataset(u, D, covariates=CovariateTensor(np.zeros((3, 3, 1))))
+    assert calls == []
+    Dataset(Universe(3), D)
+    assert len(calls) == 1
+    with pytest.raises(InvalidOrderError, match="empty order"):
+        Dataset(u, E)
+    assert len(calls) == 2

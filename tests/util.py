@@ -19,6 +19,8 @@ from topkorders import (
     enumerate_partial_orders,
     model_log_prob,
 )
+from topkorders.events import _bank_event_counts, _utility_index
+from topkorders.kernels import length_strata
 
 
 def random_model(variant, m, rng, K=2, d=0, scale=1.0):
@@ -185,3 +187,88 @@ def scan_blocking_pair(market, assignment):
             if pr[p, s] < pr[p, worst]:
                 return (s, p + 1)
     return None
+
+
+def reference_event_table(data, layout):
+    """The (avail, counts, uidx) arrays of events.event_table, or None, by
+    its build before the per-byte prefix-set update: one fancy-indexed
+    read-modify-write per position, over rows in any order; the oracle of
+    the suffix build."""
+    v, m, K = layout.variant, layout.m, layout.K
+    if data.X is not None and v != "c-i":
+        return None
+    items, lengths, w = data.items, data.lengths, data.weights
+    R, aug = lengths.shape[0], v in ("a", "a-pd", "a-s")
+    # one event per listed item, then END after k < m items (augmented)
+    steps = lengths + (aug & (lengths < m))
+    limit = int(w @ steps) // (m + 1)
+    stratum = length_strata(lengths, K)
+    ids = np.hstack([items, np.full((R, 1), -1, items.dtype)])
+    listed = np.zeros((R, (m + 7) // 8), dtype=np.uint8)  # each row's listed items, in bits
+    P, tables, sets, banks = 0, [], [], []
+    for j in range(int(steps.max(initial=0))):
+        row = np.flatnonzero(steps > j)
+        bits = listed[row]  # the prefix set of each event at j
+        if v == "c-ld":
+            bank = stratum[row]
+        else:
+            bank = np.full(row.size, j if v == "a-pd" else min(j, K - 1))
+        # group the events at j by key; prefix sets at other positions differ in size
+        order = np.lexsort([*bits.T, bank])
+        first = np.ones(row.size, dtype=bool)  # the first event of each key
+        first[1:] = (np.diff(bank[order]) != 0) | np.any(np.diff(bits[order], axis=0) != 0, axis=1)
+        key = np.empty_like(order)
+        key[order] = np.cumsum(first) - 1
+        keys = int(first.sum())
+        P += keys
+        if P > limit:
+            return None
+        chosen = ids[row, j].astype(np.intp)
+        cells = key * (m + 1) + np.where(chosen < 0, m, chosen)
+        tables.append(np.bincount(cells, w[row], minlength=keys * (m + 1)).reshape(keys, m + 1))
+        sets.append(bits[order[first]])
+        banks.append(bank[order[first]])
+        on = chosen >= 0
+        listed[row[on], chosen[on] // 8] |= (128 >> chosen[on] % 8).astype(np.uint8)
+    if P == 0:  # no choices at all
+        return None
+    bank_of, index = np.concatenate(banks), _utility_index(layout)
+    avail = np.ones((P, m + 1), dtype=bool)
+    avail[:, :m] = np.unpackbits(np.concatenate(sets), axis=1, count=m) == 0
+    avail[:, m] = aug
+    # each bank's counts over the normalizer of its term: a composite's
+    # term 0 is its length, and a-pd's position banks share its one term
+    composite = v in ("c-i", "c-ld")
+    norm = _bank_event_counts(lengths, w, m, K, v)
+    counts = np.concatenate(tables) / norm[composite + bank_of * (v != "a-pd")][:, None]
+    uidx = index[bank_of]
+    if composite:
+        avail = np.vstack([avail, np.arange(m + 1) < m])
+        counts = np.vstack([counts, np.append(data.length_counts[1:], 0.0) / norm[0]])
+        uidx = np.vstack([uidx, np.append(np.arange(m), layout.size)])
+    return avail, counts, uidx
+
+
+def reference_nll_grad(table, flat):
+    """The (F, g) of EventTable.nll_grad by its (P, m+1) formula: masked max
+    and exp over each key's row, the counts term summed cell by cell; the
+    oracle of the transposed evaluation."""
+    U = np.append(flat, 0.0)[table.uidx]
+    top = np.max(U, axis=1, where=table.avail, initial=-np.inf)
+    e = np.exp(U - top[:, None], where=table.avail, out=np.zeros_like(U))
+    mass = e.sum(axis=1)
+    F = table.total @ (top + np.log(mass)) - np.sum(table.counts * U)
+    dU = (table.total / mass)[:, None] * e - table.counts
+    g = np.bincount(table.uidx.ravel(), dU.ravel(), minlength=flat.size + 1)
+    return float(F), g[:-1]
+
+
+def reference_poisson_dlogp_dlam(k, lam, m):
+    """d/dlambda of the clipped Poisson log pmf at k by its three-branch
+    formula over every rate, the tail evaluated for all of them."""
+    from topkorders.lengthdist import _log_factorials, _poisson_logsf
+
+    upper = np.exp(
+        (m - 1) * np.log(lam) - _log_factorials(m - 1)[-1] - lam - _poisson_logsf(m - 1, lam)
+    )
+    return np.where(k == 1, -lam / (1.0 + lam), np.where(k < m, k / lam - 1.0, upper))
