@@ -11,14 +11,9 @@ from .augmented import (
     AugmentedNaiveParams,
     PositionDependentParams,
     StratifiedAugmentedParams,
-    augmented_log_prob,
     sample_augmented_dataset,
 )
-from .composite import (
-    CompositeModel,
-    composite_log_prob,
-    sample_composite_dataset,
-)
+from .composite import CompositeModel, sample_composite_dataset
 from .assignment import (
     Market,
     Matching,
@@ -46,6 +41,8 @@ from .estimation import (
     FitConfig,
     FitResult,
     NonFiniteLossError,
+    augmented_log_prob,
+    composite_log_prob,
     fit,
     grid_search,
     kfold_split,
@@ -78,7 +75,7 @@ from .evaluation import (
     test_nll,
     tv_distance,
 )
-from .ranking import PLParams, StratifiedPLParams, pl_log_marginal, stratified_log_prob
+from .ranking import PLParams, StratifiedPLParams
 
 __all__ = [
     "ALL_VARIANTS",
@@ -131,12 +128,10 @@ __all__ = [
     "nll",
     "outcome_stats",
     "parse_preflib",
-    "pl_log_marginal",
     "replicate_sample",
     "sample_augmented_dataset",
     "sample_composite_dataset",
     "save_checkpoint",
-    "stratified_log_prob",
     "stratify_dataset",
     "summary_stats",
     "test_nll",

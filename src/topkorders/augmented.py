@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import bank_utilities
-from .lengthdist import logsumexp
-from .orders import Dataset, PartialOrder, Universe, check_covariates, validate_order
+from .orders import Dataset, PartialOrder, Universe, check_covariates
 
 AUGMENTED_VARIANTS = ("a", "a-pd", "a-s")
 
@@ -109,52 +108,6 @@ class AugmentedModel:
             raise ValueError("params m != universe m")
 
 
-def _position_utilities(model: AugmentedModel, position: int, x_row) -> np.ndarray:
-    """Utilities over the augmented universe for a choice at ``position`` (1-based)."""
-    p = model.params
-    m = model.universe.m
-    if model.variant == "a":
-        u = p.theta.copy()
-        beta = p.beta
-    elif model.variant == "a-pd":
-        u = np.empty(m + 1)
-        u[:m] = p.theta
-        u[m] = p.gamma[min(position, m) - 1]
-        beta = p.beta
-    else:
-        bank = min(position, p.K) - 1
-        u = p.banks[bank].copy()
-        beta = p.betas[bank] if p.betas is not None else None
-    if beta is not None:
-        if x_row is None:
-            raise ValueError("model has covariate weights but no covariate row given")
-        u[:m] = u[:m] + np.asarray(x_row, dtype=np.float64) @ beta
-    return u
-
-
-def augmented_log_prob(
-    Q: PartialOrder, model: AugmentedModel, x_row: np.ndarray | None = None
-) -> float:
-    """Log probability of Q, including the terminal END choice.
-
-    The empty order (END chosen first) is a valid event. When k = m no
-    items remain, END is forced, and the terminal factor contributes 0.
-    """
-    validate_order(Q, model.universe, allow_empty=True)
-    m = model.universe.m
-    avail = np.ones(m + 1, dtype=bool)
-    total = 0.0
-    for j, a in enumerate(Q.items, start=1):
-        u = _position_utilities(model, j, x_row)
-        total += u[a - 1] - logsumexp(u[avail])
-        avail[a - 1] = False
-    k = len(Q)
-    if k < m:
-        u = _position_utilities(model, k + 1, x_row)
-        total += u[m] - logsumexp(u[avail])
-    return float(total)
-
-
 def _choice_banks(model: AugmentedModel, X) -> np.ndarray:
     """Per-row augmented utilities (R, K, m+1), R = 1 or one row per agent of
     X; the choice at position j uses bank min(j, K)."""
@@ -228,9 +181,3 @@ def sample_augmented_dataset(
     return Dataset.from_padded(
         model.universe, items, lengths, covariates, allow_empty=not no_empty
     )
-
-
-def empty_list_log_prob(model: AugmentedModel, x_row=None) -> float:
-    """Log probability of END being chosen first (the empty list)."""
-    u = _position_utilities(model, 1, x_row)
-    return float(u[model.universe.m] - logsumexp(u))

@@ -10,16 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lengthdist import (
-    CategoricalLengthParams,
-    PoissonLengthParams,
-    categorical_log_prob,
-    poisson_clipped_log_prob,
-    sample_lengths,
-)
+from .lengthdist import CategoricalLengthParams, PoissonLengthParams, sample_lengths
 from .kernels import item_utilities, length_strata
-from .orders import Dataset, PartialOrder, Universe, check_covariates, validate_order
-from .ranking import PLParams, StratifiedPLParams, pl_log_marginal, stratified_log_prob
+from .orders import Dataset, PartialOrder, Universe, check_covariates
+from .ranking import PLParams, StratifiedPLParams
 
 COMPOSITE_VARIANTS = ("c-i", "c-ci", "c-ld")
 
@@ -48,44 +42,6 @@ class CompositeModel:
             raise ValueError("ranking params m != universe m")
         if self.length_params.m != self.universe.m:
             raise ValueError("length params m != universe m")
-
-
-def ci_log_prob(Q: PartialOrder, model: CompositeModel) -> float:
-    validate_order(Q, model.universe)
-    return categorical_log_prob(len(Q), model.length_params) + pl_log_marginal(
-        Q, model.ranking_params
-    )
-
-
-def cci_log_prob(Q: PartialOrder, model: CompositeModel, x_row: np.ndarray) -> float:
-    """x_row is the (m, d) covariate slice for the agent who produced Q."""
-    if x_row is None:
-        raise ValueError("c-ci requires covariates")
-    validate_order(Q, model.universe)
-    x_row = np.asarray(x_row, dtype=np.float64)
-    x_agent = x_row.mean(axis=0)  # length model sees the agent-level feature vector
-    return poisson_clipped_log_prob(
-        len(Q), x_agent, model.length_params
-    ) + pl_log_marginal(Q, model.ranking_params, x_row)
-
-
-def cld_log_prob(
-    Q: PartialOrder, model: CompositeModel, x_row: np.ndarray | None = None
-) -> float:
-    validate_order(Q, model.universe)
-    return categorical_log_prob(len(Q), model.length_params) + stratified_log_prob(
-        Q, model.ranking_params, x_row
-    )
-
-
-def composite_log_prob(
-    Q: PartialOrder, model: CompositeModel, x_row: np.ndarray | None = None
-) -> float:
-    if model.variant == "c-i":
-        return ci_log_prob(Q, model)
-    if model.variant == "c-ci":
-        return cci_log_prob(Q, model, x_row)
-    return cld_log_prob(Q, model, x_row)
 
 
 def sample_composite_batch(model: CompositeModel, n: int, rng) -> list[PartialOrder]:

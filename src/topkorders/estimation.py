@@ -6,7 +6,8 @@ averaged over their own records or choice events. Gradients are analytic;
 optimization is a hand-rolled Adam on a flat parameter vector, initialized
 at zero, full-batch by default. A fit of a model without covariates
 evaluates the objective on its event table (see ``events``); every other
-fit, and held-out scoring, sums the per-row terms of ``_row_terms``.
+fit, held-out scoring and the single-record log-probabilities sum the
+per-row terms of ``_row_terms``.
 """
 
 import math
@@ -20,9 +21,8 @@ from .augmented import (
     AugmentedNaiveParams,
     PositionDependentParams,
     StratifiedAugmentedParams,
-    augmented_log_prob,
 )
-from .composite import CompositeModel, composite_log_prob
+from .composite import COMPOSITE_VARIANTS, CompositeModel
 from .kernels import (
     apd_nll_grad,
     augs_nll_grad,
@@ -136,14 +136,8 @@ def stratify_dataset(D: Dataset, K: int):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    items, lengths = D.to_padded()
-    strata = length_strata(lengths, K)
-    return [
-        Dataset.from_padded(
-            D.universe, items[strata == b], lengths[strata == b], allow_empty=D.allow_empty
-        )
-        for b in range(K)
-    ]
+    strata = length_strata(D.lengths(), K)
+    return [D._subset(strata == b) for b in range(K)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +254,22 @@ class ParamLayout:
 # ---------------------------------------------------------------------------
 
 def model_log_prob(model, Q: PartialOrder, x_row=None) -> float:
-    if isinstance(model, CompositeModel):
-        return composite_log_prob(Q, model, x_row)
-    return augmented_log_prob(Q, model, x_row)
+    """Log-probability of one order Q, x_row (m, d) its covariates: the one
+    row of ``record_log_probs`` over a dataset that holds Q alone."""
+    cov = None if x_row is None else CovariateTensor(np.asarray(x_row, dtype=np.float64)[None])
+    D = Dataset(model.universe, [Q], cov, allow_empty=isinstance(model, AugmentedModel))
+    return float(record_log_probs(model, D)[0])
+
+
+def composite_log_prob(Q: PartialOrder, model: CompositeModel, x_row=None) -> float:
+    """``model_log_prob`` of a composite model."""
+    return model_log_prob(model, Q, x_row)
+
+
+def augmented_log_prob(Q: PartialOrder, model: AugmentedModel, x_row=None) -> float:
+    """``model_log_prob`` of an augmented model, the terminal END choice
+    included: the empty order is END chosen first."""
+    return model_log_prob(model, Q, x_row)
 
 
 def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.ndarray:
@@ -274,11 +281,8 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
     """
     layout = ParamLayout.of(model)
     items, lengths = D.to_padded()
-    if items.max() >= layout.m:
-        raise InvalidOrderError(f"alternative id {items.max() + 1} outside [1, {layout.m}]")
+    _check_records(model.variant, layout.m, items, lengths)
     composite = isinstance(model, CompositeModel)
-    if composite and lengths.min() == 0:
-        raise InvalidOrderError("empty order")
     X = D.covariates.values if D.covariates is not None else None
     data = _FitData.from_rows(layout.m, items, lengths, np.ones(D.n), X)
     if model.variant == "c-ci":
@@ -292,6 +296,15 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
         empty = _FitData.from_rows(layout.m, no_items, np.zeros(D.n, np.int64), data.weights, X)
         lp -= np.log1p(-np.exp(_row_terms(model.variant, empty, layout, flat)[0].sum(axis=1)))
     return lp
+
+
+def _check_records(variant, m, items, lengths) -> None:
+    """Raise InvalidOrderError for an id above m, or for an empty list under
+    a composite model, whose length distribution gives it probability 0."""
+    if items.max(initial=-1) >= m:
+        raise InvalidOrderError(f"alternative id {items.max() + 1} outside [1, {m}]")
+    if variant in COMPOSITE_VARIANTS and lengths.min(initial=1) == 0:
+        raise InvalidOrderError("empty order")
 
 
 def nll(D: Dataset, model) -> float:
@@ -457,6 +470,7 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     d = D.covariates.d if D.covariates is not None else 0
     K = cfg.K if variant in STRATIFIED_VARIANTS else 1
     layout = ParamLayout(variant, D.universe.m, d, K)
+    _check_records(variant, layout.m, *D.to_padded())
     data = _FitData(D)
     data.events = event_table(data, layout)
 
@@ -531,17 +545,7 @@ def kfold_split(D: Dataset, folds: int = 5, seed: int = 0):
     fold_of = np.empty(D.n, dtype=np.int64)
     for f, chunk in enumerate(np.array_split(perm, folds)):
         fold_of[chunk] = f
-    return [
-        (_subset_dataset(D, fold_of != f), _subset_dataset(D, fold_of == f))
-        for f in range(folds)
-    ]
-
-
-def _subset_dataset(D: Dataset, rows) -> Dataset:
-    """The records selected by ``rows`` (a mask), in their original order."""
-    items, lengths = D.to_padded()
-    cov = None if D.covariates is None else CovariateTensor(D.covariates.values[rows])
-    return Dataset.from_padded(D.universe, items[rows], lengths[rows], cov, D.allow_empty)
+    return [(D._subset(fold_of != f), D._subset(fold_of == f)) for f in range(folds)]
 
 
 def grid_search(

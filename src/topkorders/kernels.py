@@ -119,8 +119,12 @@ def _pad(x, size):
 
 
 def _free(unchosen, e):
-    """Per-row mass of the items not on the row's list; e is (R, m)."""
-    return unchosen @ e[0] if e.shape[0] == 1 else np.einsum("ia,ia->i", unchosen, e)
+    """Per-row mass of the items not on the row's list; e is (R, m). Each
+    row is summed on its own, so that a record's log-probability does not
+    depend on the rows scored with it, as a matrix-vector product's would."""
+    if e.shape[0] == 1:
+        return np.einsum("ia,a->i", unchosen, e[0])
+    return np.einsum("ia,ia->i", unchosen, e)
 
 
 def _pass(rows, e, t, p0, p1, end_e=None, end_t=None, grad=True):

@@ -61,12 +61,6 @@ def categorical_log_pmf(params: CategoricalLengthParams) -> np.ndarray:
     return params.logits - logsumexp(params.logits)
 
 
-def categorical_log_prob(k: int, params: CategoricalLengthParams) -> float:
-    if not 1 <= k <= params.m:
-        raise ValueError(f"length {k} outside [1, {params.m}]")
-    return float(categorical_log_pmf(params)[k - 1])
-
-
 def poisson_rate(x_agent: np.ndarray, params: PoissonLengthParams):
     """lambda = exp(theta . x) for one agent vector (d,) or for rows (n, d)."""
     lam = np.exp(np.asarray(x_agent, dtype=np.float64) @ params.weights)
@@ -120,15 +114,6 @@ def _poisson_logsf(k: int, lam):
     cdf = np.exp(np.arange(k + 1) * np.log(x) - x - logfact[:-1]).sum(axis=1)
     out[~low] = np.log1p(-cdf)
     return out[()]
-
-
-def poisson_clipped_log_prob(
-    k: int, x_agent: np.ndarray, params: PoissonLengthParams
-) -> float:
-    if not 1 <= k <= params.m:
-        raise ValueError(f"length {k} outside [1, {params.m}]")
-    lam = poisson_rate(x_agent, params)
-    return float(poisson_clipped_log_pmf(lam, params.m)[k - 1])
 
 
 def poisson_clipped_dlogp_dlam(k, lam, m: int):

@@ -182,6 +182,15 @@ class Dataset:
         self.universe, self.covariates, self.allow_empty = universe, covariates, allow_empty
         self._items, self._lengths = items, lengths
 
+    def _subset(self, rows) -> "Dataset":
+        """The records selected by ``rows`` (a mask or indices) with their
+        covariates, in the order given; their rows are not checked again."""
+        cov = self.covariates
+        cov = None if cov is None else CovariateTensor(cov.values[rows])
+        D = Dataset.__new__(Dataset)
+        D._set(self.universe, self._items[rows], self._lengths[rows], cov, self.allow_empty, False)
+        return D
+
     @property
     def orders(self) -> OrderView:
         return OrderView(self._items, self._lengths)

@@ -11,11 +11,12 @@ from topkorders import (
     StratifiedAugmentedParams,
     Universe,
     augmented_log_prob,
+    composite_log_prob,
     enumerate_partial_orders,
     sample_augmented_dataset,
 )
-from topkorders.augmented import empty_list_log_prob, sample_augmented_batch
-from util import empirical_pmf, enum_pmf, random_model
+from topkorders.augmented import sample_augmented_batch
+from util import empirical_pmf, engine_log_probs, enum_pmf, pl_model, random_model
 
 
 def naive(theta, m=3):
@@ -35,14 +36,12 @@ def test_naive_empty_list():
 
 
 def test_naive_end_suppressed_approaches_pl():
-    from topkorders import PLParams, pl_log_marginal
-
     rng = np.random.default_rng(0)
     delta = rng.normal(size=3)
     model = naive(np.concatenate([delta, [-50.0]]))
     Q = PartialOrder((2, 3, 1))
     assert augmented_log_prob(Q, model) == pytest.approx(
-        pl_log_marginal(Q, PLParams(delta)), abs=1e-9
+        composite_log_prob(Q, pl_model(delta)) + math.log(3), abs=1e-9
     )
 
 
@@ -55,10 +54,10 @@ def test_apd_constant_gamma_reduces_to_naive():
         "a-pd", PositionDependentParams(theta, np.full(m, c)), Universe(m)
     )
     a = naive(np.concatenate([theta, [c]]), m)
-    for q in enumerate_partial_orders(m, include_empty=True):
-        assert augmented_log_prob(q, apd) == pytest.approx(
-            augmented_log_prob(q, a), abs=1e-12
-        )
+    space = enumerate_partial_orders(m, include_empty=True)
+    np.testing.assert_allclose(
+        engine_log_probs(apd, space), engine_log_probs(a, space), rtol=0, atol=1e-12
+    )
 
 
 def test_apd_uniform_example():
@@ -79,10 +78,10 @@ def test_as_single_bank_equals_naive():
         "a-s", StratifiedAugmentedParams(bank[None, :]), Universe(m)
     )
     a = naive(bank, m)
-    for q in enumerate_partial_orders(m, include_empty=True):
-        assert augmented_log_prob(q, strat) == pytest.approx(
-            augmented_log_prob(q, a), abs=1e-12
-        )
+    space = enumerate_partial_orders(m, include_empty=True)
+    np.testing.assert_allclose(
+        engine_log_probs(strat, space), engine_log_probs(a, space), rtol=0, atol=1e-12
+    )
 
 
 def test_as_equal_banks_equal_naive():
@@ -93,10 +92,10 @@ def test_as_equal_banks_equal_naive():
         "a-s", StratifiedAugmentedParams(np.tile(bank, (3, 1))), Universe(m)
     )
     a = naive(bank, m)
-    for q in enumerate_partial_orders(m, include_empty=True):
-        assert augmented_log_prob(q, strat) == pytest.approx(
-            augmented_log_prob(q, a), abs=1e-12
-        )
+    space = enumerate_partial_orders(m, include_empty=True)
+    np.testing.assert_allclose(
+        engine_log_probs(strat, space), engine_log_probs(a, space), rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("variant", ["a", "a-pd", "a-s"])
@@ -127,10 +126,10 @@ def test_shift_invariance(variant):
         shifted = AugmentedModel(
             "a-s", StratifiedAugmentedParams(model.params.banks + c), Universe(m)
         )
-    for q in enumerate_partial_orders(m, include_empty=True):
-        assert augmented_log_prob(q, model) == pytest.approx(
-            augmented_log_prob(q, shifted), abs=1e-10
-        )
+    space = enumerate_partial_orders(m, include_empty=True)
+    np.testing.assert_allclose(
+        engine_log_probs(model, space), engine_log_probs(shifted, space), rtol=0, atol=1e-10
+    )
 
 
 def test_end_dominant_yields_empty_lists():
@@ -174,10 +173,12 @@ def test_no_empty_resampling():
 
 
 def test_empty_list_log_prob_matches_formula():
+    # the empty list is END chosen first, from all m items and END at gamma_1
     rng = np.random.default_rng(9)
     model = random_model("a-pd", 3, rng)
-    assert empty_list_log_prob(model) == pytest.approx(
-        augmented_log_prob(PartialOrder(()), model)
+    u = np.append(model.params.theta, model.params.gamma[0])
+    assert augmented_log_prob(PartialOrder(()), model) == pytest.approx(
+        u[-1] - np.logaddexp.reduce(u)
     )
 
 
@@ -191,9 +192,7 @@ def test_total_order_has_no_terminal_factor():
     q = PartialOrder((3, 1, 2))
     # END utility affects denominators of the item choices but never adds a
     # terminal factor; with END suppressed both should match plain PL
-    from topkorders import PLParams, pl_log_marginal
-
     assert augmented_log_prob(q, lo) == pytest.approx(
-        pl_log_marginal(q, PLParams(theta)), abs=1e-9
+        composite_log_prob(q, pl_model(theta)) + math.log(m), abs=1e-9
     )
     assert np.isfinite(augmented_log_prob(q, hi))

@@ -15,9 +15,8 @@ from topkorders import (
     composite_log_prob,
     sample_composite_dataset,
 )
-from topkorders.composite import cci_log_prob, ci_log_prob, cld_log_prob
 from topkorders.lengthdist import poisson_clipped_log_pmf
-from util import empirical_pmf, enum_pmf, random_model
+from util import empirical_pmf, engine_log_probs, enum_pmf, random_model
 
 
 def uniform_ci(m=3):
@@ -30,7 +29,7 @@ def uniform_ci(m=3):
 
 
 def test_ci_uniform_example():
-    assert ci_log_prob(PartialOrder((1, 2)), uniform_ci()) == pytest.approx(
+    assert composite_log_prob(PartialOrder((1, 2)), uniform_ci()) == pytest.approx(
         math.log(1 / 18)
     )
 
@@ -50,12 +49,8 @@ def test_ci_degenerate_length_gives_minus_inf():
         Universe(m),
     )
     assert composite_log_prob(PartialOrder((1,)), model) == -np.inf
-    total = sum(
-        math.exp(composite_log_prob(q, model))
-        for q, _ in zip(*enum_pmf(uniform_ci()))
-        if len(q) == m
-    )
-    assert total == pytest.approx(1.0)
+    total_orders = [q for q in enum_pmf(uniform_ci())[0] if len(q) == m]
+    assert np.exp(engine_log_probs(model, total_orders)).sum() == pytest.approx(1.0)
 
 
 def test_cci_zero_params_product():
@@ -68,7 +63,7 @@ def test_cci_zero_params_product():
     )
     x_row = np.zeros((m, 2))
     expected = poisson_clipped_log_pmf(1.0, m)[0] + math.log(1 / 3)
-    assert cci_log_prob(PartialOrder((1,)), model, x_row) == pytest.approx(expected)
+    assert composite_log_prob(PartialOrder((1,)), model, x_row) == pytest.approx(expected)
 
 
 def test_cci_zero_covariates_reduce_to_plain():
@@ -89,8 +84,8 @@ def test_cci_zero_covariates_reduce_to_plain():
         Universe(m),
     )
     # with x = 0 the rate is exp(0)=1 regardless of weights, and beta drops out
-    assert cci_log_prob(PartialOrder((2, 1)), model, x_row) == pytest.approx(
-        cci_log_prob(PartialOrder((2, 1)), plain, x_row)
+    assert composite_log_prob(PartialOrder((2, 1)), model, x_row) == pytest.approx(
+        composite_log_prob(PartialOrder((2, 1)), plain, x_row)
     )
 
 
@@ -105,7 +100,7 @@ def test_cci_normalizes_with_random_covariates():
     )
     x_row = rng.normal(size=(m, 2))
     space, _ = enum_pmf(uniform_ci())
-    total = sum(math.exp(cci_log_prob(q, model, x_row)) for q in space)
+    total = np.exp(engine_log_probs(model, space, x_row)).sum()
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -124,8 +119,9 @@ def test_cld_single_stratum_equals_ci():
         "c-i", CategoricalLengthParams(logits), PLParams(delta), Universe(m)
     )
     space, _ = enum_pmf(uniform_ci())
-    for q in space:
-        assert cld_log_prob(q, cld) == pytest.approx(ci_log_prob(q, ci), abs=1e-12)
+    np.testing.assert_allclose(
+        engine_log_probs(cld, space), engine_log_probs(ci, space), rtol=0, atol=1e-12
+    )
 
 
 def test_cld_stratum_isolation():
@@ -142,9 +138,8 @@ def test_cld_stratum_isolation():
     ci = CompositeModel(
         "c-i", CategoricalLengthParams(logits), PLParams(base), Universe(m)
     )
-    for q, _ in zip(*enum_pmf(uniform_ci())):
-        if len(q) == 1:
-            assert cld_log_prob(q, cld) == pytest.approx(ci_log_prob(q, ci))
+    singles = [q for q in enum_pmf(uniform_ci())[0] if len(q) == 1]
+    np.testing.assert_allclose(engine_log_probs(cld, singles), engine_log_probs(ci, singles))
 
 
 @pytest.mark.parametrize("variant,m", [("c-i", 4), ("c-ld", 4)])

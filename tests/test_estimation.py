@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from topkorders import (
+    ALL_VARIANTS,
     AugmentedModel,
     CategoricalLengthParams,
     CompositeModel,
@@ -18,6 +19,8 @@ from topkorders import (
     PLParams,
     StratifiedPLParams,
     Universe,
+    augmented_log_prob,
+    composite_log_prob,
     fit,
     grid_search,
     kfold_split,
@@ -27,6 +30,7 @@ from topkorders import (
     stratify_dataset,
 )
 from topkorders import estimation
+from topkorders import orders as orders_module
 from topkorders.estimation import (
     ParamLayout,
     _FitData,
@@ -35,13 +39,16 @@ from topkorders.estimation import (
     laplacian_penalty,
     model_log_prob,
     objective_and_grad,
+    record_log_probs,
 )
 from topkorders.events import EventTable, event_table
 from topkorders.lengthdist import poisson_clipped_log_pmf
+from topkorders.orders import InvalidOrderError
 from util import (
     empirical_pmf,
     enum_pmf,
     model_space,
+    oracle_log_prob,
     random_model,
     random_orders,
     reference_event_table,
@@ -159,26 +166,20 @@ def _objective_reference(variant, D, layout, flat, cfg):
     term within each length stratum and a-s averages choice-event log-probs
     within each rank stratum. L2 and Laplacian penalties are added on top.
     """
-    from topkorders.lengthdist import categorical_log_prob
-    from topkorders.ranking import pl_log_marginal as pl_lp
-
     model = layout.to_model(flat, D.universe)
     if variant == "c-ld":
-        from topkorders import PLParams
-
         K, orders = layout.K, D.orders
-        F = -sum(
-            categorical_log_prob(len(q), model.length_params) for q in orders
-        ) / D.n
+        logits = model.length_params.logits
+        length = [logits[len(q) - 1] - np.logaddexp.reduce(logits) for q in orders]
+        F = -sum(length) / D.n
         for b in range(K):
             idx = [i for i, q in enumerate(orders) if min(len(q), K) - 1 == b]
             if not idx:
                 continue
-            bank = model.ranking_params.banks[b]
             total = 0.0
             for i in idx:
                 x_row = D.covariates.values[i] if D.covariates is not None else None
-                total -= pl_lp(orders[i], bank, x_row)
+                total -= oracle_log_prob(model, orders[i], x_row) - length[i]
             F += total / len(idx)
     elif variant == "a-s":
         # sum over rank strata of the event-mean negative log-likelihood
@@ -211,7 +212,7 @@ def _objective_reference(variant, D, layout, flat, cfg):
         total = 0.0
         for i, q in enumerate(D.orders):
             x_row = D.covariates.values[i] if D.covariates is not None else None
-            total -= model_log_prob(model, q, x_row)
+            total -= oracle_log_prob(model, q, x_row)
         F = total / D.n
     F += l2_penalty(flat, cfg.lambda_l2)
     if variant == "c-ld":
@@ -514,6 +515,73 @@ def test_nll_rejects_impossible_record():
         nll(D, model)
 
 
+COV_VARIANTS = [(v, d) for v in ALL_VARIANTS for d in (0, 2) if (v, d) != ("c-ci", 0)]
+
+
+@pytest.mark.parametrize("variant,d", COV_VARIANTS)
+def test_single_record_functions_are_rows_of_record_log_probs(variant, d):
+    """model_log_prob and the family's single-record function give exactly
+    the row of record_log_probs, and raise what it raises for the same record
+    (c-i ignores covariates)."""
+    rng = np.random.default_rng(61)
+    m, n = 4, 40
+    layout = ParamLayout(variant, m, d, 3 if variant in ("c-ld", "a-s") else 1)
+    model = layout.to_model(rng.normal(size=layout.size), Universe(m))
+    augmented = isinstance(model, AugmentedModel)
+    single = augmented_log_prob if augmented else composite_log_prob
+    orders = random_orders(m, n, rng, min_len=0 if augmented else 1)
+    X = rng.normal(size=(n, m, d)) if d else [None] * n
+    cov = CovariateTensor(X) if d else None
+    rows = record_log_probs(model, Dataset(Universe(m), orders, cov, allow_empty=augmented))
+    for q, x, row in zip(orders, X, rows):
+        assert single(q, model, x) == model_log_prob(model, q, x) == row
+
+    def raised(call, *args):
+        with pytest.raises(Exception) as info:
+            call(*args)
+        return info.type
+
+    def as_dataset(q, x, universe):
+        cov = None if x is None else CovariateTensor(x[None])
+        return record_log_probs(model, Dataset(universe, [q], cov, allow_empty=True))
+
+    x, u = X[0], Universe(m)
+    x_wide = None if x is None else np.vstack([x, x[:1]])  # an (m + 1)-item universe's slice
+    bad = [  # (order, x_row, the dataset's x and universe, the exception)
+        (PartialOrder((m + 1,)), x, x_wide, Universe(m + 1), InvalidOrderError),
+        (PartialOrder((1, 1)), x, x, u, InvalidOrderError),
+    ]
+    if not augmented:
+        bad.append((PartialOrder(()), x, x, u, InvalidOrderError))
+    if d and variant != "c-i":  # c-ci, or a model with covariate weights, without x_row
+        bad.append((PartialOrder((1,)), None, None, u, ValueError))
+    for q, x_row, x_batch, universe, expected in bad:
+        assert raised(single, q, model, x_row) is expected
+        assert raised(model_log_prob, model, q, x_row) is expected
+        assert raised(as_dataset, q, x_batch, universe) is expected
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_fit_rejects_empty_lists_under_composite_models(variant):
+    """A composite model gives an empty list probability 0, so fit raises
+    what nll raises; augmented models fit the same data."""
+    rng = np.random.default_rng(62)
+    m, n = 3, 10
+    orders = [PartialOrder(())] * 5 + random_orders(m, 5, rng)
+    cov = CovariateTensor(rng.normal(size=(n, m, 2))) if variant == "c-ci" else None
+    D = Dataset(Universe(m), orders, cov, allow_empty=True)
+    cfg = FitConfig(max_epochs=3)
+    if variant.startswith("c"):
+        with pytest.raises(InvalidOrderError, match="empty order"):
+            fit(variant, D, cfg)
+        layout = ParamLayout(variant, m, 2, 1)
+        model = layout.to_model(np.zeros(layout.size), D.universe)
+        with pytest.raises(InvalidOrderError, match="empty order"):
+            nll(D, model)
+    else:
+        assert np.isfinite(fit(variant, D, cfg).final_objective)
+
+
 def test_fitdata_keeps_each_record():
     """_FitData keeps one unit-weight row per record, in order of length,
     with or without covariates; the event table of those rows equals, array
@@ -673,6 +741,46 @@ def test_kfold_disjoint_exhaustive_deterministic():
         assert a.orders == b.orders
     other = kfold_split(D, folds=5, seed=4)
     assert any(a.orders != b.orders for (_, a), (_, b) in zip(pairs, other))
+
+
+def test_subsets_of_a_checked_dataset_skip_the_row_check(monkeypatch):
+    """kfold_split and stratify_dataset take rows of a dataset that was
+    checked when it was built: they check no row again, and each subset
+    holds the parent's records, covariates included, in the parent's order."""
+    rng = np.random.default_rng(63)
+    m, n = 4, 50
+    tags = np.arange(n, dtype=np.float64)[:, None, None] * np.ones((1, m, 1))
+    D = Dataset(
+        Universe(m), random_orders(m, n, rng, min_len=0), CovariateTensor(tags), allow_empty=True
+    )
+    calls = []
+    monkeypatch.setattr(orders_module, "_validate_rows", lambda *a: calls.append(a))
+    pairs = kfold_split(D, folds=5, seed=1)
+    strata = stratify_dataset(D, 3)
+    assert calls == []
+    monkeypatch.undo()
+    items, lengths = D.to_padded()
+
+    def rows_of(sub):
+        """The parent rows a subset holds, read from the tags, once its
+        arrays equal those of a checked dataset built from those rows."""
+        rows = sub.covariates.values[:, 0, 0].astype(int)
+        assert np.all(np.diff(rows) > 0)
+        checked = Dataset.from_padded(
+            D.universe, items[rows], lengths[rows], CovariateTensor(tags[rows]), True
+        )
+        for got, want in zip(sub.to_padded(), checked.to_padded()):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        np.testing.assert_array_equal(sub.covariates.values, checked.covariates.values)
+        assert sub.universe is D.universe and sub.allow_empty
+        return rows
+
+    everyone = list(range(n))
+    for train, test in pairs:
+        assert sorted(np.concatenate([rows_of(train), rows_of(test)])) == everyone
+    assert sorted(np.concatenate([rows_of(test) for _, test in pairs])) == everyone
+    assert sorted(np.concatenate([rows_of(s) for s in strata])) == everyone
 
 
 def test_kfold_too_few_records():

@@ -18,15 +18,13 @@ from topkorders import (
     emit_plot_data,
     length_pmf,
     length_stats,
-    model_log_prob,
     nll,
     replicate_sample,
     tv_distance,
 )
 from topkorders import test_nll as held_out_nll
-from topkorders.augmented import empty_list_log_prob
 from topkorders.estimation import ParamLayout
-from util import empirical_pmf, enum_pmf, random_model, random_orders
+from util import empirical_pmf, enum_pmf, oracle_log_prob, random_model, random_orders
 
 
 def toy_dataset():
@@ -68,9 +66,7 @@ def test_test_nll_condition_nonempty():
     D = toy_dataset()
     raw = held_out_nll(model, D).nll
     cond = held_out_nll(model, D, condition_nonempty=True).nll
-    from topkorders.augmented import empty_list_log_prob
-
-    shift = math.log1p(-math.exp(empty_list_log_prob(model)))
+    shift = math.log1p(-math.exp(oracle_log_prob(model, PartialOrder(()))))
     assert cond == pytest.approx(raw + shift)
     assert cond < raw  # conditioning can only raise each record's probability
 
@@ -88,9 +84,9 @@ def _per_record_log_probs(model, D, condition_nonempty=False):
     out = []
     for i, q in enumerate(D.orders):
         x_row = D.covariates.values[i] if D.covariates is not None else None
-        lp = model_log_prob(model, q, x_row)
+        lp = oracle_log_prob(model, q, x_row)
         if condition_nonempty and isinstance(model, AugmentedModel):
-            lp -= math.log1p(-math.exp(empty_list_log_prob(model, x_row)))
+            lp -= math.log1p(-math.exp(oracle_log_prob(model, PartialOrder(()), x_row)))
         out.append(lp)
     return np.array(out)
 

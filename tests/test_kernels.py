@@ -1,9 +1,16 @@
-"""Batch kernels against the per-record reference implementations."""
+"""Batch kernels against the per-record oracle, ``util.oracle_log_prob``."""
+
+import ast
+import importlib
+import math
+import types
 
 import numpy as np
 import pytest
 
+import util
 from topkorders import (
+    ALL_VARIANTS,
     AugmentedModel,
     CategoricalLengthParams,
     CompositeModel,
@@ -12,18 +19,21 @@ from topkorders import (
     PositionDependentParams,
     StratifiedAugmentedParams,
     Universe,
-    augmented_log_prob,
-    pl_log_marginal,
 )
 from topkorders import test_nll as held_out_nll
-from topkorders.estimation import _bank_event_counts
+from topkorders.estimation import ParamLayout, _bank_event_counts
 from topkorders.kernels import (
     apd_nll_grad,
     augs_nll_grad,
     pl_nll_grad,
     unchosen_mask,
 )
-from util import random_orders
+from util import engine_log_probs, model_space, oracle_log_prob, pl_model, random_orders
+
+
+def oracle_pl(q, delta):
+    """log PL(q) by the oracle: a pl_model's log-probability plus log m."""
+    return oracle_log_prob(pl_model(delta), q) + math.log(len(delta))
 
 
 @pytest.fixture(scope="module")
@@ -56,15 +66,11 @@ def test_pl_kernel(batch, impl):
     theta = rng.normal(size=m)
     logp, grad = impl(items, lengths, unchosen, weights, theta[None])
     ll, grad = weights @ logp, grad[0]
-    ref = sum(
-        w * pl_log_marginal(q, PLParams(theta)) for q, w in zip(orders, weights)
-    )
+    ref = sum(w * oracle_pl(q, theta) for q, w in zip(orders, weights))
     assert ll == pytest.approx(ref, abs=1e-10)
 
     def f(t):
-        return sum(
-            w * pl_log_marginal(q, PLParams(t)) for q, w in zip(orders, weights)
-        )
+        return sum(w * oracle_pl(q, t) for q, w in zip(orders, weights))
 
     np.testing.assert_allclose(grad, _fd(f, theta), atol=1e-6)
 
@@ -81,9 +87,7 @@ def test_augs_kernel(batch, impl, K):
         return AugmentedModel("a-s", StratifiedAugmentedParams(b), u)
 
     logp, grad = impl(items, lengths, unchosen, weights, banks[None])
-    ref = sum(
-        w * augmented_log_prob(q, model(banks)) for q, w in zip(orders, weights)
-    )
+    ref = sum(w * oracle_log_prob(model(banks), q) for q, w in zip(orders, weights))
     assert weights @ logp.sum(axis=1) == pytest.approx(ref, abs=1e-9)
     grad = grad[0]
     # event counts: k item choices plus a terminal END unless k = m
@@ -93,9 +97,7 @@ def test_augs_kernel(batch, impl, K):
     assert _bank_event_counts(lengths, weights, m, K).sum() == pytest.approx(total_events)
 
     def f(b):
-        return sum(
-            w * augmented_log_prob(q, model(b)) for q, w in zip(orders, weights)
-        )
+        return sum(w * oracle_log_prob(model(b), q) for q, w in zip(orders, weights))
 
     np.testing.assert_allclose(grad, _fd(f, banks), atol=1e-5)
 
@@ -113,24 +115,19 @@ def test_apd_kernel(batch, impl):
 
     logp, gt, gg = impl(items, lengths, unchosen, weights, theta[None], gamma)
     ll, gt = weights @ logp, gt[0]
-    ref = sum(
-        w * augmented_log_prob(q, model(theta, gamma))
-        for q, w in zip(orders, weights)
-    )
+    ref = sum(w * oracle_log_prob(model(theta, gamma), q) for q, w in zip(orders, weights))
     assert ll == pytest.approx(ref, abs=1e-9)
     np.testing.assert_allclose(
         gt,
         _fd(lambda t: sum(
-            w * augmented_log_prob(q, model(t, gamma))
-            for q, w in zip(orders, weights)
+            w * oracle_log_prob(model(t, gamma), q) for q, w in zip(orders, weights)
         ), theta),
         atol=1e-5,
     )
     np.testing.assert_allclose(
         gg,
         _fd(lambda g: sum(
-            w * augmented_log_prob(q, model(theta, g))
-            for q, w in zip(orders, weights)
+            w * oracle_log_prob(model(theta, g), q) for q, w in zip(orders, weights)
         ), gamma),
         atol=1e-5,
     )
@@ -149,9 +146,7 @@ def test_empty_orders_supported():
     from topkorders import PartialOrder
 
     model = AugmentedModel("a-s", StratifiedAugmentedParams(banks), u)
-    ref = augmented_log_prob(PartialOrder(()), model) + augmented_log_prob(
-        PartialOrder((1,)), model
-    )
+    ref = oracle_log_prob(model, PartialOrder(())) + oracle_log_prob(model, PartialOrder((1,)))
     assert logp.sum() == pytest.approx(ref)
 
 
@@ -169,17 +164,17 @@ def test_per_row_utilities(batch):
     banks = rng.normal(size=(n, 3, m + 1))
 
     def pl(t):
-        return [pl_log_marginal(q, PLParams(t[i])) for i, q in enumerate(orders)]
+        return [oracle_pl(q, t[i]) for i, q in enumerate(orders)]
 
     def apd(t):
         return [
-            augmented_log_prob(q, AugmentedModel("a-pd", PositionDependentParams(t[i], gamma), u))
+            oracle_log_prob(AugmentedModel("a-pd", PositionDependentParams(t[i], gamma), u), q)
             for i, q in enumerate(orders)
         ]
 
     def augs(b):
         return [
-            augmented_log_prob(q, AugmentedModel("a-s", StratifiedAugmentedParams(b[i]), u))
+            oracle_log_prob(AugmentedModel("a-s", StratifiedAugmentedParams(b[i]), u), q)
             for i, q in enumerate(orders)
         ]
 
@@ -217,14 +212,14 @@ def test_large_utility_spreads_stay_exact(spread):
         "a-s": augs_nll_grad(items, lengths, unchosen, ones, banks[None])[0].sum(axis=1),
     }
     for v, model in models.items():
-        ref = np.array([augmented_log_prob(q, model) for q in orders])
+        ref = np.array([oracle_log_prob(model, q) for q in orders])
         np.testing.assert_allclose(kernel_lp[v], ref, rtol=0, atol=1e-9)
         assert held_out_nll(model, D).nll == pytest.approx(-ref.mean(), rel=0, abs=1e-9)
 
     nonempty = [q for q in orders if len(q)]
     D = Dataset(u, nonempty)
     items, lengths = D.to_padded()
-    ref = np.array([pl_log_marginal(q, PLParams(theta)) for q in nonempty])
+    ref = np.array([oracle_pl(q, theta) for q in nonempty])
     lp, _ = pl_nll_grad(items, lengths, unchosen_mask(items, m), np.ones(D.n), theta[None])
     np.testing.assert_allclose(lp, ref, rtol=0, atol=1e-9)
     model = CompositeModel("c-i", CategoricalLengthParams(np.zeros(m)), PLParams(theta), u)
@@ -280,3 +275,118 @@ def test_kernel_gradients_exact_at_large_spreads(kernel, K, spread, per_row):
             x.flat[i] = saved
             fd[i] = weights @ (up - down) / (2 * h)
         np.testing.assert_allclose(g.ravel(), fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+
+ENGINE = ("topkorders.kernels", "topkorders.events", "topkorders.estimation")
+
+
+def _home(path):
+    """The module that defines what a dotted path names: the re-export
+    ``topkorders.model_log_prob`` is at home in ``topkorders.estimation``."""
+    parts = path.split(".")
+    module = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        obj = getattr(module, parts[i], None)
+        if obj is None:
+            obj = importlib.import_module(".".join(parts[: i + 1]))
+        if not isinstance(obj, types.ModuleType):
+            return getattr(obj, "__module__", None) or module.__name__
+        module = obj
+    return module.__name__
+
+
+def engine_uses(source, func):
+    """What function ``func`` of ``source`` takes from the likelihood engine:
+    the names and attribute paths it uses, imported at module level or inside
+    it, that are at home in kernels, events or estimation, and the other
+    functions of its module, through which it could reach the engine."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                root = a.name.split(".")[0]
+                bound[a.asname or root] = a.name if a.asname else root
+        elif isinstance(node, ast.ImportFrom):
+            bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    local = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)} - {func}
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
+    used = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.ImportFrom):
+            used |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            used |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name) and node.id in local:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            while isinstance(node.value, ast.Attribute):
+                node = node.value
+                parts.insert(0, node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in bound:
+                used.add(".".join([bound[node.value.id]] + parts))
+        elif isinstance(node, ast.Name) and node.id in bound:
+            used.add(bound[node.id])
+    return sorted(
+        path for path in used
+        if path in local or path.startswith("topkorders") and _home(path).startswith(ENGINE)
+    )
+
+
+def test_oracle_uses_nothing_of_the_engine():
+    with open(util.__file__, encoding="utf-8") as fh:
+        assert engine_uses(fh.read(), "oracle_log_prob") == []
+
+
+def test_engine_use_detector_flags_each_form():
+    source = (
+        "import numpy as np\n"
+        "import topkorders\n"
+        "import topkorders.kernels as K\n"
+        "from topkorders import PLParams, estimation, model_log_prob\n"
+        "from topkorders.events import event_table\n"
+        "def helper():\n"
+        "    pass\n"
+        "def oracle(model):\n"
+        "    from topkorders.estimation import _row_terms\n"
+        "    K.length_strata, estimation._FitData, model_log_prob, event_table\n"
+        "    helper(), topkorders.estimation.record_log_probs\n"
+        "    np.zeros(1), PLParams, topkorders.lengthdist.logsumexp, model.params, len\n"
+    )
+    assert engine_uses(source, "oracle") == [
+        "helper",
+        "topkorders.estimation",
+        "topkorders.estimation._FitData",
+        "topkorders.estimation._row_terms",
+        "topkorders.estimation.record_log_probs",
+        "topkorders.events.event_table",
+        "topkorders.kernels",
+        "topkorders.kernels.length_strata",
+        "topkorders.model_log_prob",
+    ]
+
+
+@pytest.mark.parametrize("spread", [1.0, 40.0, 200.0])
+@pytest.mark.parametrize(
+    "variant,d",
+    [(v, d) for v in ALL_VARIANTS for d in (0, 2) if (v, d) not in (("c-i", 2), ("c-ci", 0))],
+)
+def test_engine_matches_oracle_on_enumerated_spaces(variant, d, spread):
+    """record_log_probs against the oracle over every list of m <= 5 items
+    (the empty list included for augmented models), with one random covariate
+    slice per list where the variant takes covariates, and parameters drawn
+    uniformly over ``spread``."""
+    rng = np.random.default_rng(9)
+    for m in range(1, 6):
+        layout = ParamLayout(variant, m, d, 3 if variant in ("c-ld", "a-s") else 1)
+        flat = spread * (rng.uniform(size=layout.size) - 0.5)
+        if variant == "c-ci":
+            flat[:d] = rng.normal(scale=0.5, size=d)  # Poisson rates of order 1
+        model = layout.to_model(flat, Universe(m))
+        space = model_space(model)
+        X = rng.normal(size=(len(space), m, d)) if d else [None] * len(space)
+        got = engine_log_probs(model, space, X if d else None)
+        want = [oracle_log_prob(model, q, x) for q, x in zip(space, X)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

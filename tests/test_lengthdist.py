@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from topkorders import CategoricalLengthParams, PoissonLengthParams
+from topkorders import (
+    CategoricalLengthParams,
+    PartialOrder,
+    PoissonLengthParams,
+    composite_log_prob,
+)
 from topkorders.lengthdist import (
     _log_factorials,
     _poisson_logsf,
     categorical_log_pmf,
-    categorical_log_prob,
     logsumexp,
     poisson_clipped_dlogp_dlam,
     poisson_clipped_log_pmf,
-    poisson_clipped_log_prob,
+    poisson_rate,
     sample_length,
 )
+from util import pl_model
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +48,14 @@ def oracle_rates(k):
 
 def test_categorical_uniform():
     p = CategoricalLengthParams(np.zeros(3))
-    assert categorical_log_prob(2, p) == pytest.approx(math.log(1 / 3))
+    assert categorical_log_pmf(p)[1] == pytest.approx(math.log(1 / 3))
 
 
 def test_categorical_peaked():
     p = CategoricalLengthParams(np.array([10.0, 0.0, 0.0]))
     # ln(e^10 / (e^10 + 2)) = -ln(1 + 2 e^-10)
-    assert categorical_log_prob(1, p) == pytest.approx(-math.log1p(2 * math.exp(-10)))
-    assert categorical_log_prob(1, p) == pytest.approx(-9.08e-5, rel=1e-2)
+    assert categorical_log_pmf(p)[0] == pytest.approx(-math.log1p(2 * math.exp(-10)))
+    assert categorical_log_pmf(p)[0] == pytest.approx(-9.08e-5, rel=1e-2)
 
 
 def test_categorical_shift_invariance():
@@ -62,23 +67,24 @@ def test_categorical_shift_invariance():
 
 
 def test_categorical_out_of_range():
-    p = CategoricalLengthParams(np.zeros(3))
+    # a composite model gives lengths outside [1, m] no probability
+    model = pl_model(np.zeros(3))
     with pytest.raises(ValueError):
-        categorical_log_prob(4, p)
+        composite_log_prob(PartialOrder((1, 2, 3, 1)), model)
     with pytest.raises(ValueError):
-        categorical_log_prob(0, p)
+        composite_log_prob(PartialOrder(()), model)
 
 
 def test_poisson_clipped_boundary_values():
     p = PoissonLengthParams(np.zeros(2), 10)
-    x = np.zeros(2)  # lambda = 1
-    assert poisson_clipped_log_prob(1, x, p) == pytest.approx(math.log(2 / math.e))
-    assert poisson_clipped_log_prob(2, x, p) == pytest.approx(math.log(0.5 / math.e))
+    logp = poisson_clipped_log_pmf(poisson_rate(np.zeros(2), p), p.m)  # lambda = 1
+    assert logp[0] == pytest.approx(math.log(2 / math.e))
+    assert logp[1] == pytest.approx(math.log(0.5 / math.e))
 
 
 def test_poisson_clipped_single_support():
     p = PoissonLengthParams(np.array([2.0]), 1)
-    assert poisson_clipped_log_prob(1, np.array([1.3]), p) == pytest.approx(0.0)
+    assert poisson_clipped_log_pmf(poisson_rate(np.array([1.3]), p), p.m)[0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("m", list(range(1, 21)))

@@ -1,3 +1,6 @@
+"""Plackett-Luce marginals, scored by the likelihood engine through a
+one-bank composite model with uniform length logits (``util.pl_model``)."""
+
 import math
 from itertools import permutations
 
@@ -5,114 +8,133 @@ import numpy as np
 import pytest
 
 from topkorders import (
+    CategoricalLengthParams,
+    CompositeModel,
     PLParams,
     PartialOrder,
     StratifiedPLParams,
+    Universe,
     enumerate_partial_orders,
-    pl_log_marginal,
-    stratified_log_prob,
 )
-from topkorders.ranking import pl_utility
+from topkorders.kernels import item_utilities
+from util import engine_log_probs, pl_model
+
+
+def pl_log_probs(orders, delta, beta=None, X=None):
+    """log PL(Q) of each order under item utilities delta (+ x . beta)."""
+    return engine_log_probs(pl_model(delta, beta), orders, X) + math.log(len(delta))
+
+
+def completions(Q, m):
+    """Every total order that starts with Q."""
+    rest = [a for a in range(1, m + 1) if a not in Q.items]
+    return [PartialOrder(Q.items + tail) for tail in permutations(rest)]
 
 
 def test_pl_utility_fixed_effects():
-    p = PLParams(np.array([0.5, 0.0, 0.0]))
-    assert pl_utility(p, 1) == 0.5
+    assert item_utilities(None, np.array([0.5, 0.0, 0.0]), None)[0, 0] == 0.5
 
 
 def test_pl_utility_zero_beta_matches_fixed():
     rng = np.random.default_rng(0)
     delta = rng.normal(size=3)
     x = rng.normal(size=(3, 2))
-    with_beta = PLParams(delta, np.zeros(2))
-    plain = PLParams(delta)
-    for item in (1, 2, 3):
-        assert pl_utility(with_beta, item, x) == pytest.approx(pl_utility(plain, item))
+    with_beta = item_utilities(x[None], delta, np.zeros(2))
+    np.testing.assert_allclose(with_beta, item_utilities(None, delta, None), atol=1e-15)
+    orders = enumerate_partial_orders(3)
+    np.testing.assert_allclose(
+        pl_log_probs(orders, delta, np.zeros(2), x), pl_log_probs(orders, delta), atol=1e-12
+    )
 
 
 def test_pl_utility_dot_product():
-    p = PLParams(np.zeros(2), np.array([1.0, 2.0]))
     x = np.array([[1.0, 1.0], [0.0, 0.0]])
-    assert pl_utility(p, 1, x) == pytest.approx(3.0)
+    assert item_utilities(x[None], np.zeros(2), np.array([1.0, 2.0]))[0, 0] == pytest.approx(3.0)
+    # utilities (3, 0): P(1 first) = e^3 / (e^3 + 1)
+    lp = pl_log_probs([PartialOrder((1,))], np.zeros(2), np.array([1.0, 2.0]), x)[0]
+    assert lp == pytest.approx(3.0 - math.log(math.exp(3.0) + 1.0))
 
 
 def test_pl_log_marginal_uniform():
-    p = PLParams(np.zeros(3))
-    assert pl_log_marginal(PartialOrder((1, 2)), p) == pytest.approx(math.log(1 / 6))
+    assert pl_log_probs([PartialOrder((1, 2))], np.zeros(3))[0] == pytest.approx(math.log(1 / 6))
 
 
 def test_pl_log_marginal_direct():
-    p = PLParams(np.array([math.log(2), 0.0, 0.0]))
-    assert pl_log_marginal(PartialOrder((1,)), p) == pytest.approx(math.log(0.5))
+    delta = np.array([math.log(2), 0.0, 0.0])
+    assert pl_log_probs([PartialOrder((1,))], delta)[0] == pytest.approx(math.log(0.5))
 
 
 def test_pl_marginal_equals_sum_over_completions():
     rng = np.random.default_rng(3)
     m = 4
-    p = PLParams(rng.normal(size=m))
+    delta = rng.normal(size=m)
     Q = PartialOrder((3, 1))
-    remaining = [a for a in range(1, m + 1) if a not in Q.items]
-    total = 0.0
-    for rest in permutations(remaining):
-        total += math.exp(pl_log_marginal(PartialOrder(Q.items + rest), p))
-    assert math.exp(pl_log_marginal(Q, p)) == pytest.approx(total, abs=1e-12)
+    total = np.exp(pl_log_probs(completions(Q, m), delta)).sum()
+    assert math.exp(pl_log_probs([Q], delta)[0]) == pytest.approx(total, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_pl_marginal_consistency_all_q(m):
     rng = np.random.default_rng(m)
-    p = PLParams(rng.normal(size=m))
-    for Q in enumerate_partial_orders(m):
-        remaining = [a for a in range(1, m + 1) if a not in Q.items]
-        total = sum(
-            math.exp(pl_log_marginal(PartialOrder(Q.items + rest), p))
-            for rest in permutations(remaining)
-        )
-        assert abs(math.exp(pl_log_marginal(Q, p)) - total) < 1e-10
+    delta = rng.normal(size=m)
+    space = enumerate_partial_orders(m)
+    total = np.exp(pl_log_probs([q for Q in space for q in completions(Q, m)], delta))
+    sizes = [math.factorial(m - len(Q)) for Q in space]
+    sums = np.add.reduceat(total, np.cumsum([0] + sizes[:-1]))
+    assert np.abs(np.exp(pl_log_probs(space, delta)) - sums).max() < 1e-10
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_pl_total_order_normalization(m):
     rng = np.random.default_rng(10 + m)
-    p = PLParams(rng.normal(size=m))
-    total = sum(
-        math.exp(pl_log_marginal(PartialOrder(perm), p))
-        for perm in permutations(range(1, m + 1))
-    )
+    delta = rng.normal(size=m)
+    total = np.exp(pl_log_probs(completions(PartialOrder(()), m), delta)).sum()
     assert abs(total - 1.0) < 1e-9
 
 
 def test_shift_invariance():
     rng = np.random.default_rng(4)
     delta = rng.normal(size=4)
-    for Q in enumerate_partial_orders(4):
-        a = pl_log_marginal(Q, PLParams(delta))
-        b = pl_log_marginal(Q, PLParams(delta + 17.3))
-        assert abs(a - b) < 1e-10
+    space = enumerate_partial_orders(4)
+    a = pl_log_probs(space, delta)
+    b = pl_log_probs(space, delta + 17.3)
+    assert np.abs(a - b).max() < 1e-10
+
+
+def cld(banks, m):
+    """A c-ld model with uniform length logits and the given PL banks."""
+    return CompositeModel(
+        "c-ld", CategoricalLengthParams(np.zeros(m)), StratifiedPLParams(banks), Universe(m)
+    )
 
 
 def test_stratified_single_bank_is_identity():
     rng = np.random.default_rng(5)
-    bank = PLParams(rng.normal(size=3))
-    strat = StratifiedPLParams((bank,))
-    for Q in enumerate_partial_orders(3):
-        assert stratified_log_prob(Q, strat) == pytest.approx(pl_log_marginal(Q, bank))
+    delta = rng.normal(size=3)
+    space = enumerate_partial_orders(3)
+    np.testing.assert_allclose(
+        engine_log_probs(cld((PLParams(delta),), 3), space) + math.log(3),
+        pl_log_probs(space, delta),
+        atol=1e-12,
+    )
 
 
 def test_stratified_long_lists_use_last_bank():
     rng = np.random.default_rng(6)
     m = 5
     banks = tuple(PLParams(rng.normal(size=m)) for _ in range(2))
-    strat = StratifiedPLParams(banks)
     Q = PartialOrder((1, 2, 3, 4, 5))
-    assert stratified_log_prob(Q, strat) == pytest.approx(
-        pl_log_marginal(Q, banks[1])
+    assert engine_log_probs(cld(banks, m), [Q])[0] + math.log(m) == pytest.approx(
+        pl_log_probs([Q], banks[1].delta)[0]
     )
 
 
 def test_stratified_equal_banks_match_unstratified():
     rng = np.random.default_rng(7)
     bank = PLParams(rng.normal(size=3))
-    strat = StratifiedPLParams((bank, bank, bank))
-    for Q in enumerate_partial_orders(3):
-        assert stratified_log_prob(Q, strat) == pytest.approx(pl_log_marginal(Q, bank))
+    space = enumerate_partial_orders(3)
+    np.testing.assert_allclose(
+        engine_log_probs(cld((bank, bank, bank), 3), space) + math.log(3),
+        pl_log_probs(space, bank.delta),
+        atol=1e-12,
+    )

@@ -1,5 +1,6 @@
 """Shared helpers: random model factories and enumeration oracles."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,8 @@ from topkorders import (
     AugmentedNaiveParams,
     CategoricalLengthParams,
     CompositeModel,
+    CovariateTensor,
+    Dataset,
     PLParams,
     PartialOrder,
     PoissonLengthParams,
@@ -17,10 +20,73 @@ from topkorders import (
     StratifiedPLParams,
     Universe,
     enumerate_partial_orders,
-    model_log_prob,
 )
+from topkorders.estimation import record_log_probs
 from topkorders.events import _bank_event_counts, _utility_index
 from topkorders.kernels import length_strata
+
+
+def oracle_log_prob(model, Q, x_row=None):
+    """log P(Q) from the model definitions, one log-softmax per choice; the
+    independent check of the likelihood engine, so it uses none of its code.
+
+    A composite model adds its length term, log p(k), and ranks Q with one
+    utility vector: its PL bank, for c-ld the bank of stratum min(k, K). An
+    augmented model chooses from the items plus END (option m), at position
+    j with END utility gamma_j (a-pd) or from bank min(j, K) (a-s), and ends
+    with END unless k = m. ``x_row`` (m, d) adds x_row @ beta to the items.
+    """
+    m, k, v = model.universe.m, len(Q), model.variant
+    choices, total, utilities = [a - 1 for a in Q.items], 0.0, []
+
+    def add(base, beta):
+        u = np.array(base, dtype=np.float64)
+        if beta is not None and beta.size:
+            u[:m] += np.asarray(x_row, dtype=np.float64) @ beta
+        utilities.append(u)
+
+    if v.startswith("c"):
+        if v == "c-ci":  # Poisson(lam), k <= 1 folded onto 1 and k >= m onto m
+            lam = math.exp(np.mean(x_row, axis=0) @ model.length_params.weights)
+            i = np.arange(m + 50 + int(10 * lam))
+            logpois = i * math.log(lam) - lam - np.array([math.lgamma(j + 1.0) for j in i])
+            total = np.logaddexp.reduce(logpois[np.clip(i, 1, m) == k])
+        else:
+            logits = model.length_params.logits
+            total = logits[k - 1] - np.logaddexp.reduce(logits)
+        rank = model.ranking_params
+        bank = rank.banks[min(k, rank.K) - 1] if v == "c-ld" else rank
+        for _ in choices:
+            add(bank.delta, bank.beta)
+        options = list(range(m))
+    else:
+        p, options = model.params, list(range(m + 1))
+        choices += [m] * (k < m)
+        for j in range(1, len(choices) + 1):
+            if v == "a":
+                add(p.theta, p.beta)
+            elif v == "a-pd":
+                add(np.append(p.theta, p.gamma[j - 1]), p.beta)
+            else:
+                b = min(j, p.K) - 1
+                add(p.banks[b], None if p.betas is None else p.betas[b])
+    for a, u in zip(choices, utilities):
+        u = u[options]
+        total += u[options.index(a)] - np.logaddexp.reduce(u)
+        options.remove(a)
+    return float(total)
+
+
+def engine_log_probs(model, orders, X=None):
+    """The engine's log-probability of each order, in one record_log_probs
+    call; X is an (m, d) covariate slice shared by every order, or one per
+    order (n, m, d)."""
+    cov = None
+    if X is not None:
+        X = np.asarray(X, dtype=np.float64)
+        cov = CovariateTensor(np.broadcast_to(X, (len(orders),) + X.shape[-2:]))
+    D = Dataset(model.universe, orders, cov, allow_empty=isinstance(model, AugmentedModel))
+    return record_log_probs(model, D)
 
 
 def random_model(variant, m, rng, K=2, d=0, scale=1.0):
@@ -70,6 +136,14 @@ def random_model(variant, m, rng, K=2, d=0, scale=1.0):
     raise ValueError(variant)
 
 
+def pl_model(delta, beta=None):
+    """A one-bank c-ld model with uniform length logits: its log-probability
+    of Q is log PL(Q) - log m, whatever the length of Q."""
+    m = len(delta)
+    ranking = StratifiedPLParams((PLParams(delta, beta),))
+    return CompositeModel("c-ld", CategoricalLengthParams(np.zeros(m)), ranking, Universe(m))
+
+
 def model_space(model, x_row=None):
     """The model's full outcome space: Omega(A), plus the empty list for
     augmented models."""
@@ -80,8 +154,7 @@ def model_space(model, x_row=None):
 def enum_pmf(model, x_row=None):
     """Exact probabilities over the enumerated outcome space."""
     space = model_space(model)
-    p = np.array([np.exp(model_log_prob(model, q, x_row)) for q in space])
-    return space, p
+    return space, np.exp(engine_log_probs(model, space, x_row))
 
 
 def empirical_pmf(orders, space):
