@@ -47,10 +47,10 @@ def _add_fit_flags(p):
 
 
 def _check_counts(args, **minimums):
-    """Raise unless each named count flag is at least its minimum."""
+    """Raise unless each named count flag, where given, is at least its minimum."""
     for name, low in minimums.items():
         value = getattr(args, name)
-        if value < low:
+        if value is not None and value < low:
             raise ValueError(f"--{name} must be >= {low}, got {value}")
 
 
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--covariates")
     p.add_argument("--reps", type=int, default=0, help="synthetic replicates N")
-    p.add_argument("--n", type=int, default=0, help="orders per replicate (default: |data|)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, help="orders per replicate (default: |data|)")
+    p.add_argument("--seed", type=int, help="replicate seed (default: 0)")
     p.add_argument("--condition-nonempty", action="store_true",
                    help="condition augmented likelihood on k >= 1")
     p.add_argument("--group-map", help="item_id,group_label file for demand bucketing")
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacities", required=True, help="program_id,capacity file")
     p.add_argument("--seed", type=int, default=0, help="priority tie-break seed")
     p.add_argument("--synthetic-from", help="checkpoint to sample synthetic preferences")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=int, help="synthetic replicates (default: 1)")
     p.add_argument("--out", help="write the outcome table to this file")
     return ap
 
@@ -240,6 +240,10 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_counts(args, reps=0, n=0)
+    if not args.reps:
+        for name in ("n", "seed", "group_map"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} applies only with --reps above 0")
     model, _ = dataio.load_checkpoint(args.model_ckpt)
     if args.condition_nonempty and not isinstance(model, AugmentedModel):
         raise ValueError(
@@ -254,7 +258,7 @@ def cmd_eval(args) -> int:
         D_test=D,
         n_per_replicate=n_per if args.reps else 0,
         n_replicates=args.reps,
-        seed=args.seed,
+        seed=args.seed or 0,
         covariates=D.covariates,
         condition_nonempty=args.condition_nonempty,
     )
@@ -300,6 +304,8 @@ def cmd_sample(args) -> int:
 
     _check_counts(args, reps=0, n=1)
     model, _ = dataio.load_checkpoint(args.model_ckpt)
+    if args.no_empty and not isinstance(model, AugmentedModel):
+        raise ValueError(f"--no-empty applies only to augmented models, not {model.variant}")
     covariates = None
     if args.covariates:
         covariates, _, _ = dataio.load_covariates(args.covariates, model.universe)
@@ -343,6 +349,8 @@ def cmd_cv(args) -> int:
 
 def cmd_assign(args) -> int:
     _check_counts(args, reps=0)
+    if args.reps is not None and not args.synthetic_from:
+        raise ValueError("--reps applies only with --synthetic-from")
     D = dataio.parse_preflib(args.preferences)
     capacities = _read_capacities(args.capacities, D.universe.m)
     priorities = asg.uniform_priorities(D.n, D.universe.m, args.seed)
@@ -355,7 +363,7 @@ def cmd_assign(args) -> int:
     if args.synthetic_from:
         model, _ = dataio.load_checkpoint(args.synthetic_from)
         reps = evaluation.replicate_sample(
-            model, D.n, args.reps, args.seed, no_empty=True
+            model, D.n, 1 if args.reps is None else args.reps, args.seed, no_empty=True
         )
         for r, rep in enumerate(reps):
             rows.append((f"synthetic_{r:03d}", run(rep)))

@@ -23,15 +23,7 @@ from .augmented import (
     StratifiedAugmentedParams,
 )
 from .composite import COMPOSITE_VARIANTS, CompositeModel
-from .kernels import (
-    apd_nll_grad,
-    augs_nll_grad,
-    bank_utilities,
-    item_utilities,
-    length_strata,
-    pl_nll_grad,
-    unchosen_mask,
-)
+from .kernels import Rows, choice_nll_grad, item_utilities, length_strata
 from .lengthdist import (
     CategoricalLengthParams,
     PoissonLengthParams,
@@ -209,6 +201,20 @@ class ParamLayout:
             out = {"banks": banks[:, : m + 1], "bank_betas": banks[:, m + 1 :]}
         return {name: view for name, view in out.items() if view.size}
 
+    def banks(self, flat: np.ndarray) -> list:
+        """Each utility bank's (items (m,), covariate weights (d,), END)
+        views of flat, END None for a composite and else one utility, or
+        one per position for a-pd. Applied to a gradient vector, the views
+        each bank's gradient is added into."""
+        a = self.arrays(flat)
+        if "banks" not in a:
+            beta = a.get("beta", flat[:0])
+            return [(a["delta"], beta, a.get("end", a.get("gamma")))]
+        betas = a.get("bank_betas", [flat[:0]] * self.K)
+        if self.variant == "c-ld":
+            return [(delta, beta, None) for delta, beta in zip(a["banks"], betas)]
+        return [(bank[:-1], beta, bank[-1:]) for bank, beta in zip(a["banks"], betas)]
+
     def to_model(self, flat: np.ndarray, universe) -> object:
         """The model built from the views of flat."""
         a, v = self.arrays(flat), self.variant
@@ -276,26 +282,26 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
     """Log-probability of every record of D under model: its row terms summed.
 
     ``condition_nonempty`` renormalizes augmented models on k >= 1 by
-    subtracting log(1 - P(empty)) from each record, P(empty) scored on an
-    all-empty copy of the rows.
+    subtracting log(1 - P(empty)) from each record, P(empty) scored on one
+    empty list, or on one per agent when the records have covariates.
     """
     layout = ParamLayout.of(model)
-    items, lengths = D.to_padded()
-    _check_records(model.variant, layout.m, items, lengths)
-    composite = isinstance(model, CompositeModel)
-    X = D.covariates.values if D.covariates is not None else None
-    data = _FitData.from_rows(layout.m, items, lengths, np.ones(D.n), X)
+    _check_records(model.variant, layout.m, *D.to_padded())
+    data = _FitData(D)
     if model.variant == "c-ci":
-        if X is None:
+        if data.X is None:
             raise ValueError("c-ci requires covariates")
         poisson_rate(data.x_agent, model.length_params)  # raises on a non-finite rate
     flat = layout.from_model(model)
     lp = _row_terms(model.variant, data, layout, flat)[0].sum(axis=1)
-    if condition_nonempty and not composite:
-        no_items = np.full((D.n, 1), -1)
-        empty = _FitData.from_rows(layout.m, no_items, np.zeros(D.n, np.int64), data.weights, X)
+    if condition_nonempty and isinstance(model, AugmentedModel):
+        n = 1 if data.X is None else D.n
+        empty = _FitData.from_rows(layout.m, np.full((n, 1), -1), np.zeros(n, np.int64),
+                                   np.ones(n), data.X)
         lp -= np.log1p(-np.exp(_row_terms(model.variant, empty, layout, flat)[0].sum(axis=1)))
-    return lp
+    out = np.empty_like(lp)
+    out[data.order] = lp
+    return out
 
 
 def _check_records(variant, m, items, lengths) -> None:
@@ -322,34 +328,27 @@ def nll(D: Dataset, model) -> float:
     return -float(lp.sum()) / D.n
 
 
-def _chain(X, dU):
-    """Gradients w.r.t. (delta, beta) of sum(dU * U), U from item_utilities."""
-    gdelta = dU.sum(axis=0)
-    if X is None:
-        return gdelta, np.zeros(gdelta.shape[:-1] + (0,))
-    return gdelta, np.einsum("imd,i...m->...d", X, dU)
-
-
 # ---------------------------------------------------------------------------
 # Row terms, the objective and its analytic gradient
 # ---------------------------------------------------------------------------
 
 class _FitData:
     """Padded arrays prepared once per fit: one row of weight 1 per record,
-    with its covariates, in order of length as the kernels take them.
-    Duplicate records are not merged; the event table merges their choices.
+    with its covariates, sorted by list length as the kernel takes them;
+    ``order`` maps the rows back to the records. Duplicate records are not
+    merged; the event table merges their choices.
     """
 
     def __init__(self, D: Dataset):
         items, lengths = D.to_padded()
-        order = np.argsort(lengths, kind="stable")
-        X = None if D.covariates is None else D.covariates.values[order]
-        self._set_rows(D.universe.m, items[order], lengths[order], np.ones(D.n), X)
+        self.order = np.argsort(lengths, kind="stable")
+        X = None if D.covariates is None else D.covariates.values[self.order]
+        self._set_rows(D.universe.m, items[self.order], lengths[self.order], np.ones(D.n), X)
 
     @classmethod
     def from_rows(cls, m, items, lengths, weights, X):
         """Rows taken as given, each weighted by its multiplicity: not
-        merged, not reordered."""
+        merged, not reordered, so their lengths must ascend."""
         data = cls.__new__(cls)
         data._set_rows(m, items, lengths, weights, X)
         return data
@@ -361,9 +360,9 @@ class _FitData:
         self.length_counts = np.bincount(lengths, weights=weights, minlength=m + 1)[: m + 1]
 
     @cached_property
-    def unchosen(self):
-        """The (rows, m) mask of unlisted items, built when the row kernels run."""
-        return unchosen_mask(self.items, self.m)
+    def rows(self) -> Rows:
+        """The kernel's rows, built when the row terms first run."""
+        return Rows.from_padded(self.items, self.lengths, self.weights, self.m)
 
 
 def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, coef=None):
@@ -373,56 +372,47 @@ def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, c
     A composite's terms are its length term and one ranking term per bank,
     the bank of the row's length stratum (the others hold 0); an augmented
     model's are the log-probabilities of its choices made with each bank.
+    Bank b of c-ld makes the choices of the rows of stratum b, bank b of a-s
+    those at position b and its last bank every choice from position K-1 on.
     """
-    m, d, K = layout.m, layout.d, layout.K
-    w, X, grad = data.weights, data.X, coef is not None
-    rows = (data.items, data.lengths, data.unchosen, w)
+    m, K = layout.m, layout.K
+    rows, X, w = data.rows, data.X, data.weights
+    grad = coef is not None
     g = np.zeros_like(flat) if grad else None
-    if variant in ("a", "a-s"):
-        banks = flat.reshape(K, m + 1 + d)
-        U = bank_utilities(X, banks[:, : m + 1], banks[:, m + 1 :])
-        terms, dU = augs_nll_grad(*rows, U, grad=grad)
-        if grad:
-            dU = dU * coef[:, None]
-            gbanks = g.reshape(K, m + 1 + d)
-            gbanks[:, :m], gbanks[:, m + 1 :] = _chain(X, dU[..., :m])
-            gbanks[:, m] = dU[..., m].sum(axis=0)
-        return terms, g
-    if variant == "a-pd":
-        U = item_utilities(X, flat[:m], flat[2 * m :])
-        logp, dU, dgamma = apd_nll_grad(*rows, U, flat[m : 2 * m], grad=grad)
-        if grad:
-            g[:m], g[2 * m :] = _chain(X, dU * coef[0])
-            g[m : 2 * m] = dgamma * coef[0]
-        return logp[:, None], g
-    terms = np.zeros((data.lengths.shape[0], 1 + K))
+    composite = variant in COMPOSITE_VARIANTS
+    terms = np.zeros((rows.n, composite + K))
     if variant == "c-ci":
+        d = layout.d
         lam = np.exp(data.x_agent @ flat[:d])
         terms[:, 0], dlam = _poisson_clipped_terms(data.lengths, lam, m)
         if grad:
             g[:d] = coef[0] * ((w * dlam * lam) @ data.x_agent)
-        start = d
-    else:  # c-i is c-ld with one bank and no covariates
-        if variant == "c-i":
-            d, X = 0, None
+    elif composite:
         logp = categorical_log_pmf(CategoricalLengthParams(flat[:m]))
         terms[:, 0] = np.append(0.0, logp)[data.lengths]  # an empty list has no length term
         if grad:
             counts = data.length_counts[1:]
             g[:m] = coef[0] * (counts - counts.sum() * np.exp(logp))
-        start = m
-    banks = flat[start:].reshape(K, m + d)
-    strata = length_strata(data.lengths, K)
-    for b in range(K):
-        sel = slice(None) if K == 1 else np.flatnonzero(strata == b)
-        if K > 1 and sel.size == 0:
-            continue
-        Xb = None if X is None else X[sel]
-        U = item_utilities(Xb, banks[b, :m], banks[b, m:])
-        terms[sel, 1 + b], dU = pl_nll_grad(*(r[sel] for r in rows), U, grad=grad)
+    spans = [0, *np.searchsorted(data.lengths, np.arange(2, K + 1)), rows.n]
+    gbanks = layout.banks(g) if grad else None
+    for b, (delta, beta, end) in enumerate(layout.banks(flat)):
+        span = slice(spans[b], spans[b + 1]) if variant == "c-ld" else slice(None)
+        p0, p1 = (b, b + 1 if b < K - 1 else None) if variant == "a-s" else (0, None)
+        Xb = None if X is None else X[span]
+        u = item_utilities(Xb, delta, beta)
+        if end is not None:
+            end = np.full(m, end)  # by position
+        col = composite + b
+        sub = rows[span] if variant == "c-ld" else rows
+        terms[span, col], du, dend = choice_nll_grad(sub, u, end, p0, p1, grad)
         if grad:
-            gbank = g[start:].reshape(K, m + d)[b]
-            gbank[:m], gbank[m:] = _chain(Xb, dU * coef[1 + b])
+            du *= coef[col]
+            gdelta, gbeta, gend = gbanks[b]
+            gdelta += du.sum(axis=0)
+            if gbeta.size:
+                gbeta += np.einsum("imd,im->d", Xb, du)
+            if gend is not None:
+                gend += coef[col] * (dend.sum() if gend.size == 1 else dend)
     return terms, g
 
 
@@ -490,7 +480,8 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
         if not full_batch:  # mini-batches of records, reshuffled per epoch
             perm = rng.permutation(D.n)
             for lo in range(0, D.n, int(cfg.batch_size)):
-                sub_data = _subset_fitdata(data, perm[lo : lo + int(cfg.batch_size)])
+                batch = np.sort(perm[lo : lo + int(cfg.batch_size)])  # rows stay in length order
+                sub_data = _subset_fitdata(data, batch)
                 _, g = objective_and_grad(variant, sub_data, layout, flat, cfg)
                 step += 1
                 flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)

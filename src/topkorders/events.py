@@ -57,21 +57,19 @@ class EventTable:
 
 def event_table(data, layout):
     """The event table of a fit's records (a ``_FitData``), or None where
-    the row kernels serve it: a model with covariates, or a table of more
+    the row kernel serves it: a model with covariates, or a table of more
     cells, P * (m+1), than the records have choice events. An evaluation
-    touches each table cell a few times, and the row kernels each event, so
+    touches each table cell a few times, and the row kernel each event, so
     the rule compares their work analytically. The build stops at the first
     list position whose keys pass that bound.
 
-    The build walks the rows in order of length, so that the rows making a
-    choice at a position, and those listing an item there, are suffixes."""
+    The build walks the rows in the order of length that ``_FitData``
+    keeps, so that the rows making a choice at a position, and those
+    listing an item there, are suffixes."""
     v, m, K = layout.variant, layout.m, layout.K
     if data.X is not None and v != "c-i":
         return None
     items, lengths, w = data.items, data.lengths, data.weights
-    if np.any(lengths[1:] < lengths[:-1]):  # _FitData keeps its rows in this order
-        order = np.argsort(lengths, kind="stable")
-        items, lengths, w = items[order], lengths[order], w[order]
     R, aug = lengths.shape[0], v in ("a", "a-pd", "a-s")
     # one event per listed item, then END after k < m items (augmented)
     steps = lengths + (aug & (lengths < m))

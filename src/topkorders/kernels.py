@@ -1,31 +1,29 @@
-"""Batch log-likelihood and gradient kernels for all six model variants.
+"""The batch log-likelihood and gradient kernel for all six model variants.
 
-Every model is a sequence of softmax choices from a shrinking set. The
-Plackett-Luce kernel serves the composite rankings; the two augmented
-kernels add END as the (m+1)-th option, with one utility vector per rank
-bank (``augs_nll_grad``; naive A is K = 1) or one END utility per position
-(``apd_nll_grad``).
+Every model is a sequence of softmax choices from a shrinking set, with END
+as one more option for the augmented models; the variants differ only in
+which utility bank makes each choice. One kernel, ``choice_nll_grad``,
+makes the choices of one bank: over a span of rows (a c-ld length stratum)
+and a range of positions (an a-s rank bank), with item utilities and, for
+the augmented models, an END utility per position (one shared value for a
+and a-s, gamma_j for a-pd).
 
-Inputs are padded ballot arrays: ``items`` (n, kmax) of 0-based ids with -1
-padding, ``lengths`` (n,), ``unchosen`` (n, m), 1.0 where an item is not on
-the row's list (see :func:`unchosen_mask`), and ``weights`` (n,)
-multiplicities, 1 for a row that is one record. Utilities are per row:
-their leading axis R is 1, shared by every row (covariate-free models), or
-n, where row i carries delta + x_i . beta.
+Rows arrive as a ``Rows``, sorted by list length once, by the caller:
+``ids`` holds 0-based item ids position by position, ``unchosen`` (n, m) is
+1.0 where an item is not on the row's list (see :func:`unchosen_mask`),
+and ``weights`` (n,) are multiplicities, 1 for a row that is one record.
+Utilities are per row: their leading axis R is 1, shared by every row
+(covariate-free models), or n, where row i carries delta + x_i . beta.
 
-Each kernel returns the per-row log-probabilities and, unless ``grad`` is
-false, the gradient of sum_i w_i log p_i with respect to the utilities, in
-the utilities' shape; with R = 1 it is summed over rows.
-
-The kernels walk the choice positions from last to first over rows sorted
-by list length (sorting a copy when the caller's rows are not), so position
-j touches only the rows that make a choice there and the work grows with
-the number of choices, not with n times the longest list. The mass left at
-each choice is a sum of positive terms: the row's unchosen items (and END)
-plus a suffix sum over the list items not chosen yet. Subtracting the
-chosen prefix from the total mass instead loses all precision once the
-utility spread passes about 36. The gradient likewise charges each item
-only at the choices where it is still available, so no term is taken back.
+The kernel walks the choice positions from last to first, so position j
+touches only the rows that make a choice there, a suffix of the sorted
+rows, and the work grows with the number of choices, not with n times the
+longest list. The mass left at each choice is a sum of positive terms:
+the row's unchosen items (and END) plus a suffix sum over the list items
+not chosen yet. Subtracting the chosen prefix from the total mass instead
+loses all precision once the utility spread passes about 36. The gradient
+likewise charges each item only at the choices where it is still
+available, so no term is taken back.
 """
 
 import numpy as np
@@ -67,36 +65,31 @@ def unchosen_mask(items: np.ndarray, m: int) -> np.ndarray:
     return np.ascontiguousarray(mask[:, :m])
 
 
-class _Rows:
-    """The rows sorted by length, with their ids stored position by position.
+class Rows:
+    """Rows in order of list length, their ids stored position by position,
+    and a contiguous slice of them, ``rows[a:b]``, again a Rows.
 
     ``lo[j]`` is the first row of length >= j, so position j lists an item
     in rows lo[j+1]..n-1 and ends the list (END) in rows lo[j]..lo[j+1]-1.
+    ``ids`` holds each position's item ids, with a row of -1 past the
+    longest list, of k items.
     """
 
-    def __init__(self, items, lengths, unchosen, weights, J):
-        self.order = None
-        if np.any(lengths[1:] < lengths[:-1]):
-            self.order = np.argsort(lengths, kind="stable")
-            items, lengths = items[self.order], lengths[self.order]
-            unchosen, weights = unchosen[self.order], weights[self.order]
-        self.n, self.J = lengths.shape[0], J
-        self.ids = np.full((J, self.n), -1, dtype=np.int64)
-        self.ids[: items.shape[1]] = items.T
-        self.lo = np.searchsorted(lengths, np.arange(J + 1))
-        self.unchosen, self.weights = unchosen, weights
+    def __init__(self, ids, lengths, unchosen, weights):
+        self.ids, self.lengths, self.unchosen, self.weights = ids, lengths, unchosen, weights
+        self.n = lengths.shape[0]
+        self.k = int(lengths[-1]) if self.n else 0
+        self.lo = np.searchsorted(lengths, np.arange(self.k + 2))
 
-    def sort(self, u):
-        """Per-row utilities (R = n) in the sorted row order."""
-        return u if self.order is None or u.shape[0] == 1 else u[self.order]
+    @classmethod
+    def from_padded(cls, items, lengths, weights, m):
+        """The Rows of padded arrays whose lengths ascend."""
+        ids = np.full((items.shape[1] + 1, items.shape[0]), -1, dtype=np.int64)
+        ids[:-1] = items.T
+        return cls(ids, lengths, unchosen_mask(items, m), weights)
 
-    def unsort(self, x):
-        """A per-row result back in the caller's row order."""
-        if self.order is None or x is None or x.shape[0] != self.n:
-            return x
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+    def __getitem__(self, span):
+        return Rows(self.ids[:, span], self.lengths[span], self.unchosen[span], self.weights[span])
 
 
 def _at(v, ids, a):
@@ -127,29 +120,37 @@ def _free(unchosen, e):
     return np.einsum("ia,ia->i", unchosen, e)
 
 
-def _pass(rows, e, t, p0, p1, end_e=None, end_t=None, grad=True):
-    """The choices at positions p0 <= j < p1, all made with one utility set.
-
-    e and t are the (R, m) exp-shifted and shifted item utilities; end_e and
-    end_t the (R, J) END utilities by position, or None where END is no
-    option (Plackett-Luce). Items listed from p1 on count in the remaining
-    mass; items listed before p0 are gone at p0..p1-1.
+def choice_nll_grad(rows, u, end=None, p0=0, p1=None, grad=True):
+    """The rows' choices at positions p0 <= j < p1 (p1 None: every position),
+    all made with item utilities u (R, m) and, where END is an option, END
+    utility end[j] at position j; end (m,) by position, or None for
+    Plackett-Luce. Items listed from p1 on count in the remaining mass;
+    items listed before p0 are gone at p0..p1-1.
 
     Returns the rows' log-probability terms (n,) and, unless grad is false,
-    the gradients w.r.t. the item utilities (R, m) and the END utilities
-    (R, J) of sum_i w_i log p_i. An item is charged w e_a / (remaining mass)
-    at each choice where it is still available: an unchosen item at every
-    choice of the pass, a listed item at the choices up to its own position.
-    No charge is taken back, so the gradient stays exact at any spread.
+    the gradients of sum_i w_i log p_i w.r.t. u, in its shape, and w.r.t.
+    end, summed over the rows (END takes no covariates). An item is charged
+    w e_a / (remaining mass) at each choice where it is still available: an
+    unchosen item at every choice of the pass, a listed item at the choices
+    up to its own position. No charge is taken back, so the gradient stays
+    exact at any spread.
     """
     n, lo, w = rows.n, rows.lo, rows.weights
-    R, m = e.shape
+    R, m = u.shape
+    shift = u.max(axis=1) if end is None else np.maximum(u.max(axis=1), end.max())
+    t = u - shift[:, None]
+    e = np.exp(t)
+    J = rows.k if end is None else min(rows.k + 1, m)
+    p1 = J if p1 is None else min(p1, J)
+    if end is not None:
+        end_t = end[None, :J] - shift[:, None]
+        end_e = np.exp(end_t)
     free = _free(rows.unchosen, e)
     logp = np.zeros(n)
     acc = np.zeros(0)  # mass of the items listed at positions >= j
     listed, inv = [], {}  # each position's listed items; weight over remaining mass
-    g_end = np.zeros((R, rows.J)) if grad and end_e is not None else None
-    for j in range(rows.J - 1, p0 - 1, -1):
+    g_end = None if end is None else np.zeros(m)
+    for j in range(J - 1, p0 - 1, -1):
         a = lo[j + 1]
         ids = rows.ids[j, a:]
         E = _at(e, ids, a)
@@ -157,27 +158,23 @@ def _pass(rows, e, t, p0, p1, end_e=None, end_t=None, grad=True):
         listed.append((j, a, ids, E))
         if j >= p1:
             continue
-        b = a if end_e is None else lo[j]  # rows choosing an item or END at j
+        b = a if end is None else lo[j]  # rows choosing an item or END at j
         rem = _pad(acc, n - b) + free[b:]
-        if end_e is not None:
+        if end is not None:
             rem += _col(end_e, j, b, n)
         log_rem = np.log(rem)
         logp[a:] += _at(t, ids, a) - log_rem[a - b :]
-        if end_e is not None:
+        if end is not None:
             logp[b:a] += _col(end_t, j, b, a) - log_rem[: a - b]
         if not grad:
             continue
         inv[j] = w[b:] / rem
-        if end_e is not None:
-            if R == 1:
-                g_end[0, j] = w[b:a].sum() - end_e[0, j] * inv[j].sum()
-            else:
-                g_end[b:, j] = -end_e[b:, j] * inv[j]
-                g_end[b:a, j] += w[b:a]
+        if end is not None:
+            g_end[j] = w[b:a].sum() - (_col(end_e, j, b, n) * inv[j]).sum()
     if not grad:
         return logp, None, None
     head = np.zeros(n)  # per row, inv summed over the pass's choices up to j
-    at, vals = [], []  # the listed items' gradient terms
+    at, vals = [np.zeros(0, np.int64)], [np.zeros(0)]  # the listed items' gradient terms
     for j, a, ids, E in reversed(listed):
         if j < p1:
             head[n - inv[j].shape[0] :] += inv[j]
@@ -186,69 +183,3 @@ def _pass(rows, e, t, p0, p1, end_e=None, end_t=None, grad=True):
     g = -e * (head @ rows.unchosen if R == 1 else rows.unchosen * head[:, None])
     g += np.bincount(np.concatenate(at), np.concatenate(vals), minlength=R * m).reshape(R, m)
     return logp, g, g_end
-
-
-# ---------------------------------------------------------------------------
-# Plackett-Luce over the plain universe (composite ranking component)
-# ---------------------------------------------------------------------------
-
-def pl_nll_grad(items, lengths, unchosen, weights, theta, grad=True):
-    """PL log-marginals (n,) of the rows under theta (R, m), and the gradient."""
-    rows = _Rows(items, lengths, unchosen, weights, items.shape[1])
-    theta = rows.sort(theta)
-    t = theta - theta.max(axis=1, keepdims=True)
-    logp, g, _ = _pass(rows, np.exp(t), t, 0, rows.J, grad=grad)
-    return rows.unsort(logp), rows.unsort(g)
-
-
-# ---------------------------------------------------------------------------
-# Stratified augmented model (naive A is the K=1 case)
-# ---------------------------------------------------------------------------
-
-def augs_nll_grad(items, lengths, unchosen, weights, banks, grad=True):
-    """Augmented log-probabilities (n, K) under banks (R, K, m+1), and the gradient.
-
-    Choice position j (1-based, the terminal END choice at k+1 included)
-    uses bank min(j, K); rows with k = m have no terminal choice. Column b
-    of the log-probabilities holds the choices made with bank b, so the
-    gradient of bank b is that of the weighted column-b sum alone.
-    """
-    R, K, mp1 = banks.shape
-    m = mp1 - 1
-    rows = _Rows(items, lengths, unchosen, weights, min(items.shape[1] + 1, m))
-    banks = rows.sort(banks)
-    t = banks - banks.max(axis=2, keepdims=True)
-    e = np.exp(t)
-    logp = np.zeros((rows.n, K))
-    g = np.zeros((R, K, mp1)) if grad else None
-    for b in range(min(K, rows.J)):
-        p1 = b + 1 if b < K - 1 else rows.J
-        end_e, end_t = (np.broadcast_to(v[:, b, m:], (R, rows.J)) for v in (e, t))
-        logp[:, b], g_items, g_end = _pass(
-            rows, e[:, b, :m], t[:, b, :m], b, p1, end_e, end_t, grad
-        )
-        if grad:
-            g[:, b, :m] = g_items
-            g[:, b, m] = g_end.sum(axis=1)
-    return rows.unsort(logp), rows.unsort(g)
-
-
-# ---------------------------------------------------------------------------
-# Position-dependent augmented model (A-PD)
-# ---------------------------------------------------------------------------
-
-def apd_nll_grad(items, lengths, unchosen, weights, theta, gamma, grad=True):
-    """A-PD log-probabilities (n,) under item utilities theta (R, m) and END
-    utilities gamma (m,), with gradients w.r.t. theta and gamma."""
-    R, m = theta.shape
-    rows = _Rows(items, lengths, unchosen, weights, min(items.shape[1] + 1, m))
-    theta = rows.sort(theta)
-    shift = np.maximum(theta.max(axis=1), gamma.max())[:, None]
-    t = theta - shift
-    tg = gamma[: rows.J] - shift
-    logp, g_theta, g_end = _pass(rows, np.exp(t), t, 0, rows.J, np.exp(tg), tg, grad)
-    if not grad:
-        return rows.unsort(logp), None, None
-    g_gamma = np.zeros(m)
-    g_gamma[: rows.J] = g_end.sum(axis=0)
-    return rows.unsort(logp), rows.unsort(g_theta), g_gamma

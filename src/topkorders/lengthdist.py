@@ -75,16 +75,8 @@ def poisson_clipped_log_pmf(lam, m: int) -> np.ndarray:
     ``lam`` may be an array of rates; the result then has shape
     ``lam.shape + (m,)``.
     """
-    lam = np.asarray(lam, dtype=np.float64)[..., None]
-    if m == 1:
-        return np.zeros(lam.shape)
-    ks = np.arange(1, m + 1)
-    logp = ks * np.log(lam) - lam - _log_factorials(m)[1:]
-    # k=1 absorbs the k=0 mass; k=m absorbs the upper tail P(X > m-1),
-    # computed in log space so that it stays finite where it underflows.
-    logp[..., 0] = np.logaddexp(-lam[..., 0], logp[..., 0])
-    logp[..., -1] = _poisson_logsf(m - 1, lam[..., 0])
-    return logp
+    k, lam = np.broadcast_arrays(np.arange(1, m + 1), np.asarray(lam, dtype=np.float64)[..., None])
+    return _poisson_clipped_terms(k.ravel(), lam.ravel(), m)[0].reshape(k.shape)
 
 
 def _poisson_logsf(k: int, lam):
@@ -116,16 +108,6 @@ def _poisson_logsf(k: int, lam):
     return out[()]
 
 
-def poisson_clipped_dlogp_dlam(k, lam, m: int):
-    """d/dlambda of the clipped log pmf at k in [1, m]; used by the analytic
-    gradients.
-
-    ``k`` and ``lam`` broadcast against each other.
-    """
-    k, lam = np.broadcast_arrays(np.asarray(k), np.asarray(lam, dtype=np.float64))
-    return _poisson_clipped_terms(k.ravel(), lam.ravel(), m)[1].reshape(k.shape)[()]
-
-
 def _poisson_clipped_terms(k, lam, m: int):
     """The clipped log pmf at each length k and its d/dlambda, for 1-d
     lengths and rates of one shape. The upper tail is evaluated once, at
@@ -135,8 +117,10 @@ def _poisson_clipped_terms(k, lam, m: int):
     logfact = _log_factorials(m)
     logp = k * np.log(lam) - lam - logfact[k]
     dlam = k / lam - 1.0
-    # P(1) = e^-lam (1 + lam), so dlog/dlam = -lam / (1 + lam); for the
-    # absorbed upper tail, d/dlam P(X >= m) = pmf(m-1; lam).
+    # k = 1 absorbs the k = 0 mass: P(1) = e^-lam (1 + lam), so dlog/dlam =
+    # -lam / (1 + lam). k = m absorbs the upper tail P(X > m-1), computed in
+    # log space so that it stays finite where it underflows; its d/dlam is
+    # pmf(m-1; lam).
     low = k == 1
     x = lam[low]
     logp[low] = np.logaddexp(-x, logp[low])
@@ -167,9 +151,3 @@ def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
     return (cdf <= rng.random(n)[:, None]).sum(axis=1) + 1
-
-
-def sample_length(params, x_agent=None, rng=None) -> int:
-    """Draw one length from the exact pmf of the given parameter family."""
-    x_agents = None if x_agent is None else np.asarray(x_agent, dtype=np.float64)[None]
-    return int(sample_lengths(params, 1, np.random.default_rng(rng), x_agents)[0])

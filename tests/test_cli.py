@@ -320,6 +320,31 @@ def test_negative_count_flag_is_input_error(checkpoint, ballots, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "cmd,flags,message",
+    [("eval", ["--n", "5"], "--n applies only with --reps above 0"),
+     ("eval", ["--reps", "0", "--seed", "3"], "--seed applies only with --reps above 0"),
+     ("eval", ["--group-map", "groups.csv"], "--group-map applies only with --reps above 0"),
+     ("sample", ["--no-empty"], "--no-empty applies only to augmented models, not c-i"),
+     ("assign", ["--reps", "2"], "--reps applies only with --synthetic-from")],
+    ids=["eval-n", "eval-seed", "eval-group-map", "sample-no-empty", "assign-reps"],
+)
+def test_flag_without_effect_is_input_error(checkpoint, ballots, tmp_path, capsys, cmd, flags,
+                                            message):
+    out = tmp_path / "out"
+    if cmd == "assign":
+        caps = tmp_path / "caps.csv"
+        caps.write_text("program_id,capacity\n1,10\n")
+        args = ["assign", "--preferences", ballots, "--capacities", caps]
+    elif cmd == "sample":
+        args = ["sample", "--model-ckpt", checkpoint, "--n", "5"]
+    else:
+        args = ["eval", "--model-ckpt", checkpoint, "--data", ballots]
+    assert run([*args, *flags, "--out", out]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "cmd,model,flags,message",
     [("fit", "a", ["--K", "3"], "--K and --lambda-laplacian apply only"),
      ("fit", "c-i", ["--lambda-laplacian", "0.5"], "--K and --lambda-laplacian apply only"),

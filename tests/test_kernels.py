@@ -1,4 +1,4 @@
-"""Batch kernels against the per-record oracle, ``util.oracle_log_prob``."""
+"""The choice kernel against the per-record oracle, ``util.oracle_log_prob``."""
 
 import ast
 import importlib
@@ -15,6 +15,7 @@ from topkorders import (
     CategoricalLengthParams,
     CompositeModel,
     Dataset,
+    PartialOrder,
     PLParams,
     PositionDependentParams,
     StratifiedAugmentedParams,
@@ -22,12 +23,7 @@ from topkorders import (
 )
 from topkorders import test_nll as held_out_nll
 from topkorders.estimation import ParamLayout, _bank_event_counts
-from topkorders.kernels import (
-    apd_nll_grad,
-    augs_nll_grad,
-    pl_nll_grad,
-    unchosen_mask,
-)
+from topkorders.kernels import Rows, choice_nll_grad
 from util import engine_log_probs, model_space, oracle_log_prob, pl_model, random_orders
 
 
@@ -36,16 +32,49 @@ def oracle_pl(q, delta):
     return oracle_log_prob(pl_model(delta), q) + math.log(len(delta))
 
 
+def sorted_rows(m, orders, weights):
+    """The orders sorted by length, as the kernel takes them, their weights
+    in that order, and their Rows."""
+    order = np.argsort([len(q) for q in orders], kind="stable")
+    orders, weights = [orders[i] for i in order], weights[order]
+    items, lengths = Dataset(Universe(m), orders, allow_empty=True).to_padded()
+    return orders, weights, Rows.from_padded(items, lengths, weights, m)
+
+
+def pl_nll_grad(rows, theta, grad=True):
+    """PL log-marginals (n,) under theta (R, m), and the gradient."""
+    logp, g, _ = choice_nll_grad(rows, theta, None, grad=grad)
+    return logp, g
+
+
+def augs_nll_grad(rows, items, ends, grad=True):
+    """a-s log-probabilities (n,) under item utilities (R, K, m) and END
+    utilities (K,), one kernel pass per bank: bank b makes the choices at
+    position b, the last bank every choice from K-1 on. Returns the
+    gradients w.r.t. both."""
+    R, K, m = items.shape
+    logp, g_items, g_ends = np.zeros(rows.n), np.zeros(items.shape), np.zeros(K)
+    for b in range(K):
+        p1 = b + 1 if b < K - 1 else None
+        lp, gu, ge = choice_nll_grad(rows, items[:, b], np.full(m, ends[b]), b, p1, grad)
+        logp += lp
+        if grad:
+            g_items[:, b], g_ends[b] = gu, ge.sum()
+    return logp, g_items, g_ends
+
+
+def apd_nll_grad(rows, theta, gamma, grad=True):
+    """a-pd log-probabilities (n,) under item utilities theta (R, m) and END
+    utilities gamma (m,), with the gradients w.r.t. both."""
+    return choice_nll_grad(rows, theta, gamma, grad=grad)
+
+
 @pytest.fixture(scope="module")
 def batch():
     rng = np.random.default_rng(0)
     m, n = 5, 80
-    u = Universe(m)
-    orders = random_orders(m, n, rng)
-    D = Dataset(u, orders)
-    items, lengths = D.to_padded()
     weights = rng.integers(1, 4, size=n).astype(np.float64)
-    return m, orders, items, lengths, unchosen_mask(items, m), weights
+    return (m, *sorted_rows(m, random_orders(m, n, rng), weights))
 
 
 def _fd(f, x, h=1e-6):
@@ -61,10 +90,10 @@ def _fd(f, x, h=1e-6):
 
 @pytest.mark.parametrize("impl", [pl_nll_grad], ids=["pl_nll_grad"])
 def test_pl_kernel(batch, impl):
-    m, orders, items, lengths, unchosen, weights = batch
+    m, orders, weights, rows = batch
     rng = np.random.default_rng(1)
     theta = rng.normal(size=m)
-    logp, grad = impl(items, lengths, unchosen, weights, theta[None])
+    logp, grad = impl(rows, theta[None])
     ll, grad = weights @ logp, grad[0]
     ref = sum(w * oracle_pl(q, theta) for q, w in zip(orders, weights))
     assert ll == pytest.approx(ref, abs=1e-10)
@@ -78,7 +107,7 @@ def test_pl_kernel(batch, impl):
 @pytest.mark.parametrize("impl", [augs_nll_grad], ids=["augs_nll_grad"])
 @pytest.mark.parametrize("K", [1, 3])
 def test_augs_kernel(batch, impl, K):
-    m, orders, items, lengths, unchosen, weights = batch
+    m, orders, weights, rows = batch
     rng = np.random.default_rng(2)
     banks = rng.normal(size=(K, m + 1))
     u = Universe(m)
@@ -86,15 +115,15 @@ def test_augs_kernel(batch, impl, K):
     def model(b):
         return AugmentedModel("a-s", StratifiedAugmentedParams(b), u)
 
-    logp, grad = impl(items, lengths, unchosen, weights, banks[None])
+    logp, g_items, g_ends = impl(rows, banks[None, :, :m], banks[:, m])
     ref = sum(w * oracle_log_prob(model(banks), q) for q, w in zip(orders, weights))
-    assert weights @ logp.sum(axis=1) == pytest.approx(ref, abs=1e-9)
-    grad = grad[0]
+    assert weights @ logp == pytest.approx(ref, abs=1e-9)
+    grad = np.column_stack([g_items[0], g_ends])
     # event counts: k item choices plus a terminal END unless k = m
     total_events = sum(
         w * (len(q) + (1 if len(q) < m else 0)) for q, w in zip(orders, weights)
     )
-    assert _bank_event_counts(lengths, weights, m, K).sum() == pytest.approx(total_events)
+    assert _bank_event_counts(rows.lengths, weights, m, K).sum() == pytest.approx(total_events)
 
     def f(b):
         return sum(w * oracle_log_prob(model(b), q) for q, w in zip(orders, weights))
@@ -104,7 +133,7 @@ def test_augs_kernel(batch, impl, K):
 
 @pytest.mark.parametrize("impl", [apd_nll_grad], ids=["apd_nll_grad"])
 def test_apd_kernel(batch, impl):
-    m, orders, items, lengths, unchosen, weights = batch
+    m, orders, weights, rows = batch
     rng = np.random.default_rng(3)
     theta = rng.normal(size=m)
     gamma = rng.normal(size=m)
@@ -113,7 +142,7 @@ def test_apd_kernel(batch, impl):
     def model(t, g):
         return AugmentedModel("a-pd", PositionDependentParams(t, g), u)
 
-    logp, gt, gg = impl(items, lengths, unchosen, weights, theta[None], gamma)
+    logp, gt, gg = impl(rows, theta[None], gamma)
     ll, gt = weights @ logp, gt[0]
     ref = sum(w * oracle_log_prob(model(theta, gamma), q) for q, w in zip(orders, weights))
     assert ll == pytest.approx(ref, abs=1e-9)
@@ -135,33 +164,25 @@ def test_apd_kernel(batch, impl):
 
 def test_empty_orders_supported():
     m = 3
-    items = np.full((2, 1), -1, dtype=np.int64)
-    items[1, 0] = 0
-    lengths = np.array([0, 1], dtype=np.int64)
-    weights = np.ones(2)
+    orders, _, rows = sorted_rows(m, [PartialOrder(()), PartialOrder((1,))], np.ones(2))
     rng = np.random.default_rng(4)
     banks = rng.normal(size=(2, m + 1))
-    logp, _ = augs_nll_grad(items, lengths, unchosen_mask(items, m), weights, banks[None])
-    u = Universe(m)
-    from topkorders import PartialOrder
-
-    model = AugmentedModel("a-s", StratifiedAugmentedParams(banks), u)
-    ref = oracle_log_prob(model, PartialOrder(())) + oracle_log_prob(model, PartialOrder((1,)))
-    assert logp.sum() == pytest.approx(ref)
+    logp, _, _ = augs_nll_grad(rows, banks[None, :, :m], banks[:, m])
+    model = AugmentedModel("a-s", StratifiedAugmentedParams(banks), Universe(m))
+    assert logp.sum() == pytest.approx(sum(oracle_log_prob(model, q) for q in orders))
 
 
 def test_per_row_utilities(batch):
-    """R = n: row i's log-probability uses utilities i, and the gradient
-    is returned per row."""
-    m, orders, items, lengths, unchosen, weights = batch
+    """R = n: row i's log-probability uses item utilities i, and their
+    gradient is returned per row; END utilities are shared."""
+    m, orders, weights, rows = batch
     n = 12
-    orders, items, lengths = orders[:n], items[:n], lengths[:n]
-    unchosen, weights = unchosen[:n], weights[:n]
+    orders, weights, rows = orders[-n:], weights[-n:], rows[-n:]
     rng = np.random.default_rng(6)
     u = Universe(m)
     theta = rng.normal(size=(n, m))
     gamma = rng.normal(size=m)
-    banks = rng.normal(size=(n, 3, m + 1))
+    items, ends = rng.normal(size=(n, 3, m)), rng.normal(size=3)
 
     def pl(t):
         return [oracle_pl(q, t[i]) for i, q in enumerate(orders)]
@@ -172,32 +193,34 @@ def test_per_row_utilities(batch):
             for i, q in enumerate(orders)
         ]
 
-    def augs(b):
+    def augs(x):
         return [
-            oracle_log_prob(AugmentedModel("a-s", StratifiedAugmentedParams(b[i]), u), q)
+            oracle_log_prob(
+                AugmentedModel("a-s", StratifiedAugmentedParams(np.column_stack([x[i], ends])), u),
+                q,
+            )
             for i, q in enumerate(orders)
         ]
 
     for ref, x, (logp, g) in (
-        (pl, theta, pl_nll_grad(items, lengths, unchosen, weights, theta)),
-        (apd, theta, apd_nll_grad(items, lengths, unchosen, weights, theta, gamma)[:2]),
-        (augs, banks, augs_nll_grad(items, lengths, unchosen, weights, banks)),
+        (pl, theta, pl_nll_grad(rows, theta)),
+        (apd, theta, apd_nll_grad(rows, theta, gamma)[:2]),
+        (augs, items, augs_nll_grad(rows, items, ends)[:2]),
     ):
-        np.testing.assert_allclose(logp.reshape(n, -1).sum(axis=1), ref(x), atol=1e-10)
+        np.testing.assert_allclose(logp, ref(x), atol=1e-10)
         np.testing.assert_allclose(g, _fd(lambda y: weights @ np.array(ref(y)), x), atol=1e-5)
 
 
 @pytest.mark.parametrize("spread", [40.0, 200.0])
 def test_large_utility_spreads_stay_exact(spread):
     """The remaining mass is summed, not subtracted from the total, so the
-    kernels and test_nll keep full precision at any utility spread."""
+    kernel and test_nll keep full precision at any utility spread."""
     rng = np.random.default_rng(7)
     m, n, K = 6, 50, 3
     u = Universe(m)
     orders = random_orders(m, n, rng, min_len=0)
     D = Dataset(u, orders, allow_empty=True)
-    items, lengths = D.to_padded()
-    unchosen, ones = unchosen_mask(items, m), np.ones(n)
+    ranked, _, rows = sorted_rows(m, orders, np.ones(n))
 
     def spread_out(shape):
         return spread * (rng.permutation(np.linspace(0.0, 1.0, int(np.prod(shape)))) - 0.5).reshape(shape)
@@ -208,38 +231,38 @@ def test_large_utility_spreads_stay_exact(spread):
         "a-s": AugmentedModel("a-s", StratifiedAugmentedParams(banks), u),
     }
     kernel_lp = {
-        "a-pd": apd_nll_grad(items, lengths, unchosen, ones, theta[None], gamma)[0],
-        "a-s": augs_nll_grad(items, lengths, unchosen, ones, banks[None])[0].sum(axis=1),
+        "a-pd": apd_nll_grad(rows, theta[None], gamma)[0],
+        "a-s": augs_nll_grad(rows, banks[None, :, :m], banks[:, m])[0],
     }
     for v, model in models.items():
-        ref = np.array([oracle_log_prob(model, q) for q in orders])
+        ref = np.array([oracle_log_prob(model, q) for q in ranked])
         np.testing.assert_allclose(kernel_lp[v], ref, rtol=0, atol=1e-9)
         assert held_out_nll(model, D).nll == pytest.approx(-ref.mean(), rel=0, abs=1e-9)
 
     nonempty = [q for q in orders if len(q)]
-    D = Dataset(u, nonempty)
-    items, lengths = D.to_padded()
-    ref = np.array([oracle_pl(q, theta) for q in nonempty])
-    lp, _ = pl_nll_grad(items, lengths, unchosen_mask(items, m), np.ones(D.n), theta[None])
+    ranked, _, rows = sorted_rows(m, nonempty, np.ones(len(nonempty)))
+    ref = np.array([oracle_pl(q, theta) for q in ranked])
+    lp, _ = pl_nll_grad(rows, theta[None])
     np.testing.assert_allclose(lp, ref, rtol=0, atol=1e-9)
     model = CompositeModel("c-i", CategoricalLengthParams(np.zeros(m)), PLParams(theta), u)
-    assert held_out_nll(model, D).nll == pytest.approx(np.log(m) - ref.mean(), rel=0, abs=1e-9)
+    assert held_out_nll(model, Dataset(u, nonempty)).nll == pytest.approx(
+        np.log(m) - ref.mean(), rel=0, abs=1e-9
+    )
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["R=1", "R=n"])
 @pytest.mark.parametrize("spread", [0.3, 40.0, 200.0])
 @pytest.mark.parametrize("kernel,K", [("pl", 1), ("augs", 1), ("augs", 3), ("apd", 1)])
 def test_kernel_gradients_exact_at_large_spreads(kernel, K, spread, per_row):
-    """Each kernel's gradient against central differences of its own
+    """Each variant's gradient against central differences of its own
     log-probabilities, which stay exact at any spread, with utilities drawn
-    uniformly over ``spread``; R = n perturbs one row's utilities at a time."""
+    uniformly over ``spread``; R = n perturbs one row's item utilities at a
+    time, and END utilities are shared by the rows."""
     rng = np.random.default_rng(8)
     m, n = 8, 40
     aug = kernel != "pl"
-    D = Dataset(Universe(m), random_orders(m, n, rng, min_len=0 if aug else 1), allow_empty=aug)
-    items, lengths = D.to_padded()
     weights = rng.integers(1, 4, size=n).astype(np.float64)
-    rows = (items, lengths, unchosen_mask(items, m), weights)
+    _, weights, rows = sorted_rows(m, random_orders(m, n, rng, min_len=0 if aug else 1), weights)
     R = n if per_row else 1
 
     def uniform(*shape):
@@ -249,18 +272,17 @@ def test_kernel_gradients_exact_at_large_spreads(kernel, K, spread, per_row):
         params = [uniform(R, m)]
 
         def run(p, grad=True):
-            return pl_nll_grad(*rows, *p, grad=grad)
+            return pl_nll_grad(rows, *p, grad=grad)
     elif kernel == "augs":
-        params = [uniform(R, K, m + 1)]
+        params = [uniform(R, K, m), uniform(K)]
 
         def run(p, grad=True):
-            logp, g = augs_nll_grad(*rows, *p, grad=grad)
-            return logp.sum(axis=1), g
+            return augs_nll_grad(rows, *p, grad=grad)
     else:
         params = [uniform(R, m), uniform(m)]
 
         def run(p, grad=True):
-            return apd_nll_grad(*rows, *p, grad=grad)
+            return apd_nll_grad(rows, *p, grad=grad)
 
     grads = run(params)[1:]
     h = 1e-5
@@ -275,7 +297,6 @@ def test_kernel_gradients_exact_at_large_spreads(kernel, K, spread, per_row):
             x.flat[i] = saved
             fd[i] = weights @ (up - down) / (2 * h)
         np.testing.assert_allclose(g.ravel(), fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
-
 
 
 ENGINE = ("topkorders.kernels", "topkorders.events", "topkorders.estimation")
@@ -390,3 +411,24 @@ def test_engine_matches_oracle_on_enumerated_spaces(variant, d, spread):
         got = engine_log_probs(model, space, X if d else None)
         want = [oracle_log_prob(model, q, x) for q, x in zip(space, X)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_record_log_probs_come_back_in_record_order(variant):
+    """Records out of length order each get their own log-probability back,
+    with covariates where the variant takes them; the c-ld model has more
+    strata than the longest list has items, so that some are empty."""
+    rng = np.random.default_rng(10)
+    m, n = 5, 60
+    d = 0 if variant == "c-i" else 2
+    K = {"c-ld": m + 2, "a-s": 3}.get(variant, 1)
+    layout = ParamLayout(variant, m, d, K)
+    flat = rng.uniform(-1.0, 1.0, size=layout.size)
+    model = layout.to_model(flat, Universe(m))
+    orders = random_orders(m, n, rng, min_len=0 if variant.startswith("a") else 1)
+    lengths = np.array([len(q) for q in orders])
+    assert np.any(lengths[1:] < lengths[:-1])
+    X = rng.normal(size=(n, m, d)) if d else None
+    got = engine_log_probs(model, orders, X)
+    want = [oracle_log_prob(model, q, None if X is None else X[i]) for i, q in enumerate(orders)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -11,13 +11,13 @@ from topkorders import (
 )
 from topkorders.lengthdist import (
     _log_factorials,
+    _poisson_clipped_terms,
     _poisson_logsf,
     categorical_log_pmf,
     logsumexp,
-    poisson_clipped_dlogp_dlam,
     poisson_clipped_log_pmf,
     poisson_rate,
-    sample_length,
+    sample_lengths,
 )
 from util import pl_model
 
@@ -36,6 +36,12 @@ def assert_matches(got, want, tol=1e-12):
     np.testing.assert_array_equal(got[~fin], want[~fin])
     err = np.abs(got[fin] - want[fin]) / np.maximum(np.abs(want[fin]), 1.0)
     assert err.max(initial=0.0) <= tol
+
+
+def dlogp_dlam(k, lam, m):
+    """d/dlambda of the clipped log pmf at length k, at each rate of lam."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    return _poisson_clipped_terms(np.full(lam.shape, k), lam, m)[1]
 
 
 def oracle_rates(k):
@@ -105,22 +111,20 @@ def test_poisson_dlogp_matches_finite_difference():
                 a = poisson_clipped_log_pmf(lam + h, m)[k - 1]
                 b = poisson_clipped_log_pmf(lam - h, m)[k - 1]
                 fd = (a - b) / (2 * h)
-                assert poisson_clipped_dlogp_dlam(k, lam, m) == pytest.approx(
-                    fd, abs=1e-5
-                )
+                assert dlogp_dlam(k, lam, m)[0] == pytest.approx(fd, abs=1e-5)
 
 
 def test_sample_length_degenerate():
     p = CategoricalLengthParams(np.array([-1e6, 1e6, -1e6]))
     rng = np.random.default_rng(0)
-    assert all(sample_length(p, rng=rng) == 2 for _ in range(50))
+    assert np.all(sample_lengths(p, 50, rng) == 2)
 
 
 def test_sample_length_categorical_tv():
     m = 3
     p = CategoricalLengthParams(np.zeros(m))
     rng = np.random.default_rng(1)
-    draws = np.array([sample_length(p, rng=rng) for _ in range(20000)])
+    draws = sample_lengths(p, 20000, rng)
     emp = np.bincount(draws, minlength=m + 1)[1:] / draws.size
     assert 0.5 * np.abs(emp - 1 / 3).sum() < 0.02
 
@@ -128,10 +132,9 @@ def test_sample_length_categorical_tv():
 def test_sample_length_poisson_tv():
     m = 10
     p = PoissonLengthParams(np.zeros(1), m)
-    x = np.zeros(1)
     exact = np.exp(poisson_clipped_log_pmf(1.0, m))
     rng = np.random.default_rng(2)
-    draws = np.array([sample_length(p, x, rng) for _ in range(20000)])
+    draws = sample_lengths(p, 20000, rng, np.zeros((20000, 1)))
     emp = np.bincount(draws, minlength=m + 1)[1:] / draws.size
     assert 0.5 * np.abs(emp - exact).sum() < 0.02
 
@@ -177,7 +180,7 @@ def test_poisson_clipped_terms_match_scipy_formulas(sp):
         fin = np.isfinite(logsf)
         assert_matches(poisson_clipped_log_pmf(lam, m)[fin], want[fin])
         upper = np.exp(sp.xlogy(m - 1, lam) - sp.gammaln(m) - lam - logsf)
-        assert_matches(poisson_clipped_dlogp_dlam(m, lam, m)[fin], upper[fin])
+        assert_matches(dlogp_dlam(m, lam, m)[fin], upper[fin])
 
 
 @pytest.mark.parametrize("m", [2, 8, 30, 60])
@@ -192,6 +195,6 @@ def test_poisson_top_length_finite_at_small_rates(m):
     h = 1e-5 * lam
     up, down = (poisson_clipped_log_pmf(lam + s, m)[:, -1] for s in (h, -h))
     fd = (up - down) / (2 * h)
-    d = poisson_clipped_dlogp_dlam(m, lam, m)
+    d = dlogp_dlam(m, lam, m)
     assert np.isfinite(d).all()
     np.testing.assert_allclose(d, fd, rtol=1e-6)
