@@ -10,17 +10,18 @@ m + 1 (1-based) internally. Variants:
         min(j, K)
 
 Item utilities may optionally be covariate-linear (delta_j + beta . x_ij);
-the END token never receives covariates.
+the END token never receives covariates. ``AugmentedModel.banks`` gives
+each bank's item, END and covariate-weight arrays, a-pd's as one bank
+with one END utility per position; the sampler and the flat parameter
+layout read them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import bank_utilities
+from .kernels import item_utilities
 from .orders import Dataset, PartialOrder, Universe, check_covariates
-
-AUGMENTED_VARIANTS = ("a", "a-pd", "a-s")
 
 
 @dataclass(frozen=True)
@@ -107,29 +108,29 @@ class AugmentedModel:
         if self.params.m != self.universe.m:
             raise ValueError("params m != universe m")
 
-
-def _choice_banks(model: AugmentedModel, X) -> np.ndarray:
-    """Per-row augmented utilities (R, K, m+1), R = 1 or one row per agent of
-    X; the choice at position j uses bank min(j, K)."""
-    p, m = model.params, model.universe.m
-    if model.variant == "a-s":
-        return bank_utilities(X, p.banks, p.betas)
-    beta = None if p.beta is None else p.beta[None]
-    if model.variant == "a":
-        return bank_utilities(X, p.theta[None], beta)
-    # a-pd: one bank per position, sharing the item utilities
-    banks = np.column_stack([np.tile(p.theta, (m, 1)), p.gamma])
-    return bank_utilities(X, banks, None if beta is None else np.tile(beta, (m, 1)))
+    def banks(self) -> list:
+        """Each choice bank's (items (m,), END, covariate weights (d,)), END
+        one utility, or one per position (a-pd); a-s has one per rank stratum."""
+        p = self.params
+        if self.variant == "a-s":
+            betas = [np.zeros(0)] * p.K if p.betas is None else p.betas
+            return [(bank[:-1], bank[-1:], beta) for bank, beta in zip(p.banks, betas)]
+        beta = np.zeros(0) if p.beta is None else p.beta
+        if self.variant == "a":
+            return [(p.theta[:-1], p.theta[-1:], beta)]
+        return [(p.theta, p.gamma, beta)]
 
 
-def _draw(U: np.ndarray, n: int, rng):
-    """n lists drawn under per-row utilities U (R, K, m+1), R in {1, n}:
-    (items (n, m) of 0-based ids padded with -1, lengths (n,)).
+def _draw(banks, n: int, rng):
+    """n lists drawn under per-row banks, each (item utilities (R, m), END
+    utilities), R in {1, n}: (items (n, m) of 0-based ids padded with -1,
+    lengths (n,)). The choice at position j uses bank min(j, K) and its END
+    utility at j, or its last one where it has fewer.
 
     Positions advance in lockstep; each round draws one choice for every
     still-active list by inverse CDF over its available options.
     """
-    R, K, m = U.shape[0], U.shape[1], U.shape[2] - 1
+    K, (R, m) = len(banks), banks[0][0].shape
     items = np.full((n, m), -1, dtype=np.int64)
     avail = np.ones((n, m + 1), dtype=bool)
     active = np.ones(n, dtype=bool)
@@ -137,7 +138,10 @@ def _draw(U: np.ndarray, n: int, rng):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        u = U[:, min(pos, K) - 1] if R == 1 else U[idx, min(pos, K) - 1]
+        bank, end = banks[min(pos, K) - 1]
+        u = np.empty((R if R == 1 else idx.size, m + 1))
+        u[:, :m] = bank if R == 1 else bank[idx]
+        u[:, m] = end[min(pos, end.size) - 1]
         cum = np.exp(u - u.max(axis=1, keepdims=True)) * avail[idx]
         np.cumsum(cum, axis=1, out=cum)
         r = rng.random(idx.size) * cum[:, -1]
@@ -172,11 +176,13 @@ def sample_augmented_dataset(
     """
     rng = np.random.default_rng(rng)
     check_covariates(covariates, n, model.universe.m)
-    U = _choice_banks(model, None if covariates is None else covariates.values)
-    items, lengths = _draw(U, n, rng)
+    X = None if covariates is None else covariates.values
+    banks = [(item_utilities(X, delta, beta), end) for delta, end, beta in model.banks()]
+    items, lengths = _draw(banks, n, rng)
     empty = np.flatnonzero(no_empty & (lengths == 0))
     while empty.size:
-        items[empty], lengths[empty] = _draw(U if U.shape[0] == 1 else U[empty], empty.size, rng)
+        redraw = [(u if u.shape[0] == 1 else u[empty], end) for u, end in banks]
+        items[empty], lengths[empty] = _draw(redraw, empty.size, rng)
         empty = empty[lengths[empty] == 0]
     return Dataset.from_padded(
         model.universe, items, lengths, covariates, allow_empty=not no_empty

@@ -30,20 +30,28 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
+# each FitConfig field's flag and type; the flag's default is the field's
+FIT_FLAGS = {
+    "K": ("--K", int),
+    "lambda_laplacian": ("--lambda-laplacian", float),
+    "lambda_l2": ("--lambda-l2", float),
+    "learning_rate": ("--lr", float),
+    "beta1": ("--beta1", float),
+    "beta2": ("--beta2", float),
+    "epsilon_opt": ("--eps-opt", float),
+    "max_epochs": ("--max-epochs", int),
+    "tol": ("--tol", float),
+    "batch_size": ("--batch-size", str),  # "full" or an int, read by _fit_config
+    "seed": ("--seed", int),
+}
+
+
 def _add_fit_flags(p):
     p.add_argument("--model", required=True, choices=ALL_VARIANTS)
     p.add_argument("--covariates", help="agent_id,item_id,f1,... covariate table")
-    p.add_argument("--K", type=int, default=1)
-    p.add_argument("--lambda-laplacian", type=float, default=0.0)
-    p.add_argument("--lambda-l2", type=float, default=1e-5)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps-opt", type=float, default=1e-8)
-    p.add_argument("--max-epochs", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--batch-size", default="full")
-    p.add_argument("--seed", type=int, default=0)
+    for field in dataclasses.fields(FitConfig):
+        flag, kind = FIT_FLAGS[field.name]
+        p.add_argument(flag, dest=field.name, type=kind, default=field.default)
 
 
 def _check_counts(args, **minimums):
@@ -65,22 +73,10 @@ def _check_fit_flags(args):
 
 
 def _fit_config(args) -> FitConfig:
-    batch = args.batch_size
-    if batch != "full":
-        batch = int(batch)
-    return FitConfig(
-        learning_rate=args.lr,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        epsilon_opt=args.eps_opt,
-        lambda_l2=args.lambda_l2,
-        lambda_laplacian=args.lambda_laplacian,
-        K=args.K,
-        max_epochs=args.max_epochs,
-        tol=args.tol,
-        batch_size=batch,
-        seed=args.seed,
-    )
+    cfg = {name: getattr(args, name) for name in FIT_FLAGS}
+    if cfg["batch_size"] != "full":
+        cfg["batch_size"] = int(cfg["batch_size"])
+    return FitConfig(**cfg)
 
 
 def _load_data(args) -> Dataset:

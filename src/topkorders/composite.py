@@ -42,6 +42,14 @@ class CompositeModel:
             raise ValueError("ranking params m != universe m")
         if self.length_params.m != self.universe.m:
             raise ValueError("length params m != universe m")
+        if self.variant == "c-i" and self.ranking_params.beta is not None:
+            raise ValueError("c-i takes no covariates")
+
+    def banks(self) -> list:
+        """Each Plackett-Luce bank's (items (m,), END (0,), covariate weights
+        (d,)): the one bank, or c-ld's bank of each length stratum."""
+        banks = getattr(self.ranking_params, "banks", (self.ranking_params,))
+        return [(b.delta, np.zeros(0), np.zeros(0) if b.beta is None else b.beta) for b in banks]
 
 
 def sample_composite_batch(model: CompositeModel, n: int, rng) -> list[PartialOrder]:
@@ -64,20 +72,15 @@ def sample_composite_dataset(
     m = model.universe.m
     check_covariates(covariates, n, m)
     X = None if covariates is None else covariates.values
-    if model.variant == "c-ci":
-        if X is None:
-            raise ValueError("c-ci requires covariates")
-        lengths = sample_lengths(model.length_params, n, rng, X.mean(axis=1))
-    else:
-        lengths = sample_lengths(model.length_params, n, rng)
-    ranking = model.ranking_params
-    banks = ranking.banks if model.variant == "c-ld" else (ranking,)
+    # a Poisson length model raises without covariates; a categorical ignores them
+    lengths = sample_lengths(model.length_params, n, rng, None if X is None else X.mean(axis=1))
+    banks = model.banks()
     strata = length_strata(lengths, len(banks))
     items = np.empty((n, m), dtype=np.int64)
-    for b, bank in enumerate(banks):
+    for b, (delta, _, beta) in enumerate(banks):
         rows = np.flatnonzero(strata == b)
         if rows.size:
-            U = item_utilities(None if X is None else X[rows], bank.delta, bank.beta)
+            U = item_utilities(None if X is None else X[rows], delta, beta)
             items[rows] = np.argsort(-(U + rng.gumbel(size=(rows.size, m))), axis=1)
     items[np.arange(m) >= lengths[:, None]] = -1
     return Dataset.from_padded(model.universe, items, lengths, covariates)

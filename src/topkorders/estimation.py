@@ -31,7 +31,6 @@ from .lengthdist import (
     categorical_log_pmf,
     poisson_rate,
 )
-from .evaluation import test_nll
 from .events import _bank_event_counts, event_table
 from .orders import CovariateTensor, Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
@@ -91,22 +90,10 @@ class FitResult:
 # Penalties
 # ---------------------------------------------------------------------------
 
-def l2_penalty(params: np.ndarray, lambda_l2: float) -> float:
-    params = np.asarray(params, dtype=np.float64)
-    return float(lambda_l2 * np.sum(params * params))
-
-
-def laplacian_penalty(banks, lambda_laplacian: float) -> float:
-    """lambda_L * sum_{i=2..K} ||theta_i - theta_{i-1}||^2 over a path graph."""
-    banks = [np.asarray(b, dtype=np.float64).ravel() for b in banks]
-    if len({b.shape[0] for b in banks}) > 1:
-        raise ValueError("bank shape mismatch")
-    return _add_laplacian(np.stack(banks), lambda_laplacian) if banks else 0.0
-
-
 def _add_laplacian(banks, lambda_laplacian, grad=None) -> float:
-    """The Laplacian penalty of the rows of ``banks`` (K, p); its gradient
-    is added to ``grad``, of the same shape, when given."""
+    """The Laplacian penalty lambda_L * sum_{i=2..K} ||theta_i - theta_{i-1}||^2
+    of the rows of ``banks`` (K, p), a path graph; its gradient is added to
+    ``grad``, of the same shape, when given."""
     diff = banks[1:] - banks[:-1]
     penalty = lambda_laplacian * float(np.vdot(diff, diff))
     if grad is not None:
@@ -136,11 +123,27 @@ def stratify_dataset(D: Dataset, K: int):
 # Parameter layouts: flat vector <-> model objects
 # ---------------------------------------------------------------------------
 
+# Per variant: the sizes of the length block, of the bank count, and of each
+# bank's END utilities and covariate weights ("m", "d", "K": the layout's);
+# then the array names of the same blocks, items before END (END None: one
+# array with the items). K banks are stored as (K, ...) arrays, one as vectors.
+_GEOMETRY = {
+    "c-i": (("m", 1, 0, 0), ("length_logits", "delta", None, "beta")),
+    "c-ci": (("d", 1, 0, "d"), ("rate_weights", "delta", None, "beta")),
+    "c-ld": (("m", "K", 0, "d"), ("length_logits", "banks", None, "bank_betas")),
+    "a": ((0, 1, 1, "d"), (None, "delta", "end", "beta")),
+    "a-pd": ((0, 1, "m", "d"), (None, "delta", "gamma", "beta")),
+    "a-s": ((0, "K", 1, "d"), (None, "banks", None, "bank_betas")),
+}
+
+
 @dataclass(frozen=True)
 class ParamLayout:
     """The flat parameter vector of a variant, the named arrays it holds
-    (also the arrays of a checkpoint) and the model it encodes. c-i takes
-    no covariates, so its d is ignored."""
+    (also the arrays of a checkpoint) and the model it encodes. The vector
+    is a length block, then the utility banks, each of m item utilities, its
+    END utilities (one per position for a-pd) and d covariate weights; see
+    ``_GEOMETRY``. c-i takes no covariates, so its d is ignored."""
 
     variant: str
     m: int
@@ -155,104 +158,70 @@ class ParamLayout:
         if self.variant == "c-ci" and self.d < 1:
             raise ValueError("c-ci requires covariates")
 
+    @cached_property
+    def blocks(self) -> tuple:
+        """(length block size, banks, END utilities per bank, weights per bank)."""
+        symbols = {"m": self.m, "d": self.d, "K": self.K}
+        return tuple(symbols.get(s, s) for s in _GEOMETRY[self.variant][0])
+
     @classmethod
     def of(cls, model) -> "ParamLayout":
         """A model's layout, with d read from its covariate weights."""
-        v = model.variant
-        p = model.ranking_params if isinstance(model, CompositeModel) else model.params
-        if v == "c-ld":
-            beta = p.banks[0].beta
-        elif v == "a-s":
-            beta = p.betas
-        else:
-            beta = None if v == "c-i" else p.beta
-        K = p.K if v in STRATIFIED_VARIANTS else 1
-        return cls(v, model.universe.m, 0 if beta is None else beta.shape[-1], K)
+        banks = model.banks()
+        return cls(model.variant, model.universe.m, banks[0][2].size, len(banks))
 
     @property
     def size(self) -> int:
-        m, d, K = self.m, self.d, self.K
-        return {
-            "c-i": 2 * m,
-            "c-ci": d + m + d,
-            "c-ld": m + K * (m + d),
-            "a": m + 1 + d,
-            "a-pd": 2 * m + d,
-            "a-s": K * (m + 1 + d),
-        }[self.variant]
+        length, banks, end, d = self.blocks
+        return length + banks * (self.m + end + d)
+
+    def bank_rows(self, flat: np.ndarray) -> np.ndarray:
+        """The banks of flat as the rows of a (banks, m + END + d) view."""
+        return flat[self.blocks[0] :].reshape(self.blocks[1], -1)
 
     def arrays(self, flat: np.ndarray) -> dict:
-        """The named arrays as views of flat; covariate weights of size 0
-        are left out."""
-        m, d, K, v = self.m, self.d, self.K, self.variant
-        if v == "c-i":
-            out = {"length_logits": flat[:m], "delta": flat[m:]}
-        elif v == "c-ci":
-            out = {"rate_weights": flat[:d], "delta": flat[d : d + m], "beta": flat[d + m :]}
-        elif v == "c-ld":
-            banks = flat[m:].reshape(K, m + d)
-            out = {"length_logits": flat[:m], "banks": banks[:, :m], "bank_betas": banks[:, m:]}
-        elif v == "a":
-            out = {"delta": flat[:m], "end": flat[m : m + 1], "beta": flat[m + 1 :]}
-        elif v == "a-pd":
-            out = {"delta": flat[:m], "gamma": flat[m : 2 * m], "beta": flat[2 * m :]}
-        else:
-            banks = flat.reshape(K, m + 1 + d)
-            out = {"banks": banks[:, : m + 1], "bank_betas": banks[:, m + 1 :]}
-        return {name: view for name, view in out.items() if view.size}
+        """The named arrays as views of flat; arrays of size 0 are left out."""
+        m, (length, _, end, _) = self.m, self.blocks
+        symbols, names = _GEOMETRY[self.variant]
+        rows = self.bank_rows(flat)
+        if symbols[1] != "K":
+            rows = rows[0]
+        items = m if names[2] else m + end
+        out = dict(zip(names, (flat[:length], rows[..., :items], rows[..., m : m + end],
+                               rows[..., m + end :])))
+        return {name: view for name, view in out.items() if name and view.size}
 
     def banks(self, flat: np.ndarray) -> list:
-        """Each utility bank's (items (m,), covariate weights (d,), END)
-        views of flat, END None for a composite and else one utility, or
-        one per position for a-pd. Applied to a gradient vector, the views
-        each bank's gradient is added into."""
-        a = self.arrays(flat)
-        if "banks" not in a:
-            beta = a.get("beta", flat[:0])
-            return [(a["delta"], beta, a.get("end", a.get("gamma")))]
-        betas = a.get("bank_betas", [flat[:0]] * self.K)
-        if self.variant == "c-ld":
-            return [(delta, beta, None) for delta, beta in zip(a["banks"], betas)]
-        return [(bank[:-1], beta, bank[-1:]) for bank, beta in zip(a["banks"], betas)]
+        """Each utility bank's (items (m,), END, covariate weights (d,))
+        views of flat, END holding 0, 1 or m (by position) utilities.
+        Applied to a gradient vector, the views each bank's gradient is
+        added into."""
+        m, end = self.m, self.blocks[2]
+        return [(row[:m], row[m : m + end], row[m + end :]) for row in self.bank_rows(flat)]
 
     def to_model(self, flat: np.ndarray, universe) -> object:
         """The model built from the views of flat."""
-        a, v = self.arrays(flat), self.variant
-        beta = a.get("beta")
+        v, head, a = self.variant, flat[: self.blocks[0]], self.arrays(flat)
+        banks = [(items, end, w if w.size else None) for items, end, w in self.banks(flat)]
+        delta, end, beta = banks[0]
         if v == "a":
-            params = AugmentedNaiveParams(np.append(a["delta"], a["end"]), beta)
-        elif v == "a-pd":
-            params = PositionDependentParams(a["delta"], a["gamma"], beta)
-        elif v == "a-s":
+            return AugmentedModel(v, AugmentedNaiveParams(np.append(delta, end), beta), universe)
+        if v == "a-pd":
+            return AugmentedModel(v, PositionDependentParams(delta, end, beta), universe)
+        if v == "a-s":
             params = StratifiedAugmentedParams(a["banks"], a.get("bank_betas"))
-        if v in ("a", "a-pd", "a-s"):
             return AugmentedModel(v, params, universe)
         if v == "c-ld":
-            betas = a.get("bank_betas", [None] * self.K)
-            ranking = StratifiedPLParams(tuple(map(PLParams, a["banks"], betas)))
+            ranking = StratifiedPLParams(tuple(PLParams(items, w) for items, _, w in banks))
         else:
-            ranking = PLParams(a["delta"], beta)
-        if v == "c-ci":
-            length = PoissonLengthParams(a["rate_weights"], self.m)
-        else:
-            length = CategoricalLengthParams(a["length_logits"])
+            ranking = PLParams(delta, beta)
+        length = PoissonLengthParams(head, self.m) if v == "c-ci" else CategoricalLengthParams(head)
         return CompositeModel(v, length, ranking, universe)
 
     def from_model(self, model) -> np.ndarray:
         """The flat vector of a model of this layout."""
-        v = self.variant
-        if v == "a-s":
-            p = model.params
-            return (p.banks if p.betas is None else np.hstack([p.banks, p.betas])).ravel()
-        if isinstance(model, CompositeModel):
-            ranking = model.ranking_params
-            banks = ranking.banks if v == "c-ld" else (ranking,)
-            parts = [model.length_params.weights if v == "c-ci" else model.length_params.logits]
-            parts += [x for b in banks for x in (b.delta, b.beta)]
-        else:
-            p = model.params
-            parts = [p.theta, p.gamma, p.beta] if v == "a-pd" else [p.theta, p.beta]
-        return np.concatenate([x for x in parts if x is not None])
+        head = [model.length_params.theta] if self.blocks[0] else []
+        return np.concatenate(head + [x for bank in model.banks() for x in bank])
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +297,32 @@ def nll(D: Dataset, model) -> float:
     return -float(lp.sum()) / D.n
 
 
+@dataclass(frozen=True)
+class TestNLL:
+    """Mean held-out NLL; -inf log-probs contribute +inf and are counted."""
+
+    nll: float
+    n_infinite: int = 0
+
+    def __float__(self) -> float:
+        return self.nll
+
+
+def test_nll(model, D_test: Dataset, condition_nonempty: bool = False) -> TestNLL:
+    """Mean negative log-probability over held-out records.
+
+    ``condition_nonempty`` renormalizes augmented models on k >= 1 by
+    subtracting log(1 - P(empty)) per record.
+    """
+    if D_test.n == 0:
+        raise ValueError("empty test set")
+    lp = record_log_probs(model, D_test, condition_nonempty)
+    n_inf = int(np.count_nonzero(~np.isfinite(lp)))
+    if n_inf:
+        return TestNLL(float("inf"), n_inf)
+    return TestNLL(-float(lp.sum()) / D_test.n, 0)
+
+
 # ---------------------------------------------------------------------------
 # Row terms, the objective and its analytic gradient
 # ---------------------------------------------------------------------------
@@ -395,23 +390,21 @@ def _row_terms(variant, data: _FitData, layout: ParamLayout, flat: np.ndarray, c
             g[:m] = coef[0] * (counts - counts.sum() * np.exp(logp))
     spans = [0, *np.searchsorted(data.lengths, np.arange(2, K + 1)), rows.n]
     gbanks = layout.banks(g) if grad else None
-    for b, (delta, beta, end) in enumerate(layout.banks(flat)):
+    for b, (delta, end, beta) in enumerate(layout.banks(flat)):
         span = slice(spans[b], spans[b + 1]) if variant == "c-ld" else slice(None)
         p0, p1 = (b, b + 1 if b < K - 1 else None) if variant == "a-s" else (0, None)
         Xb = None if X is None else X[span]
         u = item_utilities(Xb, delta, beta)
-        if end is not None:
-            end = np.full(m, end)  # by position
+        end = np.full(m, end) if end.size else None  # by position
         col = composite + b
-        sub = rows[span] if variant == "c-ld" else rows
-        terms[span, col], du, dend = choice_nll_grad(sub, u, end, p0, p1, grad)
+        terms[span, col], du, dend = choice_nll_grad(rows[span], u, end, p0, p1, grad)
         if grad:
             du *= coef[col]
-            gdelta, gbeta, gend = gbanks[b]
+            gdelta, gend, gbeta = gbanks[b]
             gdelta += du.sum(axis=0)
             if gbeta.size:
                 gbeta += np.einsum("imd,im->d", Xb, du)
-            if gend is not None:
+            if gend.size:
                 gend += coef[col] * (dend.sum() if gend.size == 1 else dend)
     return terms, g
 
@@ -436,11 +429,9 @@ def objective_and_grad(
     F += cfg.lambda_l2 * float(flat @ flat)
     grad += 2.0 * cfg.lambda_l2 * flat
 
-    if variant in STRATIFIED_VARIANTS and cfg.lambda_laplacian:
-        start = m if variant == "c-ld" else 0
-        shape = (K, (flat.size - start) // K)
+    if cfg.lambda_laplacian:  # adjacent banks; a variant with one bank has none
         F += _add_laplacian(
-            flat[start:].reshape(shape), cfg.lambda_laplacian, grad[start:].reshape(shape)
+            layout.bank_rows(flat), cfg.lambda_laplacian, layout.bank_rows(grad)
         )
     return float(F), grad
 
@@ -452,14 +443,9 @@ def objective_and_grad(
 def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     """Minimize F by Adam until |F_t - F_{t-1}| < tol or max_epochs."""
     cfg = cfg or FitConfig()
-    if variant not in ALL_VARIANTS:
-        raise ValueError(f"unknown model variant {variant!r}")
-    needs_cov = variant == "c-ci"
-    if needs_cov and D.covariates is None:
-        raise ValueError(f"{variant} requires covariates")
     d = D.covariates.d if D.covariates is not None else 0
     K = cfg.K if variant in STRATIFIED_VARIANTS else 1
-    layout = ParamLayout(variant, D.universe.m, d, K)
+    layout = ParamLayout(variant, D.universe.m, d, K)  # checks the variant and its covariates
     _check_records(variant, layout.m, *D.to_padded())
     data = _FitData(D)
     data.events = event_table(data, layout)

@@ -6,35 +6,8 @@ import numpy as np
 
 from .augmented import sample_augmented_dataset
 from .composite import CompositeModel, sample_composite_dataset
+from .estimation import TestNLL, test_nll
 from .orders import Dataset
-
-
-@dataclass(frozen=True)
-class TestNLL:
-    """Mean held-out NLL; -inf log-probs contribute +inf and are counted."""
-
-    nll: float
-    n_infinite: int = 0
-
-    def __float__(self) -> float:
-        return self.nll
-
-
-def test_nll(model, D_test: Dataset, condition_nonempty: bool = False) -> TestNLL:
-    """Mean negative log-probability over held-out records.
-
-    ``condition_nonempty`` renormalizes augmented models on k >= 1 by
-    subtracting log(1 - P(empty)) per record.
-    """
-    from .estimation import record_log_probs
-
-    if D_test.n == 0:
-        raise ValueError("empty test set")
-    lp = record_log_probs(model, D_test, condition_nonempty)
-    n_inf = int(np.count_nonzero(~np.isfinite(lp)))
-    if n_inf:
-        return TestNLL(float("inf"), n_inf)
-    return TestNLL(-float(lp.sum()) / D_test.n, 0)
 
 
 def replicate_sample(

@@ -7,12 +7,15 @@ algorithms for generalized Bradley-Terry models", which merges duplicate
 records by itself. One evaluation of the objective is then a few dense
 operations on that table, however many records it summarizes. The bank of
 a choice is the length stratum min(k, K) for c-ld, the rank stratum
-min(j, K) for a-s, the position j for a-pd (its END utility), and the one
-bank of c-i and a.
+min(j, K) for a-s, and the one bank of every other variant. A key's
+utility indices come from the layout's bank map, ``ParamLayout.banks``;
+a bank with one END utility per position has its END read at the key's
+position.
 """
 
 import numpy as np
 
+from .composite import COMPOSITE_VARIANTS
 from .kernels import length_strata
 
 
@@ -57,7 +60,7 @@ class EventTable:
 
 def event_table(data, layout):
     """The event table of a fit's records (a ``_FitData``), or None where
-    the row kernel serves it: a model with covariates, or a table of more
+    the row kernel serves it: a model with covariate weights, or a table of more
     cells, P * (m+1), than the records have choice events. An evaluation
     touches each table cell a few times, and the row kernel each event, so
     the rule compares their work analytically. The build stops at the first
@@ -66,25 +69,30 @@ def event_table(data, layout):
     The build walks the rows in the order of length that ``_FitData``
     keeps, so that the rows making a choice at a position, and those
     listing an item there, are suffixes."""
-    v, m, K = layout.variant, layout.m, layout.K
-    if data.X is not None and v != "c-i":
+    v, m, size = layout.variant, layout.m, layout.size
+    index = layout.banks(np.arange(size))  # each bank's utility indices
+    if index[0][2].size:  # covariate weights
         return None
+    K, aug = len(index), index[0][1].size > 0
+    # each bank's item indices, then its END indices by position; a
+    # composite's END has index size, a utility of 0
+    at = np.array([np.append(items, end if aug else size) for items, end, _ in index])
     items, lengths, w = data.items, data.lengths, data.weights
-    R, aug = lengths.shape[0], v in ("a", "a-pd", "a-s")
+    R = lengths.shape[0]
     # one event per listed item, then END after k < m items (augmented)
     steps = lengths + (aug & (lengths < m))
     limit = int(w @ steps) // (m + 1)
     stratum = length_strata(lengths, K)
     ids = np.hstack([items, np.full((R, 1), -1, items.dtype)])
     listed = np.zeros(((m + 7) // 8, R), dtype=np.uint8)  # each row's listed items, byte by byte
-    P, tables, sets, banks = 0, [], [], []
+    P, tables, sets, banks, uidx = 0, [], [], [], []
     for j in range(int(steps.max(initial=0))):
         row = slice(np.searchsorted(steps, j, side="right"), None)  # the rows choosing at j
         bits = listed[:, row]  # the prefix set of each event at j
         if v == "c-ld":
             bank = stratum[row]
         else:
-            bank = np.full(bits.shape[1], j if v == "a-pd" else min(j, K - 1))
+            bank = np.full(bits.shape[1], min(j, K - 1))
         # group the events at j by key; prefix sets at other positions differ in size
         order = np.lexsort([*bits, bank])
         first = np.ones(order.size, dtype=bool)  # the first event of each key
@@ -100,6 +108,8 @@ def event_table(data, layout):
         tables.append(np.bincount(cells, w[row], minlength=keys * (m + 1)).reshape(keys, m + 1))
         sets.append(bits[:, order[first]].T)
         banks.append(bank[order[first]])
+        cols = [*range(m), min(m + j, at.shape[1] - 1)]  # the items, then END at j
+        uidx.append(at[banks[-1]][:, cols])
         # add each listed item to its row's set; those rows are a suffix of row
         lists = np.searchsorted(lengths, j, side="right")
         on = chosen[lists - row.start :]
@@ -108,21 +118,19 @@ def event_table(data, layout):
             col |= np.where(on // 8 == byte, bit, 0)
     if P == 0:  # no choices at all
         return None
-    bank_of, index = np.concatenate(banks), _utility_index(layout)
     avail = np.ones((P, m + 1), dtype=bool)
     avail[:, :m] = np.unpackbits(np.concatenate(sets), axis=1, count=m) == 0
     avail[:, m] = aug
-    # each bank's counts over the normalizer of its term: a composite's
-    # term 0 is its length, and a-pd's position banks share its one term
-    composite = v in ("c-i", "c-ld")
+    # each bank's counts over the normalizer of its term; a composite's
+    # term 0 is its length
     norm = _bank_event_counts(lengths, w, m, K, v)
-    counts = np.concatenate(tables) / norm[composite + bank_of * (v != "a-pd")][:, None]
-    uidx = index[bank_of]
-    if composite:
+    counts = np.concatenate(tables) / norm[(not aug) + np.concatenate(banks)][:, None]
+    uidx = np.concatenate(uidx)
+    if not aug:
         avail = np.vstack([avail, np.arange(m + 1) < m])
         counts = np.vstack([counts, np.append(data.length_counts[1:], 0.0) / norm[0]])
-        uidx = np.vstack([uidx, np.append(np.arange(m), layout.size)])
-    return EventTable(avail, counts, uidx, layout.size)
+        uidx = np.vstack([uidx, np.append(np.arange(m), size)])
+    return EventTable(avail, counts, uidx, size)
 
 
 def _bank_event_counts(lengths, weights, m, K, variant="a-s"):
@@ -130,22 +138,13 @@ def _bank_event_counts(lengths, weights, m, K, variant="a-s"):
     its row terms. A composite averages its length term over the records
     and its K ranking terms over the records of each length stratum; a-s
     averages each bank's term over the choices made with it (k items, plus
-    END if k < m); a and a-pd average their one term over the records."""
+    END if k < m); the other augmented variants average their one term over
+    the records."""
     if variant == "a-s":
         per_row = np.maximum((lengths + (lengths < m))[:, None] - np.arange(K), 0)
         per_row[:, :-1] = np.minimum(per_row[:, :-1], 1)
         return weights @ per_row
     n = weights.sum()
-    if variant in ("a", "a-pd"):
-        return np.full(1, n)
-    return np.append(n, np.bincount(length_strata(lengths, K), weights, minlength=K))
-
-
-def _utility_index(layout) -> np.ndarray:
-    """(banks, m+1): the flat index of each item's and END's utility per bank."""
-    m, K, none = layout.m, layout.K, layout.size
-    if layout.variant in ("c-i", "c-ld"):
-        return np.hstack([m + m * np.arange(K)[:, None] + np.arange(m), np.full((K, 1), none)])
-    if layout.variant == "a-pd":  # one bank per position: shared items, END gamma_j
-        return np.hstack([np.tile(np.arange(m), (m, 1)), m + np.arange(m)[:, None]])
-    return (m + 1) * np.arange(K)[:, None] + np.arange(m + 1)
+    if variant in COMPOSITE_VARIANTS:
+        return np.append(n, np.bincount(length_strata(lengths, K), weights, minlength=K))
+    return np.full(1, n)

@@ -10,8 +10,8 @@ and a-s, gamma_j for a-pd).
 
 Rows arrive as a ``Rows``, sorted by list length once, by the caller:
 ``ids`` holds 0-based item ids position by position, ``unchosen`` (n, m) is
-1.0 where an item is not on the row's list (see :func:`unchosen_mask`),
-and ``weights`` (n,) are multiplicities, 1 for a row that is one record.
+1.0 where an item is not on the row's list, and ``weights`` (n,) are
+multiplicities, 1 for a row that is one record.
 Utilities are per row: their leading axis R is 1, shared by every row
 (covariate-free models), or n, where row i carries delta + x_i . beta.
 
@@ -44,25 +44,10 @@ def item_utilities(X, delta, beta):
     return delta + np.einsum("imd,...d->i...m", X, beta)
 
 
-def bank_utilities(X, banks, betas):
-    """Augmented utilities (R, K, m+1) from banks (K, m+1); END takes no covariates."""
-    items = item_utilities(X, banks[:, :-1], betas)
-    end = np.broadcast_to(banks[:, -1:], items.shape[:2] + (1,))
-    return np.concatenate([items, end], axis=2)
-
-
 def length_strata(lengths, K):
     """The 0-based length stratum of each list, min(max(k, 1), K) - 1: an
     empty list falls in the first, every list of K or more items in the last."""
     return np.minimum(np.maximum(lengths, 1), K) - 1
-
-
-def unchosen_mask(items: np.ndarray, m: int) -> np.ndarray:
-    """(n, m) float mask: 1.0 where item a is not on row i's list."""
-    n = items.shape[0]
-    mask = np.ones((n, m + 1))
-    mask[np.arange(n)[:, None], np.where(items >= 0, items, m)] = 0.0
-    return np.ascontiguousarray(mask[:, :m])
 
 
 class Rows:
@@ -83,10 +68,17 @@ class Rows:
 
     @classmethod
     def from_padded(cls, items, lengths, weights, m):
-        """The Rows of padded arrays whose lengths ascend."""
+        """The Rows of padded arrays whose lengths ascend; the rows listing
+        an item at position j, whose mask entry for it is cleared, are the
+        suffix from lo[j+1]."""
         ids = np.full((items.shape[1] + 1, items.shape[0]), -1, dtype=np.int64)
         ids[:-1] = items.T
-        return cls(ids, lengths, unchosen_mask(items, m), weights)
+        rows = cls(ids, lengths, np.ones((items.shape[0], m)), weights)
+        flat = rows.unchosen.reshape(-1)
+        for j in range(rows.k):
+            a = rows.lo[j + 1]
+            flat[np.arange(a * m, rows.n * m, m) + ids[j, a:]] = 0.0
+        return rows
 
     def __getitem__(self, span):
         return Rows(self.ids[:, span], self.lengths[span], self.unchosen[span], self.weights[span])

@@ -37,6 +37,8 @@ class CategoricalLengthParams:
     def __post_init__(self):
         object.__setattr__(self, "logits", np.asarray(self.logits, dtype=np.float64))
 
+    theta = property(lambda self: self.logits)  # the length block of a flat vector
+
     @property
     def m(self) -> int:
         return self.logits.shape[0]
@@ -51,6 +53,8 @@ class PoissonLengthParams:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+
+    theta = property(lambda self: self.weights)  # the length block of a flat vector
 
     @property
     def d(self) -> int:

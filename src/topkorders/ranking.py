@@ -41,6 +41,8 @@ class StratifiedPLParams:
         m = banks[0].m
         if any(b.m != m for b in banks):
             raise ValueError("all banks must share m")
+        if len({(0,) if b.beta is None else b.beta.shape for b in banks}) > 1:
+            raise ValueError("all banks must share the covariate dimension d")
         object.__setattr__(self, "banks", banks)
 
     @property

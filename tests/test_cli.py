@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -9,9 +10,18 @@ import numpy as np
 import pytest
 
 import topkorders
-from topkorders import Dataset, Universe, parse_preflib, write_dataset
+from topkorders import Dataset, FitConfig, Universe, parse_preflib, write_dataset
 from topkorders import orders
-from topkorders.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _load_data, _parse_grid, main
+from topkorders.cli import (
+    EXIT_INPUT,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _fit_config,
+    _load_data,
+    _parse_grid,
+    build_parser,
+    main,
+)
 from util import random_orders
 
 
@@ -201,6 +211,26 @@ def test_cli_import_leaves_out_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_sit_at_module_level():
+    """No module imports from the package inside a function, so the module
+    graph is one-way; standard-library imports there stay allowed."""
+    inside = []
+    for path in sorted(Path(topkorders.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [
+                    f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").split(".")[0] == "topkorders")
+                ]
+    assert inside == []
+
+
+def test_fit_flag_defaults_are_the_fit_config_defaults():
+    args = build_parser().parse_args(["fit", "--data", "d.txt", "--model", "a", "--out", "m.json"])
+    assert _fit_config(args) == FitConfig()
 
 
 def test_fit_rejects_negative_batch_size(ballots, tmp_path):

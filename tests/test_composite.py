@@ -205,6 +205,22 @@ def test_variant_pairing_enforced():
         )
 
 
+def test_ci_rejects_covariate_weights():
+    m = 3
+    with pytest.raises(ValueError, match="c-i takes no covariates"):
+        CompositeModel(
+            "c-i",
+            CategoricalLengthParams(np.zeros(m)),
+            PLParams(np.zeros(m), np.zeros(2)),
+            Universe(m),
+        )
+
+
+def test_stratified_banks_share_the_covariate_dimension():
+    with pytest.raises(ValueError, match="covariate dimension"):
+        StratifiedPLParams((PLParams(np.zeros(3)), PLParams(np.zeros(3), np.zeros(2))))
+
+
 def test_cci_sampling_uses_covariates():
     rng = np.random.default_rng(8)
     m, d, n = 3, 2, 40

@@ -35,8 +35,6 @@ from topkorders.estimation import (
     ParamLayout,
     _FitData,
     _row_terms,
-    l2_penalty,
-    laplacian_penalty,
     model_log_prob,
     objective_and_grad,
     record_log_probs,
@@ -47,6 +45,8 @@ from topkorders.orders import InvalidOrderError
 from util import (
     empirical_pmf,
     enum_pmf,
+    l2_penalty,
+    laplacian_penalty,
     model_space,
     oracle_log_prob,
     random_model,
@@ -144,6 +144,39 @@ def test_layout_roundtrip(variant, d):
     flat = rng.normal(size=layout.size)
     model = layout.to_model(flat, Universe(m))
     np.testing.assert_allclose(layout.from_model(model), flat, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "variant,d,K",
+    [(v, d, K) for v in ALL_VARIANTS for d in (0, 2) for K in (1, 3)
+     if (v, d) not in (("c-i", 2), ("c-ci", 0)) and (K == 1 or v in ("c-ld", "a-s"))],
+)
+def test_layout_geometry(variant, d, K):
+    """The layout's bank map is the model's, flat -> model -> flat is exact,
+    and the banks are views of exactly the arrays past the length block."""
+    m = 4
+    layout = ParamLayout(variant, m, d, K)
+    flat = np.random.default_rng(2).normal(size=layout.size)
+    model = layout.to_model(flat, Universe(m))
+    ours, theirs = layout.banks(flat), model.banks()
+    assert len(ours) == len(theirs) == layout.blocks[1]
+    for bank, model_bank in zip(ours, theirs):
+        assert len(bank) == len(model_bank) == 3
+        for view, array in zip(bank, model_bank):
+            assert view.shape == array.shape and np.array_equal(view, array)
+    assert layout.from_model(model).tobytes() == flat.tobytes()
+    assert ParamLayout.of(model) == layout
+
+    g = np.zeros(layout.size)
+    for bank in layout.banks(g):
+        for view in bank:
+            view += 1.0
+    index = layout.arrays(np.arange(layout.size))
+    named = np.sort(np.concatenate([a.ravel() for a in index.values()]))
+    np.testing.assert_array_equal(named, np.arange(layout.size))  # the arrays tile flat
+    length = index.get("length_logits", index.get("rate_weights", np.zeros(0, int)))
+    np.testing.assert_array_equal(np.flatnonzero(g), np.setdiff1d(named, length))
+    assert g.max() == 1.0  # each entry is in one bank
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_empty_orders_supported():
     assert logp.sum() == pytest.approx(sum(oracle_log_prob(model, q) for q in orders))
 
 
+def test_rows_unchosen_matches_each_rows_listed_items():
+    """Rows.unchosen is 1.0 exactly where an item is not on the row's list,
+    over empty rows, rows of length m and every length between."""
+    rng = np.random.default_rng(5)
+    m = 5
+    lengths = np.sort(np.concatenate([[0, 0, m, m], rng.integers(0, m + 1, 30)]))
+    items = np.full((lengths.size, m), -1)
+    for i, k in enumerate(lengths):
+        items[i, :k] = rng.permutation(m)[:k]
+    rows = Rows.from_padded(items, lengths, np.ones(lengths.size), m)
+    expected = [[0.0 if a in set(items[i, :k]) else 1.0 for a in range(m)]
+                for i, k in enumerate(lengths)]
+    np.testing.assert_array_equal(rows.unchosen, expected)
+
+
 def test_per_row_utilities(batch):
     """R = n: row i's log-probability uses item utilities i, and their
     gradient is returned per row; END utilities are shared."""

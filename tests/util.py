@@ -22,8 +22,25 @@ from topkorders import (
     enumerate_partial_orders,
 )
 from topkorders.estimation import record_log_probs
-from topkorders.events import _bank_event_counts, _utility_index
+from topkorders.events import _bank_event_counts
 from topkorders.kernels import length_strata
+
+
+def l2_penalty(params, lambda_l2):
+    """lambda_2 ||params||^2; the objective oracle's L2 term."""
+    params = np.asarray(params, dtype=np.float64)
+    return float(lambda_l2 * np.sum(params * params))
+
+
+def laplacian_penalty(banks, lambda_laplacian):
+    """lambda_L * sum_{i=2..K} ||theta_i - theta_{i-1}||^2 over the path graph
+    of the banks, one pair of adjacent banks at a time; the objective
+    oracle's Laplacian term."""
+    banks = [np.asarray(b, dtype=np.float64).ravel() for b in banks]
+    total = 0.0
+    for prev, bank in zip(banks, banks[1:]):
+        total += float(np.sum((bank - prev) ** 2))
+    return lambda_laplacian * total
 
 
 def oracle_log_prob(model, Q, x_row=None):
@@ -305,7 +322,7 @@ def reference_event_table(data, layout):
         listed[row[on], chosen[on] // 8] |= (128 >> chosen[on] % 8).astype(np.uint8)
     if P == 0:  # no choices at all
         return None
-    bank_of, index = np.concatenate(banks), _utility_index(layout)
+    bank_of, index = np.concatenate(banks), _reference_utility_index(layout)
     avail = np.ones((P, m + 1), dtype=bool)
     avail[:, :m] = np.unpackbits(np.concatenate(sets), axis=1, count=m) == 0
     avail[:, m] = aug
@@ -320,6 +337,18 @@ def reference_event_table(data, layout):
         counts = np.vstack([counts, np.append(data.length_counts[1:], 0.0) / norm[0]])
         uidx = np.vstack([uidx, np.append(np.arange(m), layout.size)])
     return avail, counts, uidx
+
+
+def _reference_utility_index(layout):
+    """(banks, m+1): the flat index of each item's and END's utility per
+    bank, written out per variant; a-pd has one bank per position, whose
+    END is gamma_j."""
+    m, K, none = layout.m, layout.K, layout.size
+    if layout.variant in ("c-i", "c-ld"):
+        return np.hstack([m + m * np.arange(K)[:, None] + np.arange(m), np.full((K, 1), none)])
+    if layout.variant == "a-pd":
+        return np.hstack([np.tile(np.arange(m), (m, 1)), m + np.arange(m)[:, None]])
+    return (m + 1) * np.arange(K)[:, None] + np.arange(m + 1)
 
 
 def reference_nll_grad(table, flat):
