@@ -41,7 +41,7 @@ FIT_FLAGS = {
     "epsilon_opt": ("--eps-opt", float),
     "max_epochs": ("--max-epochs", int),
     "tol": ("--tol", float),
-    "batch_size": ("--batch-size", str),  # "full" or an int, read by _fit_config
+    "batch_size": ("--batch-size", lambda text: int(text) if text.isdecimal() else text),
     "seed": ("--seed", int),
 }
 
@@ -74,9 +74,11 @@ def _check_fit_flags(args):
 
 def _fit_config(args) -> FitConfig:
     cfg = {name: getattr(args, name) for name in FIT_FLAGS}
-    if cfg["batch_size"] != "full":
-        cfg["batch_size"] = int(cfg["batch_size"])
-    return FitConfig(**cfg)
+    try:
+        return FitConfig(**cfg)
+    except ValueError as exc:  # its message begins with a field name: name the flag
+        name, _, rule = str(exc).partition(" ")
+        raise ValueError(f"{FIT_FLAGS[name][0]} {rule}") from None
 
 
 def _load_data(args) -> Dataset:

@@ -2,9 +2,13 @@
 
 Supported ballot formats are preflib strict-incomplete-order files in both
 the legacy layout (count header lines, then "count,alt,alt,...") and the
-2021 layout ("# key: value" metadata, then "count: alt,alt,..."). Ballots
-with ties (grouped {} entries) are rejected; ballots listing every
-alternative are kept as length-m orders.
+2021 layout ("# key: value" metadata, then "count: alt,alt,..."). One
+tokenizer reads the ballot lines of both: it strips entries, skips empty
+ones, and rejects malformed or negative counts, tied ({...}) entries and
+ids that are no 64-bit integers. ``Dataset.from_padded`` checks the range,
+duplicate and empty-list rules once per line, count-0 lines included, with
+``validate_order``'s messages ("duplicate alternative id 1"). Every error
+is a ParseError at path:line. Full-length ballots are length-m orders.
 
 Checkpoints are versioned JSON holding a model's ``ParamLayout`` (variant,
 m, d, K) and the layout's named arrays; floats round-trip exactly
@@ -15,12 +19,13 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import ParamLayout
-from .orders import CovariateTensor, Dataset, Universe, pad_rows
+from .orders import CovariateTensor, Dataset, InvalidOrderError, Universe
 
 CHECKPOINT_VERSION = 1
 
@@ -45,127 +50,119 @@ def parse_preflib(path) -> Dataset:
     return _parse_preflib_legacy(path, lines)
 
 
-def _check_count(raw_count, path, lineno):
-    try:
-        count = int(raw_count.strip())
-    except ValueError:
-        raise ParseError(f"malformed count {raw_count.strip()!r}", path, lineno) from None
-    if count < 0:
-        raise ParseError(f"negative count {count}", path, lineno)
-    return count
-
-
-def _check_ballot(raw_items, m, path, lineno):
-    if "{" in raw_items or "}" in raw_items:
-        raise ParseError("tied entries ({...}) are unsupported", path, lineno)
-    alts = [a.strip() for a in raw_items.split(",") if a.strip()]
-    if not alts:
-        raise ParseError("empty ballot", path, lineno)
-    items = []
-    for a in alts:
-        try:
-            items.append(int(a))
-        except ValueError:
-            raise ParseError(f"malformed alternative {a!r}", path, lineno) from None
-    if len(set(items)) != len(items):
-        raise ParseError("duplicate alternative within ballot", path, lineno)
-    for a in items:
-        if not 1 <= a <= m:
-            raise ParseError(f"alternative {a} outside [1, {m}]", path, lineno)
-    return tuple(items)
-
-
 def _parse_preflib_2021(path, lines) -> Dataset:
     m = None
     declared_n = None
-    labels = {}
-    ballots, counts = [], []
+    labels, ballots = {}, []
     for lineno, ln in enumerate(lines, start=1):
         s = ln.strip()
         if not s:
             continue
         if s.startswith("#"):
             body = s.lstrip("#").strip()
-            mm = re.match(r"NUMBER ALTERNATIVES\s*:\s*(\d+)", body, re.I)
-            if mm:
+            if mm := re.match(r"NUMBER ALTERNATIVES\s*:\s*(\d+)", body, re.I):
                 m = int(mm.group(1))
-            mm = re.match(r"NUMBER VOTERS\s*:\s*(\d+)", body, re.I)
-            if mm:
+                if m < 1:
+                    raise ParseError(f"alternative count must be >= 1, got {m}", path, lineno)
+            if mm := re.match(r"NUMBER VOTERS\s*:\s*(\d+)", body, re.I):
                 declared_n = int(mm.group(1))
-            mm = re.match(r"ALTERNATIVE NAME (\d+)\s*:\s*(.*)", body, re.I)
-            if mm:
+            if mm := re.match(r"ALTERNATIVE NAME (\d+)\s*:\s*(.*)", body, re.I):
                 labels[int(mm.group(1))] = mm.group(2)
             continue
         if m is None:
             raise ParseError("ballot line before NUMBER ALTERNATIVES header", path, lineno)
         if ":" not in s:
             raise ParseError("expected 'count: alt,alt,...'", path, lineno)
-        count_s, raw_items = s.split(":", 1)
-        counts.append(_check_count(count_s, path, lineno))
-        ballots.append(_check_ballot(raw_items, m, path, lineno))
+        ballots.append((lineno, *s.split(":", 1)))
     if m is None:
         raise ParseError("missing NUMBER ALTERNATIVES header", path)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1)) if labels else None
-    return _ballot_dataset(Universe(m, label_tuple), ballots, counts, declared_n, path)
+    return _ballot_dataset(Universe(m, label_tuple), ballots, declared_n, path)
 
 
 def _parse_preflib_legacy(path, lines) -> Dataset:
     """Legacy .soi: m, then m label lines 'id,name', then 'n,sum,unique', ballots."""
-    rows = [ln.strip() for ln in lines if ln.strip()]
+    rows = [(lineno, s) for lineno, ln in enumerate(lines, start=1) if (s := ln.strip())]
     if not rows:
         raise ParseError("empty file", path)
+    lineno, text = rows[0]
     try:
-        m = int(rows[0])
+        m = int(text)
     except ValueError:
-        raise ParseError(f"malformed alternative count {rows[0]!r}", path, 1) from None
+        raise ParseError(f"malformed alternative count {text!r}", path, lineno) from None
+    if m < 1:
+        raise ParseError(f"alternative count must be >= 1, got {m}", path, lineno)
     labels = {}
-    idx = 1
-    for _ in range(m):
-        if idx >= len(rows):
-            raise ParseError("truncated label block", path, idx + 1)
-        parts = rows[idx].split(",", 1)
+    for lineno, text in rows[1 : m + 1]:
+        parts = text.split(",", 1)
         try:
             labels[int(parts[0].strip())] = parts[1].strip() if len(parts) > 1 else ""
         except ValueError:
-            raise ParseError(f"malformed label line {rows[idx]!r}", path, idx + 1) from None
-        idx += 1
-    if idx >= len(rows):
-        raise ParseError("missing ballot count line", path, idx + 1)
-    head = rows[idx].split(",")
+            raise ParseError(f"malformed label line {text!r}", path, lineno) from None
+    if len(rows) < m + 2:
+        missing = "truncated label block" if len(rows) <= m else "missing ballot count line"
+        raise ParseError(missing, path, len(lines) + 1)
+    lineno, text = rows[m + 1]
     try:
-        declared_n = int(head[0].strip())
+        declared_n = int(text.split(",")[0].strip())
     except ValueError:
-        raise ParseError(f"malformed count line {rows[idx]!r}", path, idx + 1) from None
-    idx += 1
-    ballots, counts = [], []
-    for lineno, row in enumerate(rows[idx:], start=idx + 1):
-        parts = row.split(",", 1)
-        if len(parts) < 2:
+        raise ParseError(f"malformed count line {text!r}", path, lineno) from None
+    ballots = []
+    for lineno, text in rows[m + 2 :]:
+        if "," not in text:
             raise ParseError("expected 'count,alt,alt,...'", path, lineno)
-        counts.append(_check_count(parts[0], path, lineno))
-        ballots.append(_check_ballot(parts[1], m, path, lineno))
+        ballots.append((lineno, *text.split(",", 1)))
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1))
-    return _ballot_dataset(Universe(m, label_tuple), ballots, counts, declared_n, path)
+    return _ballot_dataset(Universe(m, label_tuple), ballots, declared_n, path)
 
 
-def _ballot_dataset(universe, ballots, counts, declared_n, path) -> Dataset:
-    """Each checked ballot line repeated ``count`` times, in file order."""
-    items, lengths = pad_rows(ballots)
-    repeats = np.array(counts, dtype=np.int64)
-    items, lengths = np.repeat(items, repeats, axis=0), np.repeat(lengths, repeats)
-    D = Dataset.from_padded(universe, items, lengths)
-    _warn_count(declared_n, D.n, path)
+def _int64s(texts, what, line_of, path) -> np.ndarray:
+    """``texts`` as int64s; a ParseError at ``line_of(k)`` for the first text
+    ``k`` that int() rejects or int64 cannot hold."""
+    try:
+        return np.fromiter(map(int, texts), np.int64, len(texts))
+    except (ValueError, OverflowError):
+        for k, text in enumerate(texts):
+            try:
+                np.int64(int(text))
+            except (ValueError, OverflowError):
+                raise ParseError(f"malformed {what} {text.strip()!r}", path, line_of(k)) from None
+        raise
+
+
+def _ballot_dataset(universe, ballots, declared_n, path) -> Dataset:
+    """Each (line number, count text, items text) of ``ballots`` as ``count``
+    records, in file order. The item texts of all lines are tokenized in one
+    pass: entries are stripped, empty ones skipped. The lines are then checked
+    once, by ``Dataset.from_padded`` before the repeat, so a line whose list
+    breaks a rule is reported at its line, whatever its count."""
+    linenos, count_texts, item_texts = zip(*ballots) if ballots else ((), (), ())
+    counts = _int64s(count_texts, "count", linenos.__getitem__, path)
+    if np.any(counts < 0):
+        k = int(np.argmax(counts < 0))
+        raise ParseError(f"negative count {counts[k]}", path, linenos[k])
+    joined = ",".join(item_texts)
+    if "{" in joined or "}" in joined:
+        k = next(k for k, text in enumerate(item_texts) if "{" in text or "}" in text)
+        raise ParseError("tied entries ({...}) are unsupported", path, linenos[k])
+    tokens = [t.strip() for t in joined.split(",")] if ballots else []
+    per_line = np.fromiter((text.count(",") + 1 for text in item_texts), np.int64, len(ballots))
+    kept = np.fromiter(map(bool, tokens), bool, len(tokens))
+    line = np.repeat(np.arange(len(ballots)), per_line)[kept]  # the line index of each id
+    ids = _int64s([t for t in tokens if t], "alternative", lambda k: linenos[line[k]], path)
+    lengths = np.bincount(line, minlength=len(ballots))
+    width = max(int(lengths.max(initial=0)), 1)
+    items = np.full((len(ballots), width), -1, dtype=np.int64)
+    items[np.arange(width) < lengths[:, None]] = ids - 1
+    try:
+        lines = Dataset.from_padded(universe, items, lengths)
+    except InvalidOrderError as exc:
+        raise ParseError(str(exc), path, linenos[exc.row]) from None
+    D = lines._subset(np.repeat(np.arange(len(ballots)), counts))
+    if declared_n is not None and declared_n != D.n:
+        note = f"declared {declared_n} ballots, observed {D.n}; using observed count"
+        warnings.warn(f"{path}: {note}")
     return D
-
-
-def _warn_count(declared_n, observed_n, path):
-    if declared_n is not None and declared_n != observed_n:
-        import warnings
-
-        warnings.warn(
-            f"{path}: declared {declared_n} ballots, observed {observed_n};"
-            " using observed count"
-        )
 
 
 def _ballot_texts(D: Dataset) -> list:
@@ -231,15 +228,14 @@ def load_covariates(path, universe: Universe):
     (CovariateTensor, agent_ids, missing_count). Missing (agent, item)
     pairs are zero-filled and counted."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(lineno, s) for lineno, ln in enumerate(fh, start=1) if (s := ln.strip())]
     if not lines:
         raise ParseError("empty covariate file", path)
-    header = [h.strip() for h in lines[0].split(",")]
-    d = len(header) - 2
+    d = lines[0][1].count(",") - 1
     if d < 1:
-        raise ParseError("d must be >= 1", path, 1)
+        raise ParseError("d must be >= 1", path, lines[0][0])
     rows = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != d + 2:
             raise ParseError(f"expected {d + 2} columns", path, lineno)
@@ -257,17 +253,11 @@ def load_covariates(path, universe: Universe):
             raise ParseError(f"duplicate (agent, item) pair ({agent}, {item})", path, lineno)
         rows[(agent, item)] = feats
     agent_ids = sorted({a for a, _ in rows})
-    n = len(agent_ids)
-    values = np.zeros((n, universe.m, d))
-    missing = 0
-    for i, agent in enumerate(agent_ids):
-        for j in range(universe.m):
-            feats = rows.get((agent, j + 1))
-            if feats is None:
-                missing += 1
-            else:
-                values[i, j] = feats
-    return CovariateTensor(values), agent_ids, missing
+    index = {agent: i for i, agent in enumerate(agent_ids)}
+    values = np.zeros((len(agent_ids), universe.m, d))
+    for (agent, item), feats in rows.items():
+        values[index[agent], item - 1] = feats
+    return CovariateTensor(values), agent_ids, values.shape[0] * universe.m - len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -57,17 +57,18 @@ class FitConfig:
     batch_size: int | str = "full"
     seed: int = 0
 
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.tol <= 0 or self.max_epochs < 1:
-            raise ValueError("positive learning rate, tolerance, epoch count required")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.batch_size != "full" and not (
-            isinstance(self.batch_size, (int, np.integer)) and self.batch_size >= 1
+    def __post_init__(self):  # each message begins with its field's name
+        batch = self.batch_size
+        for name, ok, rule in (
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("tol", self.tol > 0, "> 0"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("K", self.K >= 1, ">= 1"),
+            ("batch_size", batch == "full" or isinstance(batch, (int, np.integer)) and batch >= 1,
+             "'full' or a positive int"),
         ):
-            raise ValueError(
-                f"batch_size must be 'full' or a positive int, got {self.batch_size!r}"
-            )
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

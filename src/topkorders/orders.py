@@ -18,6 +18,8 @@ DEFAULT_ENUMERATION_CAP = 6
 class InvalidOrderError(ValueError):
     """A partial order violates the universe constraints."""
 
+    row = None  # the failing record's index, when an array of records was checked
+
 
 @dataclass(frozen=True)
 class Universe:
@@ -238,7 +240,7 @@ def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_rows(items, lengths, universe, allow_empty):
-    """Raise for the first invalid record the message validate_order gives it.
+    """Raise validate_order's error for the first invalid record, its index as ``row``.
 
     Works one list position at a time, so that no temporary is as large as
     ``items``.
@@ -258,7 +260,11 @@ def _validate_rows(items, lengths, universe, allow_empty):
     if bad.any():
         i = int(np.argmax(bad))
         ids = [a + 1 for a in items[i, : lengths[i]].tolist()]
-        validate_order(PartialOrder(ids), universe, allow_empty)
+        try:
+            validate_order(PartialOrder(ids), universe, allow_empty)
+        except InvalidOrderError as exc:
+            exc.row = i
+            raise
 
 
 def check_covariates(covariates, n: int, m: int) -> None:

@@ -240,6 +240,19 @@ def test_fit_rejects_negative_batch_size(ballots, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--batch-size", "abc"), ("--batch-size", "0"), ("--max-epochs", "0"), ("--lr", "0"),
+     ("--tol", "-1"), ("--K", "0")],
+)
+def test_bad_fit_flag_names_itself(ballots, tmp_path, capsys, flag, value):
+    out = tmp_path / "m.json"
+    args = ["fit", "--data", ballots, "--model", "a-s", flag, value, "--out", out]
+    assert run(args) == EXIT_INPUT
+    assert f"error: {flag} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_count_is_input_error(tmp_path, capsys):
     p = tmp_path / "neg.soi"
     p.write_text("# NUMBER ALTERNATIVES: 3\n2: 3\n-3: 1,2\n")

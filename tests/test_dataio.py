@@ -15,6 +15,7 @@ from topkorders import (
     summary_stats,
     write_dataset,
 )
+from topkorders import orders
 from topkorders.dataio import (
     ParseError,
     dataset_hash,
@@ -106,6 +107,8 @@ def test_tied_ballots_rejected(tmp_path):
         "# NUMBER ALTERNATIVES: 3\n1: \n",  # empty ballot
         "1: 1,2\n# NUMBER ALTERNATIVES: 3\n",  # ballot before header
         "",  # empty file
+        "# NUMBER ALTERNATIVES: 3\n1: 99999999999999999999\n",  # id beyond 64 bits
+        "# NUMBER ALTERNATIVES: 3\n99999999999999999999: 1\n",  # count beyond 64 bits
     ],
 )
 def test_malformed_modern_rejected(tmp_path, bad):
@@ -115,13 +118,73 @@ def test_malformed_modern_rejected(tmp_path, bad):
         parse_preflib(p)
 
 
-def test_parse_error_carries_location(tmp_path):
+MODERN_HEAD = "# NUMBER ALTERNATIVES: 3\n2: 3\n"  # the next line is line 3
+LEGACY_HEAD = "3\n1,a\n2,b\n3,c\n5,5,2\n2,3\n"  # the next line is line 7
+RULES = {  # rule: (2021 line, legacy line, message)
+    "tied": ("1: 1,{2,3}", "1,1,{2,3}", "tied entries ({...}) are unsupported"),
+    "non-integer": ("1: 1,x", "1,1,x", "malformed alternative 'x'"),
+    "duplicate": ("1: 2,1,2", "1,2,1,2", "duplicate alternative id 2"),
+    "range": ("1: 1,4", "1,1,4", "alternative id 4 outside [1, 3]"),
+    "empty": ("1: ", "1,", "empty order"),
+    "count": ("x: 1", "x,1", "malformed count 'x'"),
+    "negative": ("-3: 1,2", "-3,1,2", "negative count -3"),
+    "count-0-line": ("0: 1,1", "0,1,1", "duplicate alternative id 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [("# NUMBER ALTERNATIVES: 3\n1: 9\n", 2, "alternative id 9 outside [1, 3]")]
+    + [(MODERN_HEAD + modern + "\n", 3, msg) for modern, _, msg in RULES.values()]
+    + [(LEGACY_HEAD + legacy + "\n", 7, msg) for _, legacy, msg in RULES.values()]
+    + [
+        ("# NUMBER ALTERNATIVES: 0\n", 1, "alternative count must be >= 1, got 0"),
+        ("# FILE NAME: x\n# NUMBER ALTERNATIVES: 0\n1: 1\n", 2,
+         "alternative count must be >= 1, got 0"),
+        ("0\n", 1, "alternative count must be >= 1, got 0"),
+        ("0\n1,1,1\n1,1\n", 1, "alternative count must be >= 1, got 0"),
+        ("3\n\n1,a\n2,b\n3,c\n5,5,2\n\n1,1,1\n", 8, "duplicate alternative id 1"),
+    ],
+    ids=["2021-range-first-line"]
+    + [f"2021-{rule}" for rule in RULES]
+    + [f"legacy-{rule}" for rule in RULES]
+    + ["2021-no-alternatives", "2021-no-alternatives-ballot", "legacy-no-alternatives",
+       "legacy-no-alternatives-ballot", "legacy-blank-lines"],
+)
+def test_parse_error_carries_location(tmp_path, text, line, message):
     p = tmp_path / "bad.soi"
-    p.write_text("# NUMBER ALTERNATIVES: 3\n1: 9\n")
+    p.write_text(text)
     with pytest.raises(ParseError) as ei:
         parse_preflib(p)
-    assert ei.value.line == 2
-    assert str(p) in str(ei.value)
+    assert ei.value.line == line
+    assert str(ei.value) == f"{p}:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# NUMBER ALTERNATIVES: 3\n1: 1, 2 ,,3,\n1: +1,02\n",
+     "3\n1,a\n2,b\n3,c\n2,2,2\n1,1, 2 ,,3,\n1,+1,02\n"],
+    ids=["2021", "legacy"],
+)
+def test_lenient_entries_parse(tmp_path, text):
+    # entries are stripped and empty ones skipped; int() reads '+1' and '02'
+    p = tmp_path / "lenient.soi"
+    p.write_text(text)
+    D = parse_preflib(p)
+    assert D.orders == (PartialOrder((1, 2, 3)), PartialOrder((1, 2)))
+    items, lengths = D.to_padded()
+    assert items.dtype == np.int8 and items.tolist() == [[0, 1, 2], [0, 1, -1]]
+    assert lengths.tolist() == [3, 2]
+
+
+def test_parse_checks_each_line_once(legacy_file, monkeypatch):
+    """The rules are checked once, on the 3 ballot lines, not again on the 5 records."""
+    calls = []
+    check = orders._validate_rows
+    monkeypatch.setattr(orders, "_validate_rows", lambda items, *a: calls.append(len(items))
+                        or check(items, *a))
+    assert parse_preflib(legacy_file).n == 5
+    assert calls == [3]
 
 
 @pytest.mark.parametrize(
@@ -129,8 +192,13 @@ def test_parse_error_carries_location(tmp_path):
     [
         ("# NUMBER ALTERNATIVES: 3\n2: 3\n-3: 1,2\n", 3),
         ("3\n1,a\n2,b\n3,c\n5,5,2\n2,3\n-3,1,2\n", 7),
+        ("# NUMBER ALTERNATIVES: 3\n-1: 1,1\n", 2),  # the count is read before the list
+        ("3\n1,a\n2,b\n3,c\n5,5,2\n-1,1,{2}\n", 6),
+        ("# NUMBER ALTERNATIVES: 3\n2: 3\n\n0: 1\n-3: 1,2\n", 5),
+        ("3\n1,a\n\n2,b\n3,c\n5,5,2\n2,3\n-3,1,2\n", 8),  # blank lines count
     ],
-    ids=["2021", "legacy"],
+    ids=["2021", "legacy", "2021-bad-list", "legacy-bad-list", "2021-blank-line",
+         "legacy-blank-line"],
 )
 def test_negative_count_rejected(tmp_path, text, line):
     p = tmp_path / "neg.soi"
@@ -218,6 +286,15 @@ def test_load_covariates_errors(tmp_path):
     p.write_text("agent_id,item_id,f\n1,1,abc\n")
     with pytest.raises(ParseError):
         load_covariates(p, Universe(3))
+
+
+def test_covariate_error_line_counts_blank_lines(tmp_path):
+    p = tmp_path / "cov.csv"
+    p.write_text("agent_id,item_id,f\n\n1,1,0.5\n\n1,9,0.5\n")
+    with pytest.raises(ParseError) as ei:
+        load_covariates(p, Universe(3))
+    assert ei.value.line == 5
+    assert str(ei.value) == f"{p}:5: unknown item_id 9"
 
 
 # ---------------------------------------------------------------------------
