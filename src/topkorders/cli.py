@@ -1,12 +1,19 @@
 """Command-line front end: fit / eval / sample / cv / stats / assign.
 
 Exit codes: 0 success, 2 input error, 3 numeric failure. Every subcommand
-is deterministic given its full flag set (seeds included) at --workers 1.
+is deterministic given its full flag set (seeds included), at any
+--workers: `cv` runs its (cell, fold) fits, and `eval --reps`, `sample`
+and `assign --synthetic-from` their replicate draws, over a pool of up to
+--workers processes on the platform's default start method, and reduce
+the results in task order, so every output is byte-identical to the one
+written at --workers 1. A command with one task runs in process.
 """
 
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -99,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit, evaluate, and sample top-k partial order models.",
     )
     ap.add_argument("--workers", type=int, default=1,
-                    help="parallelism cap; 1 guarantees bit-reproducibility")
+                    help="processes for cv's fits and the replicate draws of eval --reps,"
+                         " sample and assign --synthetic-from; outputs do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="dataset summary statistics")
@@ -152,14 +160,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(spec: str):
+    """(Ks, lambda_Ls) of a "K=...;lapl=..." spec; each K an int >= 1, each
+    lambda_L a finite float >= 0."""
     parts = dict(
         kv.split("=", 1) for kv in (s.strip() for s in spec.split(";")) if kv
     )
     if "K" not in parts or "lapl" not in parts:
-        raise ValueError(f'malformed grid {spec!r}; expected "K=...;lapl=..."')
-    Ks = [int(v) for v in parts["K"].split(",")]
-    lapls = [float(v) for v in parts["lapl"].split(",")]
+        raise ValueError(f'--grid {spec!r} is malformed; expected "K=...;lapl=..."')
+    Ks = _grid_values(parts["K"], "K", int, lambda K: K >= 1, "an int >= 1")
+    lapls = _grid_values(
+        parts["lapl"], "lapl", float, lambda v: math.isfinite(v) and v >= 0, "a finite float >= 0"
+    )
     return Ks, lapls
+
+
+def _grid_values(text, name, kind, ok, rule):
+    values = []
+    for item in text.split(","):
+        try:
+            value = kind(item)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"--grid {name} must be {rule}, got {item.strip()!r}")
+        values.append(value)
+    return values
 
 
 def _side_file(path, header, m):
@@ -259,9 +284,8 @@ def cmd_eval(args) -> int:
         seed=args.seed or 0,
         covariates=D.covariates,
         condition_nonempty=args.condition_nonempty,
+        workers=args.workers,
     )
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
         json.dump(_report_doc(report), fh, indent=1, sort_keys=True)
@@ -298,8 +322,6 @@ def _report_doc(r: evaluation.EvalReport) -> dict:
 
 
 def cmd_sample(args) -> int:
-    import os
-
     _check_counts(args, reps=0, n=1)
     model, _ = dataio.load_checkpoint(args.model_ckpt)
     if args.no_empty and not isinstance(model, AugmentedModel):
@@ -310,7 +332,8 @@ def cmd_sample(args) -> int:
         if covariates.n != args.n:
             raise ParseError(f"{covariates.n} agents, but --n {args.n}", args.covariates)
     reps = evaluation.replicate_sample(
-        model, args.n, args.reps, args.seed, covariates, no_empty=args.no_empty
+        model, args.n, args.reps, args.seed, covariates, no_empty=args.no_empty,
+        workers=args.workers,
     )
     os.makedirs(args.out, exist_ok=True)
     for r, rep in enumerate(reps):
@@ -331,7 +354,7 @@ def cmd_cv(args) -> int:
     D = _load_data(args)
     cfg = _fit_config(args)
     (best_K, best_lapl), table = grid_search(
-        args.model, D, Ks, lapls, cfg, folds=args.folds
+        args.model, D, Ks, lapls, cfg, folds=args.folds, workers=args.workers
     )
     lines = ["K\tlambda_laplacian\tmean_val_nll"]
     for K, lapl, mean_nll in table:
@@ -361,7 +384,8 @@ def cmd_assign(args) -> int:
     if args.synthetic_from:
         model, _ = dataio.load_checkpoint(args.synthetic_from)
         reps = evaluation.replicate_sample(
-            model, D.n, 1 if args.reps is None else args.reps, args.seed, no_empty=True
+            model, D.n, 1 if args.reps is None else args.reps, args.seed, no_empty=True,
+            workers=args.workers,
         )
         for r, rep in enumerate(reps):
             rows.append((f"synthetic_{r:03d}", run(rep)))
@@ -392,9 +416,26 @@ COMMANDS = {
 }
 
 
+def _check_workers(args):
+    """Raise for a --workers below 1, or above 1 on a command with no tasks
+    to run in parallel."""
+    _check_counts(args, workers=1)
+    parallel = (
+        args.command in ("cv", "sample")
+        or args.command == "eval" and args.reps
+        or args.command == "assign" and args.synthetic_from
+    )
+    if args.workers > 1 and not parallel:
+        raise ValueError(
+            "--workers above 1 applies only to cv, eval --reps, sample"
+            " and assign --synthetic-from"
+        )
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_workers(args)
         return COMMANDS[args.command](args)
     except NonFiniteLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

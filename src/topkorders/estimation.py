@@ -57,10 +57,15 @@ class FitConfig:
     batch_size: int | str = "full"
     seed: int = 0
 
-    def __post_init__(self):  # each message begins with its field's name
+    def __post_init__(self):  # each message begins with its field's name; NaN fails every rule
         batch = self.batch_size
         for name, ok, rule in (
             ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("epsilon_opt", self.epsilon_opt > 0, "> 0"),
+            ("lambda_l2", self.lambda_l2 >= 0, ">= 0"),
+            ("lambda_laplacian", self.lambda_laplacian >= 0, ">= 0"),
             ("tol", self.tol > 0, "> 0"),
             ("max_epochs", self.max_epochs >= 1, ">= 1"),
             ("K", self.K >= 1, ">= 1"),
@@ -533,18 +538,65 @@ def grid_search(
     lambda_laplacians,
     cfg: FitConfig | None = None,
     folds: int = 5,
+    workers: int = 1,
 ):
-    """5-fold-CV mean validation NLL for each (K, lambda_L); returns argmin + table."""
+    """5-fold-CV mean validation NLL for each (K, lambda_L); returns argmin + table.
+
+    Each (cell, fold) fit is one task of ``_map_tasks``, so up to
+    ``workers`` fits run at once; the table does not depend on ``workers``.
+    """
     cfg = cfg or FitConfig()
     splits = kfold_split(D, folds, cfg.seed)
-    table = []
-    best = None
-    for K in Ks:
-        for lapl in lambda_laplacians:
-            trial = replace(cfg, K=K, lambda_laplacian=lapl)
-            nlls = [test_nll(fit(variant, train, trial).model, test).nll for train, test in splits]
-            mean_nll = float(np.mean(nlls))
-            table.append((K, lapl, mean_nll))
-            if best is None or mean_nll < best[2]:
-                best = (K, lapl, mean_nll)
+    cells = [replace(cfg, K=K, lambda_laplacian=lapl) for K in Ks for lapl in lambda_laplacians]
+    tasks = [(c, f) for c in range(len(cells)) for f in range(folds)]
+    nlls = _map_tasks(_fold_nll, tasks, workers, (variant, splits, cells))
+    table = [
+        (trial.K, trial.lambda_laplacian, float(np.mean(nlls[c * folds : (c + 1) * folds])))
+        for c, trial in enumerate(cells)
+    ]
+    best = min(table, key=lambda row: row[2])  # the first cell of the least NLL
     return best[:2], table
+
+
+def _fold_nll(shared, task) -> float:
+    """Validation NLL of grid cell c fitted on the training rows of fold f."""
+    variant, splits, cells = shared
+    c, f = task
+    train, test = splits[f]
+    return test_nll(fit(variant, train, cells[c]).model, test).nll
+
+
+# ---------------------------------------------------------------------------
+# Independent tasks over a process pool
+# ---------------------------------------------------------------------------
+
+_worker_state = None  # (fn, shared) of a pool worker, set once by _init_worker
+
+
+def _init_worker(fn, shared):
+    global _worker_state
+    _worker_state = (fn, shared)
+
+
+def _run_task(task):
+    fn, shared = _worker_state
+    return fn(shared, task)
+
+
+def _map_tasks(fn, tasks, workers: int, shared) -> list:
+    """[fn(shared, task) for task in tasks], run over a pool of
+    min(workers, len(tasks)) processes when that is 2 or more.
+
+    The pool uses the platform's default start method. Each worker receives
+    fn and the read-only ``shared`` once, through the pool initializer, and
+    then one task at a time. Results come back in task order, and an error
+    is raised from the first task in that order that failed, as in process.
+    """
+    tasks = list(tasks)
+    processes = min(workers, len(tasks))
+    if processes < 2:
+        return [fn(shared, task) for task in tasks]
+    import multiprocessing  # only here, so that importing the package stays cheap
+
+    with multiprocessing.get_context().Pool(processes, _init_worker, (fn, shared)) as pool:
+        return list(pool.imap(_run_task, tasks, chunksize=1))

@@ -452,3 +452,132 @@ def test_assign_output_pinned(ballots, tmp_path):
               "--synthetic-from", ck, "--reps", "2", "--out", out])
     assert rc == EXIT_OK
     assert out.read_text() == ASSIGN_TSV_PINNED
+
+
+def _src_env():
+    """This environment, with the package's source directory on PYTHONPATH."""
+    src = str(Path(topkorders.__file__).resolve().parents[1])
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _files(out):
+    """Each file under out by its relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in Path(out).rglob("*") if p.is_file()}
+
+
+def test_pool_outputs_match_in_process_outputs(ballots, checkpoint, tmp_path):
+    caps = tmp_path / "caps.csv"
+    caps.write_text("program_id,capacity\n1,10\n2,10\n3,10\n4,10\n")
+    commands = [
+        ["cv", "--data", ballots, "--model", "c-ld", "--grid", "K=1,2;lapl=0,0.1", "--folds", "3",
+         "--lr", "0.05", "--max-epochs", "30", "--out", "OUT/cv.tsv"],
+        ["eval", "--model-ckpt", checkpoint, "--data", ballots, "--reps", "3", "--seed", "2",
+         "--out", "OUT/eval"],
+        ["sample", "--model-ckpt", checkpoint, "--n", "40", "--reps", "3", "--seed", "4",
+         "--out", "OUT/sample"],
+        ["assign", "--preferences", ballots, "--capacities", caps, "--synthetic-from", checkpoint,
+         "--reps", "3", "--out", "OUT/assign.tsv"],
+    ]
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        for args in commands:
+            args = [str(a).replace("OUT", str(out)) for a in args]
+            assert run(["--workers", workers, *args]) == EXIT_OK
+    one = _files(tmp_path / "w1")
+    assert len(one) == 2 + 4 + 3  # cv and assign, eval's report and plot data, 3 replicates
+    assert one == _files(tmp_path / "w2")
+
+
+def test_pool_under_spawn_matches_in_process(ballots, tmp_path):
+    """Where the default start method is spawn, workers unpickle their state."""
+    args = ["cv", "--data", ballots, "--model", "a-s", "--grid", "K=1,2;lapl=0", "--folds", "2",
+            "--lr", "0.05", "--max-epochs", "20"]
+    assert run([*args, "--out", tmp_path / "one.tsv"]) == EXIT_OK
+    env = _src_env()
+    argv = ["--workers", "2", *args, "--out", str(tmp_path / "two.tsv")]
+    code = (
+        "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+        f"from topkorders.cli import main; sys.exit(main({argv!r}))"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert (tmp_path / "two.tsv").read_bytes() == (tmp_path / "one.tsv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_error_in_a_worker_reaches_the_cli_as_in_process(ballots, tmp_path, capsys):
+    args = ["cv", "--data", ballots, "--model", "c-ld", "--grid", "K=1,2;lapl=0", "--folds", "2",
+            "--lr", "1e308", "--max-epochs", "5"]
+    errors = []
+    for workers in (1, 2):
+        assert run(["--workers", workers, *args]) == EXIT_NUMERIC
+        errors.append(capsys.readouterr().err.strip().splitlines()[-1])
+    assert errors[0].startswith("numeric failure: objective diverged")
+    assert errors[0] == errors[1]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """multiprocessing.pool loads only when a command starts a pool."""
+    env = _src_env()
+    code = "import sys, topkorders.cli; print('multiprocessing.pool' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "workers,cmd,message",
+    [("0", "stats", "--workers must be >= 1, got 0"),
+     ("-2", "cv", "--workers must be >= 1, got -2"),
+     ("2", "stats", "--workers above 1 applies only to"),
+     ("2", "fit", "--workers above 1 applies only to"),
+     ("2", "eval", "--workers above 1 applies only to"),
+     ("2", "assign", "--workers above 1 applies only to")],
+    ids=["zero", "negative", "stats", "fit", "eval-no-reps", "assign-no-synthetic"],
+)
+def test_bad_workers_is_input_error(ballots, checkpoint, tmp_path, capsys, workers, cmd, message):
+    out = tmp_path / "out"
+    args = {
+        "stats": ["stats", "--data", ballots],
+        "cv": ["cv", "--data", ballots, "--model", "c-i", "--grid", "K=1;lapl=0"],
+        "fit": ["fit", "--data", ballots, "--model", "c-i"],
+        "eval": ["eval", "--model-ckpt", checkpoint, "--data", ballots],
+        "assign": ["assign", "--preferences", ballots, "--capacities", tmp_path / "caps.csv"],
+    }[cmd]
+    assert run(["--workers", workers, *args, "--out", out]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [("K=a;lapl=0", "--grid K must be an int >= 1, got 'a'"),
+     ("K=1.5;lapl=0", "--grid K must be an int >= 1, got '1.5'"),
+     ("K=1,0;lapl=0", "--grid K must be an int >= 1, got '0'"),
+     ("K=1;lapl=-1", "--grid lapl must be a finite float >= 0, got '-1'"),
+     ("K=1;lapl=0,nan", "--grid lapl must be a finite float >= 0, got 'nan'"),
+     ("K=1;lapl=inf", "--grid lapl must be a finite float >= 0, got 'inf'"),
+     ("K=1", "--grid 'K=1' is malformed")],
+)
+def test_bad_grid_is_input_error_before_the_data_is_read(tmp_path, capsys, grid, message):
+    out = tmp_path / "cv.tsv"
+    args = ["cv", "--data", tmp_path / "missing.soi", "--model", "c-ld", "--grid", grid]
+    assert run(["--workers", "2", *args, "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--beta1", "1.5"], "--beta1 must be in [0, 1), got 1.5"),
+     (["--beta2", "nan"], "--beta2 must be in [0, 1), got nan"),
+     (["--eps-opt", "0"], "--eps-opt must be > 0, got 0.0"),
+     (["--lambda-l2", "-1"], "--lambda-l2 must be >= 0, got -1.0")],
+)
+def test_bad_optimizer_flag_is_input_error(ballots, tmp_path, capsys, flags, message):
+    out = tmp_path / "m.json"
+    assert run(["fit", "--data", ballots, "--model", "c-i", *flags, "--out", out]) == EXIT_INPUT
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()

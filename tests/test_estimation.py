@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 from itertools import permutations
 
@@ -851,3 +852,62 @@ def test_grid_search_prefers_stratified_truth():
     assert len(table) == 2
     nll_by_k = {row[0]: row[2] for row in table}
     assert nll_by_k[2] < nll_by_k[1]
+
+
+@pytest.mark.parametrize(
+    "field,value,rule",
+    [("beta1", 1.0, "in [0, 1)"), ("beta1", -0.1, "in [0, 1)"), ("beta2", 1.5, "in [0, 1)"),
+     ("beta2", math.nan, "in [0, 1)"), ("epsilon_opt", 0.0, "> 0"),
+     ("epsilon_opt", math.nan, "> 0"), ("lambda_l2", -1.0, ">= 0"),
+     ("lambda_l2", math.nan, ">= 0"), ("lambda_laplacian", -0.5, ">= 0"),
+     ("lambda_laplacian", math.nan, ">= 0")],
+)
+def test_bad_optimizer_and_penalty_fields_rejected(field, value, rule):
+    with pytest.raises(ValueError) as info:
+        FitConfig(**{field: value})
+    assert str(info.value) == f"{field} must be {rule}, got {value!r}"
+
+
+def test_edge_values_of_the_checked_fields_accepted():
+    FitConfig(beta1=0.0, beta2=0.0, lambda_l2=0.0, lambda_laplacian=0.0, epsilon_opt=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# _map_tasks: independent tasks over a process pool
+# ---------------------------------------------------------------------------
+
+def _pid_and_task(shared, task):
+    return os.getpid(), shared, task
+
+
+def _fail_at_odd(shared, task):
+    if task % 2:
+        raise ValueError(f"task {task} failed")
+    return task
+
+
+@pytest.mark.parametrize("workers,n_tasks", [(1, 4), (2, 1), (2, 0)])
+def test_map_tasks_runs_in_process_without_two_tasks_and_workers(workers, n_tasks):
+    out = estimation._map_tasks(_pid_and_task, range(n_tasks), workers, "s")
+    assert out == [(os.getpid(), "s", t) for t in range(n_tasks)]
+
+
+def test_map_tasks_pool_keeps_task_order():
+    out = estimation._map_tasks(_pid_and_task, range(6), 2, "s")
+    assert [(s, t) for _, s, t in out] == [("s", t) for t in range(6)]
+    assert os.getpid() not in {pid for pid, _, _ in out}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_tasks_raises_the_first_failed_task_in_order(workers):
+    with pytest.raises(ValueError, match="^task 1 failed$"):
+        estimation._map_tasks(_fail_at_odd, range(6), workers, None)
+
+
+@pytest.mark.parametrize("variant", ["c-ld", "a-s"])
+def test_grid_search_in_a_pool_matches_in_process(variant):
+    D = Dataset(Universe(4), random_orders(4, 90, np.random.default_rng(5)))
+    cfg = FitConfig(learning_rate=0.05, max_epochs=25, tol=1e-12)
+    runs = [grid_search(variant, D, [1, 2], [0.0, 0.1], cfg, folds=3, workers=w) for w in (1, 2)]
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 4
