@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 input error, 3 numeric failure. Every subcommand
 is deterministic given its full flag set (seeds included), at any
---workers: `cv` runs its (cell, fold) fits, and `eval --reps`, `sample`
-and `assign --synthetic-from` their replicate draws, over a pool of up to
---workers processes on the platform's default start method, and reduce
-the results in task order, so every output is byte-identical to the one
-written at --workers 1. A command with one task runs in process.
+--workers: `cv` runs its (cell, fold) fits over a pool of up to --workers
+processes on the platform's default start method and reduces the results
+in task order, so cv.tsv is byte-identical to the one written at
+--workers 1; a worker that dies ends the command with BrokenProcessPool
+(exit 1) instead of a hang. Every other command runs in process and takes
+--workers 1 only.
 """
 
 import argparse
@@ -106,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit, evaluate, and sample top-k partial order models.",
     )
     ap.add_argument("--workers", type=int, default=1,
-                    help="processes for cv's fits and the replicate draws of eval --reps,"
-                         " sample and assign --synthetic-from; outputs do not depend on it")
+                    help="processes for cv's (K, lambda_L, fold) fits; other commands take"
+                         " only 1; outputs do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="dataset summary statistics")
@@ -284,7 +285,6 @@ def cmd_eval(args) -> int:
         seed=args.seed or 0,
         covariates=D.covariates,
         condition_nonempty=args.condition_nonempty,
-        workers=args.workers,
     )
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
@@ -332,8 +332,7 @@ def cmd_sample(args) -> int:
         if covariates.n != args.n:
             raise ParseError(f"{covariates.n} agents, but --n {args.n}", args.covariates)
     reps = evaluation.replicate_sample(
-        model, args.n, args.reps, args.seed, covariates, no_empty=args.no_empty,
-        workers=args.workers,
+        model, args.n, args.reps, args.seed, covariates, no_empty=args.no_empty
     )
     os.makedirs(args.out, exist_ok=True)
     for r, rep in enumerate(reps):
@@ -384,8 +383,7 @@ def cmd_assign(args) -> int:
     if args.synthetic_from:
         model, _ = dataio.load_checkpoint(args.synthetic_from)
         reps = evaluation.replicate_sample(
-            model, D.n, 1 if args.reps is None else args.reps, args.seed, no_empty=True,
-            workers=args.workers,
+            model, D.n, 1 if args.reps is None else args.reps, args.seed, no_empty=True
         )
         for r, rep in enumerate(reps):
             rows.append((f"synthetic_{r:03d}", run(rep)))
@@ -416,26 +414,12 @@ COMMANDS = {
 }
 
 
-def _check_workers(args):
-    """Raise for a --workers below 1, or above 1 on a command with no tasks
-    to run in parallel."""
-    _check_counts(args, workers=1)
-    parallel = (
-        args.command in ("cv", "sample")
-        or args.command == "eval" and args.reps
-        or args.command == "assign" and args.synthetic_from
-    )
-    if args.workers > 1 and not parallel:
-        raise ValueError(
-            "--workers above 1 applies only to cv, eval --reps, sample"
-            " and assign --synthetic-from"
-        )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_workers(args)
+        _check_counts(args, workers=1)
+        if args.workers > 1 and args.command != "cv":  # cv's fits are the only parallel tasks
+            raise ValueError("--workers above 1 applies only to cv")
         return COMMANDS[args.command](args)
     except NonFiniteLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -590,13 +590,18 @@ def _map_tasks(fn, tasks, workers: int, shared) -> list:
     The pool uses the platform's default start method. Each worker receives
     fn and the read-only ``shared`` once, through the pool initializer, and
     then one task at a time. Results come back in task order, and an error
-    is raised from the first task in that order that failed, as in process.
+    is raised from the first task in that order that failed, as in process;
+    a worker that dies raises ``BrokenProcessPool`` instead of hanging.
     """
     tasks = list(tasks)
     processes = min(workers, len(tasks))
     if processes < 2:
         return [fn(shared, task) for task in tasks]
-    import multiprocessing  # only here, so that importing the package stays cheap
+    # imported only here, so that importing the package stays cheap
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.get_context().Pool(processes, _init_worker, (fn, shared)) as pool:
-        return list(pool.imap(_run_task, tasks, chunksize=1))
+    pool = ProcessPoolExecutor(processes, initializer=_init_worker, initargs=(fn, shared))
+    try:
+        return list(pool.map(_run_task, tasks))
+    finally:  # after a failure, start no task that is still queued
+        pool.shutdown(cancel_futures=True)

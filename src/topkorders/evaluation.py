@@ -7,28 +7,28 @@ import numpy as np
 
 from .augmented import sample_augmented_dataset
 from .composite import CompositeModel, sample_composite_dataset
-from .estimation import TestNLL, _map_tasks, test_nll
+from .estimation import TestNLL, test_nll
 from .orders import Dataset
 
 
 def replicate_sample(
-    model, n: int, N: int, seed: int, covariates=None, no_empty: bool = False, workers: int = 1
+    model, n: int, N: int, seed: int, covariates=None, no_empty: bool = False
 ) -> list[Dataset]:
     """N synthetic datasets of n orders; replicate r is seeded by (seed, r).
 
     Covariate-conditioned models reuse the training covariates, so each
-    replicate simulates the same n agents. Up to ``workers`` replicates are
-    drawn at once, with the same draws at any ``workers``.
+    replicate simulates the same n agents.
     """
-    return _map_tasks(_draw_replicate, range(N), workers, (model, n, seed, covariates, no_empty))
-
-
-def _draw_replicate(shared, r: int) -> Dataset:
-    model, n, seed, covariates, no_empty = shared
-    rng = np.random.default_rng((seed, r))
-    if isinstance(model, CompositeModel):
-        return sample_composite_dataset(model, n, rng, covariates)
-    return sample_augmented_dataset(model, n, rng, covariates, no_empty=no_empty)
+    reps = []
+    for r in range(N):
+        rng = np.random.default_rng((seed, r))
+        if isinstance(model, CompositeModel):
+            reps.append(sample_composite_dataset(model, n, rng, covariates))
+        else:
+            reps.append(
+                sample_augmented_dataset(model, n, rng, covariates, no_empty=no_empty)
+            )
+    return reps
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,10 @@ def build_eval_report(
     seed: int = 0,
     covariates=None,
     condition_nonempty: bool = False,
-    workers: int = 1,
 ) -> EvalReport:
     t = test_nll(model, D_test, condition_nonempty=condition_nonempty)
     if n_replicates > 0 and n_per_replicate > 0:
-        reps = replicate_sample(
-            model, n_per_replicate, n_replicates, seed, covariates, workers=workers
-        )
+        reps = replicate_sample(model, n_per_replicate, n_replicates, seed, covariates)
         ls = length_stats(reps, D_test)
         dm_true = demand_shares(D_test)
         dm_syn = demand_shares(reps)

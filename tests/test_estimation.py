@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import permutations
 
@@ -902,6 +904,30 @@ def test_map_tasks_pool_keeps_task_order():
 def test_map_tasks_raises_the_first_failed_task_in_order(workers):
     with pytest.raises(ValueError, match="^task 1 failed$"):
         estimation._map_tasks(_fail_at_odd, range(6), workers, None)
+
+
+def test_map_tasks_raises_when_a_worker_dies():
+    """A worker killed mid-task fails the map instead of hanging it; run in a
+    subprocess, so that a hang fails the test at its timeout."""
+    code = (
+        "import os, signal\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from topkorders.estimation import _map_tasks\n"
+        "def die_at_2(shared, task):\n"
+        "    if task == 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return task\n"
+        "try:\n"
+        "    _map_tasks(die_at_2, range(4), 2, None)\n"
+        "except BrokenProcessPool:\n"
+        "    print('broken')\n"
+    )
+    src = os.path.dirname(os.path.dirname(estimation.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout == "broken\n"
 
 
 @pytest.mark.parametrize("variant", ["c-ld", "a-s"])

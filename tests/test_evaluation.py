@@ -264,17 +264,3 @@ def test_covariate_sampling_matches_each_agents_pmf(variant, no_empty):
     for a, (space, p) in enumerate(pmfs):
         emp = empirical_pmf(orders[a * per_agent : (a + 1) * per_agent], space)
         assert 0.5 * np.abs(emp - p).sum() < 0.02
-
-
-@pytest.mark.parametrize("variant", ["c-ci", "a-s"])
-def test_replicates_drawn_in_a_pool_match_in_process(variant):
-    rng = np.random.default_rng(50)
-    m, d, n = 4, 2, 200
-    model = random_model(variant, m, rng, d=d)
-    cov = CovariateTensor(rng.normal(size=(n, m, d)))
-    runs = [replicate_sample(model, n, 3, 9, cov, no_empty=variant == "a-s", workers=w)
-            for w in (1, 2)]
-    for one, two in zip(*runs):
-        for a, b in zip(one.to_padded(), two.to_padded()):
-            np.testing.assert_array_equal(a, b)
-    assert len(runs[1]) == 3
