@@ -78,6 +78,8 @@ def _check_fit_flags(args):
         raise ValueError(
             f"--K and --lambda-laplacian apply only to c-ld and a-s, not to {args.model}"
         )
+    if args.K == 1 and args.lambda_laplacian != 0:  # one stratum has no neighbours to couple
+        raise ValueError("--lambda-laplacian applies only with --K above 1")
 
 
 def _fit_config(args) -> FitConfig:
@@ -345,12 +347,15 @@ def cmd_cv(args) -> int:
     if args.K != 1 or args.lambda_laplacian != 0:
         raise ValueError("cv takes K and lambda_L from --grid, not --K or --lambda-laplacian")
     _check_fit_flags(args)
+    _check_counts(args, folds=2)
     Ks, lapls = _parse_grid(args.grid)
     if args.model not in STRATIFIED_VARIANTS and (any(K != 1 for K in Ks) or any(lapls)):
         raise ValueError(
             f"--grid K other than 1 or lapl other than 0 has no effect on {args.model}"
         )
     D = _load_data(args)
+    if args.folds > D.n:
+        raise ValueError(f"--folds must be at most the {D.n} records, got {args.folds}")
     cfg = _fit_config(args)
     (best_K, best_lapl), table = grid_search(
         args.model, D, Ks, lapls, cfg, folds=args.folds, workers=args.workers

@@ -435,7 +435,7 @@ def objective_and_grad(
     F += cfg.lambda_l2 * float(flat @ flat)
     grad += 2.0 * cfg.lambda_l2 * flat
 
-    if cfg.lambda_laplacian:  # adjacent banks; a variant with one bank has none
+    if cfg.lambda_laplacian and layout.K > 1:  # one bank has no adjacent banks: a penalty of 0
         F += _add_laplacian(
             layout.bank_rows(flat), cfg.lambda_laplacian, layout.bank_rows(grad)
         )
@@ -448,10 +448,9 @@ def objective_and_grad(
 
 def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     """Minimize F by Adam until |F_t - F_{t-1}| < tol or max_epochs."""
-    cfg = cfg or FitConfig()
+    cfg = _acting_config(variant, cfg or FitConfig())
     d = D.covariates.d if D.covariates is not None else 0
-    K = cfg.K if variant in STRATIFIED_VARIANTS else 1
-    layout = ParamLayout(variant, D.universe.m, d, K)  # checks the variant and its covariates
+    layout = ParamLayout(variant, D.universe.m, d, cfg.K)  # checks the variant and its covariates
     _check_records(variant, layout.m, *D.to_padded())
     data = _FitData(D)
     data.events = event_table(data, layout)
@@ -491,6 +490,14 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
 
     model = layout.to_model(flat, D.universe)
     return FitResult(model=model, trace=trace, converged=converged, epochs_run=epoch)
+
+
+def _acting_config(variant, cfg: FitConfig) -> FitConfig:
+    """cfg with K and lambda_L as a fit of variant reads them: K 1 unless the
+    variant is stratified, and lambda_L 0 with one bank. Configs that differ
+    only in what a fit ignores give the same acting config, and the same fit."""
+    K = cfg.K if variant in STRATIFIED_VARIANTS else 1
+    return replace(cfg, K=K, lambda_laplacian=cfg.lambda_laplacian if K > 1 else 0.0)
 
 
 def _adam_step(flat, g, mom, vel, t, lr, b1, b2, eps):
@@ -540,30 +547,35 @@ def grid_search(
     folds: int = 5,
     workers: int = 1,
 ):
-    """5-fold-CV mean validation NLL for each (K, lambda_L); returns argmin + table.
+    """``folds``-fold CV mean validation NLL for each (K, lambda_L); returns
+    argmin + table.
 
-    Each (cell, fold) fit is one task of ``_map_tasks``, so up to
-    ``workers`` fits run at once; the table does not depend on ``workers``.
+    Cells that differ only in what a fit of the variant ignores share their
+    fits (see ``_acting_config``): every K = 1 cell is fitted once per fold,
+    whatever its lambda_L. Each distinct (fit, fold) is one task of
+    ``_map_tasks``, so up to ``workers`` fits run at once; the table does not
+    depend on ``workers``.
     """
     cfg = cfg or FitConfig()
     splits = kfold_split(D, folds, cfg.seed)
     cells = [replace(cfg, K=K, lambda_laplacian=lapl) for K in Ks for lapl in lambda_laplacians]
-    tasks = [(c, f) for c in range(len(cells)) for f in range(folds)]
-    nlls = _map_tasks(_fold_nll, tasks, workers, (variant, splits, cells))
+    fits = list(dict.fromkeys(_acting_config(variant, c) for c in cells))  # in first-seen order
+    tasks = [(c, f) for c in range(len(fits)) for f in range(folds)]
+    nlls = _map_tasks(_fold_nll, tasks, workers, (variant, splits, fits))
+    mean = {c: float(np.mean(nlls[i * folds : (i + 1) * folds])) for i, c in enumerate(fits)}
     table = [
-        (trial.K, trial.lambda_laplacian, float(np.mean(nlls[c * folds : (c + 1) * folds])))
-        for c, trial in enumerate(cells)
+        (trial.K, trial.lambda_laplacian, mean[_acting_config(variant, trial)]) for trial in cells
     ]
     best = min(table, key=lambda row: row[2])  # the first cell of the least NLL
     return best[:2], table
 
 
 def _fold_nll(shared, task) -> float:
-    """Validation NLL of grid cell c fitted on the training rows of fold f."""
-    variant, splits, cells = shared
+    """Validation NLL of fit config c fitted on the training rows of fold f."""
+    variant, splits, fits = shared
     c, f = task
     train, test = splits[f]
-    return test_nll(fit(variant, train, cells[c]).model, test).nll
+    return test_nll(fit(variant, train, fits[c]).model, test).nll
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ min(j, K) for a-s, and the one bank of every other variant. A key's
 utility indices come from the layout's bank map, ``ParamLayout.banks``;
 a bank with one END utility per position has its END read at the key's
 position.
+
+An evaluation reads each option's utility from the parameters extended by
+two slots: 0, for an option without a parameter (a composite's END), then
+-inf, which every unavailable option reads, so that its exp is exactly 0
+and no mask is added. Keys sharing a utility-index row contribute to the same parameters,
+so the gradient first sums each run of such keys column by column and
+scatters only those run sums onto the parameters: a few rows per bank and
+position, however many keys the table holds.
 """
 
 import numpy as np
@@ -27,33 +35,41 @@ class EventTable:
     count, where it has none, for a utility of 0). For c-i and c-ld one more
     row holds the list-length counts, a choice among the m length logits.
 
-    An evaluation works on transposed copies, so that its reductions run
-    over m+1 contiguous rows of length P, and adds -inf at the unavailable
-    options, whose exp is then exactly 0. The counts enter only through
-    their sums per parameter.
+    An evaluation works on a transposed index, so that its reductions run
+    over contiguous rows of length P, one per option available at some key
+    (a composite's END is at none), in which an unavailable option has the
+    index ``size + 1`` of the -inf slot. Keys come in runs of equal
+    utility-index rows, the keys of one bank at one position; the gradient
+    sums each run's keys with ``np.add.reduceat`` and scatters those sums,
+    a few per bank and position, not the P * (m+1) cells. The counts enter
+    only through their sums per parameter. The public arrays keep the
+    build's key order.
     """
 
     def __init__(self, avail, counts, uidx, size):
         self.avail, self.counts, self.uidx = avail, counts, uidx
         self.total = counts.sum(axis=1)
-        self._index = np.ascontiguousarray(uidx.T)
-        self._mask = np.where(avail.T, 0.0, -np.inf)
         self._stat = np.bincount(uidx.ravel(), counts.ravel(), minlength=size + 1)
-        self._ext = np.zeros(size + 1)  # the parameters, then the utility 0
+        cols = avail.any(axis=0)  # a composite's END is available at no key
+        self._index = np.ascontiguousarray(np.where(avail, uidx, size + 1)[:, cols].T)
+        self._runs = np.flatnonzero(np.r_[True, np.any(uidx[1:] != uidx[:-1], axis=1)])
+        self._run_index = uidx[self._runs][:, cols].T.ravel()
+        self._ext = np.zeros(size + 2)  # the parameters, the utility 0, then -inf
+        self._ext[-1] = -np.inf
 
     def nll_grad(self, flat):
         """The scaled negative log-likelihood of every choice and its gradient."""
         ext = self._ext
-        ext[:-1] = flat
+        ext[:-2] = flat
         e = ext.take(self._index)
-        e += self._mask
         top = e.max(axis=0)
         e -= top
         np.exp(e, out=e)
         mass = e.sum(axis=0)  # a sum of positive terms, the largest 1
-        F = self.total @ (top + np.log(mass)) - ext @ self._stat
+        F = self.total @ (top + np.log(mass)) - ext[:-1] @ self._stat
         e *= self.total / mass
-        g = np.bincount(self._index.ravel(), e.ravel(), minlength=ext.size)
+        sums = np.add.reduceat(e, self._runs, axis=1)
+        g = np.bincount(self._run_index, sums.ravel(), minlength=ext.size - 1)
         g -= self._stat
         return float(F), g[:-1]
 

@@ -420,6 +420,32 @@ def test_stratified_fit_flags_and_unit_grid_still_run(ballots, tmp_path):
                 "--folds", "2", *fit_flags]) == EXIT_OK
 
 
+@pytest.mark.parametrize("model", ["c-ld", "a-s"])
+def test_laplacian_with_one_stratum_is_input_error(ballots, tmp_path, capsys, model):
+    """With --K 1 there are no adjacent strata, so --lambda-laplacian would be
+    ignored, and recorded in the checkpoint as if it had acted."""
+    out = tmp_path / "x.json"
+    assert run(["fit", "--data", ballots, "--model", model, "--K", "1", "--lambda-laplacian",
+                "0.5", "--out", out]) == EXIT_INPUT
+    assert "--lambda-laplacian applies only with --K above 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_fold_is_input_error_before_the_data_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.soi"
+    assert run(["cv", "--data", missing, "--model", "c-i", "--grid", "K=1;lapl=0",
+                "--folds", "1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --folds must be >= 2, got 1\n"
+
+
+def test_more_folds_than_records_is_input_error(ballots, tmp_path, capsys):
+    out = tmp_path / "cv.tsv"
+    assert run(["cv", "--data", ballots, "--model", "c-i", "--grid", "K=1;lapl=0",
+                "--folds", "999999", "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --folds must be at most the 80 records, got 999999\n"
+    assert not out.exists()
+
+
 def test_condition_nonempty_on_composite_is_input_error(checkpoint, ballots, tmp_path, capsys):
     rc = run(["eval", "--model-ckpt", checkpoint, "--data", ballots, "--condition-nonempty",
               "--out", tmp_path / "evalout"])

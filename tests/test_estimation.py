@@ -937,3 +937,38 @@ def test_grid_search_in_a_pool_matches_in_process(variant):
     runs = [grid_search(variant, D, [1, 2], [0.0, 0.1], cfg, folds=3, workers=w) for w in (1, 2)]
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == 4
+
+
+@pytest.mark.parametrize("variant", ["c-ld", "a-s"])
+def test_laplacian_has_no_effect_with_one_stratum(variant):
+    """With K = 1 no banks are adjacent, so lambda_L leaves the fit unchanged
+    bit for bit: the premise of sharing fits across a grid's K = 1 cells."""
+    D = Dataset(Universe(5), random_orders(5, 300, np.random.default_rng(7)))
+    cfg = FitConfig(learning_rate=0.05, max_epochs=60, tol=1e-12, K=1)
+    plain, coupled = (fit(variant, D, replace(cfg, lambda_laplacian=lapl)) for lapl in (0.0, 0.5))
+    assert plain.trace == coupled.trace
+    layout = ParamLayout.of(plain.model)
+    np.testing.assert_array_equal(layout.from_model(plain.model), layout.from_model(coupled.model))
+
+
+def test_grid_search_fits_each_distinct_cell_once(monkeypatch):
+    """The K = 1 cells share one fit per fold; the table equals, float for
+    float, a loop that fits every cell, in process and in a pool."""
+    D = Dataset(Universe(4), random_orders(4, 90, np.random.default_rng(8)))
+    cfg = FitConfig(learning_rate=0.05, max_epochs=25, tol=1e-12)
+    Ks, lapls, folds = [1, 3], [0.0, 0.01], 3
+    reference = []
+    for K in Ks:
+        for lapl in lapls:
+            trial = replace(cfg, K=K, lambda_laplacian=lapl)
+            fold_nlls = [estimation.test_nll(fit("c-ld", train, trial).model, test).nll
+                         for train, test in kfold_split(D, folds, cfg.seed)]
+            reference.append((K, lapl, float(np.mean(fold_nlls))))
+    calls = []
+    real_fit = estimation.fit
+    monkeypatch.setattr(estimation, "fit", lambda *a: calls.append(a[2]) or real_fit(*a))
+    best, table = grid_search("c-ld", D, Ks, lapls, cfg, folds=folds, workers=1)
+    assert len(calls) == 9  # (1, 0), (3, 0) and (3, 0.01), 3 folds each
+    assert table == reference
+    assert best == min(reference, key=lambda row: row[2])[:2]
+    assert grid_search("c-ld", D, Ks, lapls, cfg, folds=folds, workers=2) == (best, table)
