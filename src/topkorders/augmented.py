@@ -121,37 +121,53 @@ class AugmentedModel:
         return [(p.theta, p.gamma, beta)]
 
 
+# Cells, rows x (m + 1), of each float temporary of one draw position: the
+# rows still drawing are processed in blocks of at most this many cells.
+DRAW_BLOCK_CELLS = 1 << 18
+
+
 def _draw(banks, n: int, rng):
     """n lists drawn under per-row banks, each (item utilities (R, m), END
-    utilities), R in {1, n}: (items (n, m) of 0-based ids padded with -1,
-    lengths (n,)). The choice at position j uses bank min(j, K) and its END
-    utility at j, or its last one where it has fewer.
+    utilities), R in {1, n}: (items (n, m) of 0-based ids padded with -1, in
+    the smallest signed integer type that holds -(m + 1), lengths (n,)). The
+    choice at position j uses bank min(j, K) and its END utility at j, or
+    its last one where it has fewer.
 
-    Positions advance in lockstep; each round draws one choice for every
-    still-active list by inverse CDF over its available options.
+    Positions advance in lockstep; each round draws one uniform for every
+    still-active list, in one call, then picks its choice by inverse CDF over
+    its available options, block by block, so that no temporary is larger
+    than DRAW_BLOCK_CELLS floats. Each row's arithmetic is its own, so the
+    choices do not depend on the block size.
     """
     K, (R, m) = len(banks), banks[0][0].shape
-    items = np.full((n, m), -1, dtype=np.int64)
+    items = np.full((n, m), -1, dtype=np.min_scalar_type(-1 - m))
+    lengths = np.zeros(n, dtype=np.int64)
     avail = np.ones((n, m + 1), dtype=bool)
     active = np.ones(n, dtype=bool)
+    step = max(DRAW_BLOCK_CELLS // (m + 1), 1)
     for pos in range(1, m + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         bank, end = banks[min(pos, K) - 1]
-        u = np.empty((R if R == 1 else idx.size, m + 1))
-        u[:, :m] = bank if R == 1 else bank[idx]
-        u[:, m] = end[min(pos, end.size) - 1]
-        cum = np.exp(u - u.max(axis=1, keepdims=True)) * avail[idx]
-        np.cumsum(cum, axis=1, out=cum)
-        r = rng.random(idx.size) * cum[:, -1]
-        choice = (cum < r[:, None]).sum(axis=1)
-        ended = choice == m
-        active[idx[ended]] = False
-        chose = idx[~ended]
-        items[chose, pos - 1] = choice[~ended]
-        avail[chose, choice[~ended]] = False
-    return items, (items >= 0).sum(axis=1)
+        end = end[min(pos, end.size) - 1]
+        r = rng.random(idx.size)
+        for lo in range(0, idx.size, step):
+            rows = idx[lo : lo + step]
+            u = np.empty((R if R == 1 else rows.size, m + 1))
+            u[:, :m] = bank if R == 1 else bank[rows]
+            u[:, m] = end
+            u -= u.max(axis=1, keepdims=True)
+            cum = np.exp(u, out=u) * avail[rows]
+            np.cumsum(cum, axis=1, out=cum)
+            choice = (cum < (r[lo : lo + step] * cum[:, -1])[:, None]).sum(axis=1)
+            ended = choice == m
+            active[rows[ended]] = False
+            chose, choice = rows[~ended], choice[~ended]
+            items[chose, pos - 1] = choice
+            avail[chose, choice] = False
+            lengths[chose] = pos
+    return items, lengths
 
 
 def sample_augmented_batch(

@@ -333,13 +333,11 @@ def cmd_sample(args) -> int:
         covariates, _, _ = dataio.load_covariates(args.covariates, model.universe)
         if covariates.n != args.n:
             raise ParseError(f"{covariates.n} agents, but --n {args.n}", args.covariates)
-    reps = evaluation.replicate_sample(
-        model, args.n, args.reps, args.seed, covariates, no_empty=args.no_empty
-    )
     os.makedirs(args.out, exist_ok=True)
-    for r, rep in enumerate(reps):
+    for r in range(args.reps):  # each replicate is written before the next is drawn
+        rep = evaluation.draw_replicate(model, args.n, args.seed, r, covariates, args.no_empty)
         dataio.write_dataset(rep, os.path.join(args.out, f"replicate_{r:03d}.txt"))
-    print(f"wrote {len(reps)} replicates of {args.n} orders to {args.out}")
+    print(f"wrote {args.reps} replicates of {args.n} orders to {args.out}")
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ ones, and rejects malformed or negative counts, tied ({...}) entries and
 ids that are no 64-bit integers. ``Dataset.from_padded`` checks the range,
 duplicate and empty-list rules once per line, count-0 lines included, with
 ``validate_order``'s messages ("duplicate alternative id 1"). Every error
-is a ParseError at path:line. Full-length ballots are length-m orders.
+is a ParseError at path:line. Full-length ballots are length-m orders. The
+dataset keeps each line once, with its count, and drops count-0 lines.
 
 Checkpoints are versioned JSON holding a model's ``ParamLayout`` (variant,
 m, d, K) and the layout's named arrays; floats round-trip exactly
@@ -131,11 +132,12 @@ def _int64s(texts, what, line_of, path) -> np.ndarray:
 
 
 def _ballot_dataset(universe, ballots, declared_n, path) -> Dataset:
-    """Each (line number, count text, items text) of ``ballots`` as ``count``
-    records, in file order. The item texts of all lines are tokenized in one
-    pass: entries are stripped, empty ones skipped. The lines are then checked
-    once, by ``Dataset.from_padded`` before the repeat, so a line whose list
-    breaks a rule is reported at its line, whatever its count."""
+    """Each (line number, count text, items text) of ``ballots`` as one row
+    standing for ``count`` records, in file order. The item texts of all
+    lines are tokenized in one pass: entries are stripped, empty ones
+    skipped. The lines are then checked once, by ``Dataset.from_padded``, so
+    a line whose list breaks a rule is reported at its line, whatever its
+    count; a count-0 line is dropped after its check."""
     linenos, count_texts, item_texts = zip(*ballots) if ballots else ((), (), ())
     counts = _int64s(count_texts, "count", linenos.__getitem__, path)
     if np.any(counts < 0):
@@ -158,27 +160,43 @@ def _ballot_dataset(universe, ballots, declared_n, path) -> Dataset:
         lines = Dataset.from_padded(universe, items, lengths)
     except InvalidOrderError as exc:
         raise ParseError(str(exc), path, linenos[exc.row]) from None
-    D = lines._subset(np.repeat(np.arange(len(ballots)), counts))
+    keep = counts > 0
+    counts = counts[keep]
+    counts.flags.writeable = False
+    items, lengths, _ = lines.rows()
+    D = Dataset.__new__(Dataset)
+    D._set(universe, items[keep], lengths[keep], None, False, check_rows=False,
+           counts=None if np.all(counts == 1) else counts)
     if declared_n is not None and declared_n != D.n:
         note = f"declared {declared_n} ballots, observed {D.n}; using observed count"
         warnings.warn(f"{path}: {note}")
     return D
 
 
-def _ballot_texts(D: Dataset) -> list:
-    """Each record's 1-based ids as 'a,b,c' ('' for the empty list), built
-    one list position at a time."""
-    items, lengths = D.to_padded()
+# Rows of a dataset turned into ballot text at a time: the text of one block,
+# a Python string per row, is the largest temporary of writing or hashing.
+TEXT_BLOCK_ROWS = 1 << 14
+
+
+def _ballot_text_blocks(D: Dataset):
+    """Each block of up to TEXT_BLOCK_ROWS stored rows as (texts, counts):
+    each row's 1-based ids as 'a,b,c' ('' for the empty list), built one
+    list position at a time, and the number of records the row stands for.
+    The rows come in order, so repeating each text by its count gives the
+    records in order."""
+    items, lengths, counts = D.rows()
     names = np.array([""] + [str(a) for a in range(1, D.m + 1)], dtype=object)
-    text = names[items[:, 0] + 1]
-    for j in range(1, items.shape[1]):
-        rows = lengths > j
-        text[rows] += "," + names[items[rows, j] + 1]
-    return text.tolist()
+    for lo in range(0, lengths.shape[0], TEXT_BLOCK_ROWS):
+        block, k = items[lo : lo + TEXT_BLOCK_ROWS], lengths[lo : lo + TEXT_BLOCK_ROWS]
+        text = names[block[:, 0] + 1]
+        for j in range(1, block.shape[1]):
+            rows = k > j
+            text[rows] += "," + names[block[rows, j] + 1]
+        yield text.tolist(), counts[lo : lo + TEXT_BLOCK_ROWS].tolist()
 
 
 def write_dataset(D: Dataset, path) -> None:
-    """One unit-weight ballot per line, 2021 style: '1: a,b,c'."""
+    """One unit-weight ballot per record, 2021 style: '1: a,b,c'."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# FILE NAME: dataset\n")
         fh.write(f"# NUMBER ALTERNATIVES: {D.universe.m}\n")
@@ -186,7 +204,8 @@ def write_dataset(D: Dataset, path) -> None:
         if D.universe.labels is not None:
             for i, name in enumerate(D.universe.labels, start=1):
                 fh.write(f"# ALTERNATIVE NAME {i}: {name}\n")
-        fh.writelines(f"1: {text}\n" for text in _ballot_texts(D))
+        for texts, counts in _ballot_text_blocks(D):
+            fh.write("".join(f"1: {text}\n" * c for text, c in zip(texts, counts)))
 
 
 @dataclass(frozen=True)
@@ -338,6 +357,8 @@ def load_checkpoint(path):
 
 
 def dataset_hash(D: Dataset) -> str:
+    """The first 16 hex digits of the sha256 of m, then '|a,b,c' per record."""
     h = hashlib.sha256(str(D.universe.m).encode())
-    h.update("".join("|" + text for text in _ballot_texts(D)).encode())
+    for texts, counts in _ballot_text_blocks(D):
+        h.update("".join(("|" + text) * c for text, c in zip(texts, counts)).encode())
     return h.hexdigest()[:16]

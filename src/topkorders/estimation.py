@@ -261,8 +261,8 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
     empty list, or on one per agent when the records have covariates.
     """
     layout = ParamLayout.of(model)
-    _check_records(model.variant, layout.m, *D.to_padded())
-    data = _FitData(D)
+    _check_records(model.variant, layout.m, *D.rows()[:2])
+    data = _FitData(D)  # each row is scored once; its records share its value
     if model.variant == "c-ci":
         if data.X is None:
             raise ValueError("c-ci requires covariates")
@@ -276,7 +276,7 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
         lp -= np.log1p(-np.exp(_row_terms(model.variant, empty, layout, flat)[0].sum(axis=1)))
     out = np.empty_like(lp)
     out[data.order] = lp
-    return out
+    return out if out.shape[0] == D.n else np.repeat(out, D.rows()[2])
 
 
 def _check_records(variant, m, items, lengths) -> None:
@@ -334,17 +334,22 @@ def test_nll(model, D_test: Dataset, condition_nonempty: bool = False) -> TestNL
 # ---------------------------------------------------------------------------
 
 class _FitData:
-    """Padded arrays prepared once per fit: one row of weight 1 per record,
-    with its covariates, sorted by list length as the kernel takes them;
-    ``order`` maps the rows back to the records. Duplicate records are not
-    merged; the event table merges their choices.
+    """Padded arrays prepared once per fit: the dataset's stored rows, each
+    weighted by its count of records, or with ``per_record`` one row of
+    weight 1 per record; with their covariates, sorted by list length as the
+    kernel takes them. ``order`` maps the sorted rows back to the unsorted
+    ones. The weights are integers, so the event table's sums over them are
+    exact and do not depend on how the records are split into rows.
     """
 
-    def __init__(self, D: Dataset):
-        items, lengths = D.to_padded()
+    def __init__(self, D: Dataset, per_record: bool = False):
+        items, lengths, counts = D.rows()
+        if per_record:
+            (items, lengths), counts = D.to_padded(), np.ones(D.n)
         self.order = np.argsort(lengths, kind="stable")
         X = None if D.covariates is None else D.covariates.values[self.order]
-        self._set_rows(D.universe.m, items[self.order], lengths[self.order], np.ones(D.n), X)
+        weights = counts[self.order].astype(np.float64)
+        self._set_rows(D.universe.m, items[self.order], lengths[self.order], weights, X)
 
     @classmethod
     def from_rows(cls, m, items, lengths, weights, X):
@@ -447,13 +452,24 @@ def objective_and_grad(
 # ---------------------------------------------------------------------------
 
 def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
-    """Minimize F by Adam until |F_t - F_{t-1}| < tol or max_epochs."""
+    """Minimize F by Adam until |F_t - F_{t-1}| < tol or max_epochs.
+
+    A full-batch fit with an event table builds it from the dataset's rows
+    weighted by their counts; any other fit takes one row per record, so
+    that mini-batches draw records and the row kernel sums its terms record
+    by record.
+    """
     cfg = _acting_config(variant, cfg or FitConfig())
     d = D.covariates.d if D.covariates is not None else 0
     layout = ParamLayout(variant, D.universe.m, d, cfg.K)  # checks the variant and its covariates
-    _check_records(variant, layout.m, *D.to_padded())
-    data = _FitData(D)
+    if D.n == 0:
+        raise ValueError("empty dataset")
+    _check_records(variant, layout.m, *D.rows()[:2])
+    full_batch = cfg.batch_size == "full" or cfg.batch_size >= D.n
+    data = _FitData(D, per_record=not full_batch)
     data.events = event_table(data, layout)
+    if data.events is None and data.lengths.shape[0] < D.n:
+        data = _FitData(D, per_record=True)
 
     flat = np.zeros(layout.size)
     mom = np.zeros_like(flat)
@@ -465,7 +481,6 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     prev_F = None
     converged = False
     epoch = 0
-    full_batch = cfg.batch_size == "full" or cfg.batch_size >= D.n
     step = 0
     for epoch in range(1, cfg.max_epochs + 1):
         if not full_batch:  # mini-batches of records, reshuffled per epoch

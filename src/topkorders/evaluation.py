@@ -14,21 +14,24 @@ from .orders import Dataset
 def replicate_sample(
     model, n: int, N: int, seed: int, covariates=None, no_empty: bool = False
 ) -> list[Dataset]:
-    """N synthetic datasets of n orders; replicate r is seeded by (seed, r).
+    """N synthetic datasets of n orders; replicate r is ``draw_replicate``'s
+    replicate r.
 
     Covariate-conditioned models reuse the training covariates, so each
     replicate simulates the same n agents.
     """
-    reps = []
-    for r in range(N):
-        rng = np.random.default_rng((seed, r))
-        if isinstance(model, CompositeModel):
-            reps.append(sample_composite_dataset(model, n, rng, covariates))
-        else:
-            reps.append(
-                sample_augmented_dataset(model, n, rng, covariates, no_empty=no_empty)
-            )
-    return reps
+    return [draw_replicate(model, n, seed, r, covariates, no_empty) for r in range(N)]
+
+
+def draw_replicate(
+    model, n: int, seed: int, r: int, covariates=None, no_empty: bool = False
+) -> Dataset:
+    """Replicate r of ``replicate_sample``: n orders drawn with a generator
+    seeded by (seed, r), so each replicate can be drawn on its own."""
+    rng = np.random.default_rng((seed, r))
+    if isinstance(model, CompositeModel):
+        return sample_composite_dataset(model, n, rng, covariates)
+    return sample_augmented_dataset(model, n, rng, covariates, no_empty=no_empty)
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,9 @@ class PartialOrder:
 class OrderView(Sequence):
     """A read-only sequence of PartialOrders over padded id arrays.
 
-    Holds the arrays a Dataset stores and builds a PartialOrder only when a
-    record is read, so taking the view costs nothing. Slices are views too. A
-    view equals any sequence that holds the same orders in the same order.
+    Holds a Dataset's per-record arrays (``Dataset.to_padded``) and builds a
+    PartialOrder only when a record is read. Slices are views too. A view
+    equals any sequence that holds the same orders in the same order.
     """
 
     __slots__ = ("_items", "_lengths")
@@ -143,16 +143,21 @@ class CovariateTensor:
 class Dataset:
     """A multiset of top-k partial orders over a shared universe.
 
-    Records are stored as arrays only: 0-based item ids padded with -1,
-    shape (n, kmax), in the smallest signed integer type that holds -(m + 1)
-    (so ids + 1 cannot overflow), and list lengths (n,) as int64.
-    ``orders`` is an OrderView over them.
+    Records are stored as arrays only, as rows with a count each: 0-based
+    item ids padded with -1, shape (rows, kmax), in the smallest signed
+    integer type that holds -(m + 1) (so ids + 1 cannot overflow), list
+    lengths (rows,) as int64, and how many records each row stands for.
+    ``rows`` returns the three. A parsed ballot file keeps one row per line;
+    every other dataset, covariates included, has one row per record. ``n``
+    counts records; ``to_padded``, ``lengths`` and ``orders`` give them one
+    each, in order, each row repeated by its count.
     """
 
     def __init__(self, universe: Universe, orders=(), covariates=None, allow_empty=False):
-        """``orders``: a Dataset, an OrderView or a sequence of PartialOrders.
-        The rows of a Dataset over the same universe object, checked under
-        an ``allow_empty`` no looser than this one, are not checked again."""
+        """``orders``: a Dataset, an OrderView or a sequence of PartialOrders,
+        stored one row per record. The records of a Dataset over the same
+        universe object, checked under an ``allow_empty`` no looser than this
+        one, are not checked again."""
         items, lengths = padded_orders(orders)
         checked = (
             isinstance(orders, Dataset)
@@ -170,7 +175,10 @@ class Dataset:
         D._set(universe, items, lengths, covariates, allow_empty)
         return D
 
-    def _set(self, universe, items, lengths, covariates, allow_empty, check_rows=True):
+    def _set(self, universe, items, lengths, covariates, allow_empty, check_rows=True,
+             counts=None):
+        """``counts`` (rows,), each at least 1, read-only; None gives every row
+        one record."""
         lengths = np.asarray(lengths, dtype=np.int64)
         items = np.asarray(items)
         width = max(int(lengths.max()) if lengths.size else 0, 1)
@@ -182,45 +190,69 @@ class Dataset:
         check_covariates(covariates, lengths.shape[0], universe.m)
         items.flags.writeable = lengths.flags.writeable = False
         self.universe, self.covariates, self.allow_empty = universe, covariates, allow_empty
-        self._items, self._lengths = items, lengths
+        self._items, self._lengths, self._counts = items, lengths, counts
 
     def _subset(self, rows) -> "Dataset":
-        """The records selected by ``rows`` (a mask or indices) with their
-        covariates, in the order given; their rows are not checked again."""
+        """The records selected by ``rows`` (a mask or indices over the
+        records) with their covariates, in the order given, one row each;
+        their rows are not checked again."""
         cov = self.covariates
         cov = None if cov is None else CovariateTensor(cov.values[rows])
+        items, lengths = self.to_padded()
         D = Dataset.__new__(Dataset)
-        D._set(self.universe, self._items[rows], self._lengths[rows], cov, self.allow_empty, False)
+        D._set(self.universe, items[rows], lengths[rows], cov, self.allow_empty, False)
         return D
 
     @property
     def orders(self) -> OrderView:
-        return OrderView(self._items, self._lengths)
+        return OrderView(*self.to_padded())
 
     @property
     def n(self) -> int:
-        return self._lengths.shape[0]
+        if self._counts is None:
+            return self._lengths.shape[0]
+        return int(self._counts.sum())
 
     @property
     def m(self) -> int:
         return self.universe.m
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return the stored (items, lengths, counts), read-only: each row
+        once, with the number of records it stands for."""
+        counts = self._counts
+        if counts is None:  # one record per row, held in no memory
+            counts = np.broadcast_to(np.int64(1), self._lengths.shape)
+        return self._items, self._lengths, counts
+
     def lengths(self) -> np.ndarray:
-        return self._lengths
+        """Each record's list length, read-only."""
+        return self._per_record(self._lengths)
 
     def to_padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (items, lengths): 0-based ids padded with -1, shape (n, kmax).
+        """Return (items, lengths): 0-based ids padded with -1, shape (n, kmax),
+        one row per record, in order.
 
-        Both arrays are the stored ones and are read-only; see the class
-        docstring for their integer types.
+        Both arrays are read-only; see the class docstring for their integer
+        types. They are the stored arrays when every row is one record, and
+        are otherwise built on each call.
         """
-        return self._items, self._lengths
+        return self._per_record(self._items), self._per_record(self._lengths)
+
+    def _per_record(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one entry per row, with each row repeated by its count."""
+        if self._counts is None:
+            return a
+        a = np.repeat(a, self._counts, axis=0)
+        a.flags.writeable = False
+        return a
 
 
 def padded_orders(orders) -> tuple[np.ndarray, np.ndarray]:
     """(items, lengths) as ``Dataset.to_padded`` gives them, of a Dataset, an
-    OrderView or a sequence of PartialOrders. A Dataset or a view hands over its
-    stored arrays; only a sequence of objects is padded, and nothing is validated."""
+    OrderView or a sequence of PartialOrders. A Dataset hands over its
+    per-record arrays and a view the arrays it holds; only a sequence of
+    objects is padded, and nothing is validated."""
     if isinstance(orders, Dataset):
         return orders.to_padded()
     if isinstance(orders, OrderView):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from topkorders import (
     composite_log_prob,
     enumerate_partial_orders,
     sample_augmented_dataset,
+    write_dataset,
 )
+from topkorders import augmented
 from topkorders.augmented import sample_augmented_batch
 from util import empirical_pmf, engine_log_probs, enum_pmf, pl_model, random_model
 
@@ -196,3 +200,39 @@ def test_total_order_has_no_terminal_factor():
         composite_log_prob(q, pl_model(theta)) + math.log(m), abs=1e-9
     )
     assert np.isfinite(augmented_log_prob(q, hi))
+
+
+def _fixed_as_model():
+    banks = np.vstack([np.linspace(0.8, -0.8, 9), np.linspace(0.4, -0.4, 9), np.zeros(9)])
+    return AugmentedModel("a-s", StratifiedAugmentedParams(banks), Universe(8))
+
+
+@pytest.mark.parametrize("block_cells", [None, 9 * 997])
+def test_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
+    """The replicate file of a fixed a-s model, n = 50,000, seed 7, empty
+    draws included, as the sampler with full-height temporaries wrote it: the
+    draws read the same uniforms, and the blocks of rows change no choice."""
+    if block_cells:
+        monkeypatch.setattr(augmented, "DRAW_BLOCK_CELLS", block_cells)
+    D = sample_augmented_dataset(_fixed_as_model(), 50_000, np.random.default_rng(7))
+    p = tmp_path / "rep.txt"
+    write_dataset(D, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "26e295ef3e49ebcc52a9b6e1fa8164e7857d07275ab4e20205b7d57c64c14bc2"
+    )
+
+
+def test_sampler_memory_is_bounded_by_its_blocks():
+    """200,000 a-s draws over m = 8 items keep per-row arrays of a few bytes
+    per cell (int8 ids, the available-option mask, the lengths, each
+    position's active rows and uniforms), about 13 MB with the dataset's
+    row check. Float temporaries of the full height, 200,000 x 9 x 8 bytes =
+    14.4 MB each, three of them live at once, would pass 40 MB; the blocks of
+    DRAW_BLOCK_CELLS = 2^18 cells hold 2 MB each."""
+    tracemalloc.start()
+    try:
+        sample_augmented_dataset(_fixed_as_model(), 200_000, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

@@ -143,6 +143,29 @@ def test_sample_command(checkpoint, tmp_path):
     assert D.universe.m == 4
 
 
+def test_sample_writes_the_replicates_of_replicate_sample(checkpoint, tmp_path):
+    """Each replicate is written as it is drawn, seeded by (seed, r): the
+    files equal write_dataset of replicate_sample's datasets, byte for byte."""
+    out = tmp_path / "samples"
+    rc = run(["sample", "--model-ckpt", checkpoint, "--n", "40", "--reps", "3",
+              "--seed", "9", "--out", out])
+    assert rc == EXIT_OK
+    model, _ = topkorders.load_checkpoint(checkpoint)
+    for r, rep in enumerate(topkorders.replicate_sample(model, 40, 3, 9)):
+        want = tmp_path / f"want_{r}.txt"
+        write_dataset(rep, want)
+        assert (out / f"replicate_{r:03d}.txt").read_bytes() == want.read_bytes()
+
+
+def test_fit_of_no_records_is_input_error(tmp_path, capsys):
+    data = tmp_path / "zero.soi"
+    data.write_text("# NUMBER ALTERNATIVES: 3\n0: 1,2\n")
+    out = tmp_path / "z.json"
+    assert run(["fit", "--data", data, "--model", "c-i", "--out", out]) == EXIT_INPUT
+    assert "empty dataset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cv_command(ballots, tmp_path, capsys):
     out = tmp_path / "cv.tsv"
     rc = run(["cv", "--data", ballots, "--model", "c-ld",

@@ -15,7 +15,7 @@ from topkorders import (
     summary_stats,
     write_dataset,
 )
-from topkorders import orders
+from topkorders import dataio, orders
 from topkorders.dataio import (
     ParseError,
     dataset_hash,
@@ -249,6 +249,57 @@ def test_dataset_hash_pinned(tmp_path):
     assert [q.items for q in D.orders] == [(2, 1)] * 3 + [(5, 4, 1, 2, 3)] + [(3,)] * 2
     assert dataset_hash(D) == "33b51225ffc4855b"
     assert dataset_hash(Dataset(D.universe, tuple(reversed(D.orders)))) == "31f756ad8b435f6b"
+
+
+def test_parse_keeps_each_line_once_with_its_count(tmp_path):
+    """A parsed file stores its 3 kept lines with their counts; the records
+    come out one each, in file order, from read-only arrays."""
+    p = tmp_path / "counts.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 3\n2: 1,2\n0: 3\n1: 2\n3: 3,1\n")
+    D = parse_preflib(p)
+    items, lengths, counts = D.rows()
+    assert (items + 1).tolist() == [[1, 2], [2, 0], [3, 1]]
+    assert lengths.tolist() == [2, 1, 2]
+    assert counts.tolist() == [2, 1, 3]
+    assert D.n == 6
+    assert [q.items for q in D.orders] == [(1, 2)] * 2 + [(2,)] + [(3, 1)] * 3
+    assert D.lengths().tolist() == [2, 2, 1, 2, 2, 2]
+    padded, per_record = D.to_padded()
+    assert padded.shape == (6, 2)
+    assert not padded.flags.writeable and not per_record.flags.writeable
+
+
+def _text_case(case, tmp_path):
+    if case == "m12":  # two-digit ids
+        return Dataset(Universe(12), random_orders(12, 40, np.random.default_rng(4)))
+    if case == "empty-lists":
+        lists = [(2, 1), (), (3,), (), (), (1, 3, 2), (2,)]
+        return Dataset(Universe(3), [PartialOrder(q) for q in lists], allow_empty=True)
+    p = tmp_path / "counts.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 11\n# ALTERNATIVE NAME 2: two\n"
+                 "3: 10,2\n0: 1\n1: 11,4,1\n4: 5\n2: 1,11\n")
+    return parse_preflib(p)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("case", ["m12", "empty-lists", "count-lines"])
+def test_ballot_text_matches_the_records(tmp_path, monkeypatch, case, block):
+    """write_dataset and dataset_hash give the text built here record by
+    record from ``D.orders``, also when blocks of 3 rows split the lists
+    and a count line."""
+    if block:
+        monkeypatch.setattr(dataio, "TEXT_BLOCK_ROWS", block)
+    D = _text_case(case, tmp_path)
+    texts = [",".join(map(str, q.items)) for q in D.orders]
+    head = ["# FILE NAME: dataset", f"# NUMBER ALTERNATIVES: {D.m}", f"# NUMBER VOTERS: {D.n}"]
+    if D.universe.labels is not None:
+        head += [f"# ALTERNATIVE NAME {i}: {name}"
+                 for i, name in enumerate(D.universe.labels, start=1)]
+    p = tmp_path / "out.soi"
+    write_dataset(D, p)
+    assert p.read_text() == "\n".join(head + [f"1: {text}" for text in texts]) + "\n"
+    digest = hashlib.sha256((str(D.m) + "".join("|" + text for text in texts)).encode())
+    assert dataset_hash(D) == digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -28,6 +29,7 @@ from topkorders import (
     grid_search,
     kfold_split,
     nll,
+    parse_preflib,
     sample_augmented_dataset,
     sample_composite_dataset,
     stratify_dataset,
@@ -653,6 +655,67 @@ def test_batch_size_counts_records():
     full = fit("c-i", D, cfg).trace
     assert fit("c-i", D, replace(cfg, batch_size=120)).trace == full
     assert fit("c-i", D, replace(cfg, batch_size=32)).trace != full
+
+
+def _tables_built(monkeypatch):
+    """Patch event_table to record, per call, the weights of the rows it is
+    handed and whether it built a table."""
+    calls, build = [], estimation.event_table
+
+    def spy(data, layout):
+        table = build(data, layout)
+        calls.append((data.weights.tolist(), table is not None))
+        return table
+
+    monkeypatch.setattr(estimation, "event_table", spy)
+    return calls
+
+
+def test_fit_reads_each_count_line_once(tmp_path, monkeypatch):
+    """The toy file's 3 lines, 5 records, reach event_table as 3 rows
+    weighted by their counts, in order of length. They make no table, so
+    the row kernel takes one row per record, and the trace is that of the
+    records one row each."""
+    p = tmp_path / "toy.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 3\n2: 1,2\n2: 3\n1: 2,1,3\n")
+    D = parse_preflib(p)
+    calls = _tables_built(monkeypatch)
+    cfg = FitConfig(learning_rate=0.05, max_epochs=30, tol=1e-12)
+    trace = fit("c-i", D, cfg).trace
+    assert calls == [([2.0, 2.0, 1.0], False)]
+    assert fit("c-i", Dataset(D.universe, D), cfg).trace == trace
+
+
+@pytest.mark.parametrize("variant,K", [("c-i", 1), ("c-ld", 3), ("a", 1), ("a-pd", 1), ("a-s", 3)])
+def test_count_lines_fit_and_score_as_their_records(tmp_path, monkeypatch, variant, K):
+    """A parsed file of 400 records on its distinct lists: the full-batch
+    fit builds its table from one row per line, and the trace, the
+    mini-batch trace, every record's log-probability and test_nll equal,
+    float for float, those of the same records one row each."""
+    lists = Counter(q.items for q in random_orders(3, 400, np.random.default_rng(61)))
+    p = tmp_path / "lines.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 3\n"
+                 + "".join(f"{c}: {','.join(map(str, q))}\n" for q, c in lists.items()))
+    D = parse_preflib(p)
+    unit = Dataset(D.universe, D)
+    assert D.rows()[0].shape[0] == len(lists) < unit.rows()[0].shape[0] == D.n == 400
+    calls = _tables_built(monkeypatch)
+    cfg = FitConfig(K=K, learning_rate=0.05, max_epochs=40, tol=1e-12)
+    result = fit(variant, D, cfg)
+    assert [(len(w), built) for w, built in calls] == [(len(lists), True)]
+    assert result.trace == fit(variant, unit, cfg).trace
+    mini = replace(cfg, batch_size=64)
+    assert fit(variant, D, mini).trace == fit(variant, unit, mini).trace
+    cond = variant.startswith("a")
+    np.testing.assert_array_equal(record_log_probs(result.model, D, cond),
+                                  record_log_probs(result.model, unit, cond))
+    assert estimation.test_nll(result.model, D) == estimation.test_nll(result.model, unit)
+
+
+@pytest.mark.parametrize("variant", ["c-i", "a-s"])
+def test_fit_of_no_records_is_an_error(variant):
+    with pytest.raises(ValueError, match="empty dataset"):
+        fit(variant, Dataset(Universe(3), ()))
 
 
 # ---------------------------------------------------------------------------
