@@ -157,42 +157,41 @@ def _ballot_dataset(universe, ballots, declared_n, path) -> Dataset:
     items = np.full((len(ballots), width), -1, dtype=np.int64)
     items[np.arange(width) < lengths[:, None]] = ids - 1
     try:
-        lines = Dataset.from_padded(universe, items, lengths)
+        D = Dataset.from_padded(universe, items, lengths, counts=counts)
     except InvalidOrderError as exc:
         raise ParseError(str(exc), path, linenos[exc.row]) from None
-    keep = counts > 0
-    counts = counts[keep]
-    counts.flags.writeable = False
-    items, lengths, _ = lines.rows()
-    D = Dataset.__new__(Dataset)
-    D._set(universe, items[keep], lengths[keep], None, False, check_rows=False,
-           counts=None if np.all(counts == 1) else counts)
     if declared_n is not None and declared_n != D.n:
         note = f"declared {declared_n} ballots, observed {D.n}; using observed count"
         warnings.warn(f"{path}: {note}")
     return D
 
 
-# Rows of a dataset turned into ballot text at a time: the text of one block,
-# a Python string per row, is the largest temporary of writing or hashing.
-TEXT_BLOCK_ROWS = 1 << 14
+# Records turned into ballot text at a time: the text of one block, a
+# Python string per row and one joined string, is the largest temporary of
+# writing or hashing.
+TEXT_BLOCK_RECORDS = 1 << 14
 
 
 def _ballot_text_blocks(D: Dataset):
-    """Each block of up to TEXT_BLOCK_ROWS stored rows as (texts, counts):
-    each row's 1-based ids as 'a,b,c' ('' for the empty list), built one
-    list position at a time, and the number of records the row stands for.
-    The rows come in order, so repeating each text by its count gives the
-    records in order."""
+    """The records in blocks of up to TEXT_BLOCK_RECORDS, each as (texts,
+    counts) over the stored rows it meets: each row's 1-based ids as 'a,b,c'
+    ('' for the empty list), built one list position at a time, and how many
+    of the row's records fall in the block. Repeating each text by its
+    count gives the block's records in order."""
     items, lengths, counts = D.rows()
+    ends = np.cumsum(counts)  # the records through each row
     names = np.array([""] + [str(a) for a in range(1, D.m + 1)], dtype=object)
-    for lo in range(0, lengths.shape[0], TEXT_BLOCK_ROWS):
-        block, k = items[lo : lo + TEXT_BLOCK_ROWS], lengths[lo : lo + TEXT_BLOCK_ROWS]
+    for lo in range(0, D.n, TEXT_BLOCK_RECORDS):
+        hi = min(lo + TEXT_BLOCK_RECORDS, D.n)
+        r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
+        r1 += 1
+        block, k, end = items[r0:r1], lengths[r0:r1], ends[r0:r1]
         text = names[block[:, 0] + 1]
         for j in range(1, block.shape[1]):
             rows = k > j
             text[rows] += "," + names[block[rows, j] + 1]
-        yield text.tolist(), counts[lo : lo + TEXT_BLOCK_ROWS].tolist()
+        taken = np.minimum(end, hi) - np.maximum(end - counts[r0:r1], lo)
+        yield text.tolist(), taken.tolist()
 
 
 def write_dataset(D: Dataset, path) -> None:

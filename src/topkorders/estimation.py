@@ -276,7 +276,7 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
         lp -= np.log1p(-np.exp(_row_terms(model.variant, empty, layout, flat)[0].sum(axis=1)))
     out = np.empty_like(lp)
     out[data.order] = lp
-    return out if out.shape[0] == D.n else np.repeat(out, D.rows()[2])
+    return D.per_record(out)
 
 
 def _check_records(variant, m, items, lengths) -> None:
@@ -454,10 +454,9 @@ def objective_and_grad(
 def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     """Minimize F by Adam until |F_t - F_{t-1}| < tol or max_epochs.
 
-    A full-batch fit with an event table builds it from the dataset's rows
-    weighted by their counts; any other fit takes one row per record, so
-    that mini-batches draw records and the row kernel sums its terms record
-    by record.
+    A full-batch fit reads the dataset's rows weighted by their counts; a
+    mini-batch fit takes one row per record, so that its batches draw
+    records.
     """
     cfg = _acting_config(variant, cfg or FitConfig())
     d = D.covariates.d if D.covariates is not None else 0
@@ -468,8 +467,6 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     full_batch = cfg.batch_size == "full" or cfg.batch_size >= D.n
     data = _FitData(D, per_record=not full_batch)
     data.events = event_table(data, layout)
-    if data.events is None and data.lengths.shape[0] < D.n:
-        data = _FitData(D, per_record=True)
 
     flat = np.zeros(layout.size)
     mom = np.zeros_like(flat)

@@ -167,18 +167,19 @@ class Dataset:
         self._set(universe, items, lengths, covariates, allow_empty, check_rows=not checked)
 
     @classmethod
-    def from_padded(cls, universe, items, lengths, covariates=None, allow_empty=False):
+    def from_padded(cls, universe, items, lengths, covariates=None, allow_empty=False,
+                    counts=None):
         """A dataset from arrays shaped as ``to_padded`` returns them: 0-based
-        ids with -1 in every cell past a record's length. Columns past the
-        longest list are dropped after validation."""
+        ids with -1 in every cell past a record's length. ``counts`` (rows,)
+        gives the number of records each row stands for (default one each);
+        rows of count 0 are validated, then dropped. Columns past the
+        longest kept list are dropped after validation."""
         D = cls.__new__(cls)
-        D._set(universe, items, lengths, covariates, allow_empty)
+        D._set(universe, items, lengths, covariates, allow_empty, counts=counts)
         return D
 
     def _set(self, universe, items, lengths, covariates, allow_empty, check_rows=True,
              counts=None):
-        """``counts`` (rows,), each at least 1, read-only; None gives every row
-        one record."""
         lengths = np.asarray(lengths, dtype=np.int64)
         items = np.asarray(items)
         width = max(int(lengths.max()) if lengths.size else 0, 1)
@@ -186,6 +187,11 @@ class Dataset:
             raise ValueError(f"items of shape {items.shape} do not hold lengths up to {width}")
         if check_rows:
             _validate_rows(items, lengths, universe, allow_empty)
+        if counts is not None:
+            items, lengths, counts = _weighted_rows(items, lengths, counts)
+            width = max(int(lengths.max()) if lengths.size else 0, 1)
+            if counts is not None and covariates is not None:
+                raise ValueError("a dataset with covariates has one row per record")
         items = items[:, :width].astype(np.min_scalar_type(-1 - universe.m), copy=False)
         check_covariates(covariates, lengths.shape[0], universe.m)
         items.flags.writeable = lengths.flags.writeable = False
@@ -227,7 +233,7 @@ class Dataset:
 
     def lengths(self) -> np.ndarray:
         """Each record's list length, read-only."""
-        return self._per_record(self._lengths)
+        return _read_only(self.per_record(self._lengths))
 
     def to_padded(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (items, lengths): 0-based ids padded with -1, shape (n, kmax),
@@ -237,15 +243,32 @@ class Dataset:
         types. They are the stored arrays when every row is one record, and
         are otherwise built on each call.
         """
-        return self._per_record(self._items), self._per_record(self._lengths)
+        return _read_only(self.per_record(self._items)), _read_only(self.per_record(self._lengths))
 
-    def _per_record(self, a: np.ndarray) -> np.ndarray:
-        """``a``, one entry per row, with each row repeated by its count."""
-        if self._counts is None:
-            return a
-        a = np.repeat(a, self._counts, axis=0)
-        a.flags.writeable = False
-        return a
+    def per_record(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one entry per stored row, with each entry repeated by its
+        row's count: one per record, in order. ``a`` itself when every row
+        is one record."""
+        return a if self._counts is None else np.repeat(a, self._counts, axis=0)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _weighted_rows(items, lengths, counts):
+    """The rows of nonzero count, with their counts as a read-only int64
+    array, or None when each is 1."""
+    counts = np.asarray(counts)
+    if counts.shape != lengths.shape or counts.dtype.kind not in "iu" or counts.min(initial=0) < 0:
+        raise ValueError("counts must be one non-negative integer per row")
+    keep = counts > 0
+    if not keep.all():
+        items, lengths, counts = items[keep], lengths[keep], counts[keep]
+    if np.all(counts == 1):
+        return items, lengths, None
+    return items, lengths, _read_only(counts.astype(np.int64))
 
 
 def padded_orders(orders) -> tuple[np.ndarray, np.ndarray]:

@@ -285,11 +285,14 @@ def _text_case(case, tmp_path):
 @pytest.mark.parametrize("case", ["m12", "empty-lists", "count-lines"])
 def test_ballot_text_matches_the_records(tmp_path, monkeypatch, case, block):
     """write_dataset and dataset_hash give the text built here record by
-    record from ``D.orders``, also when blocks of 3 rows split the lists
-    and a count line."""
+    record from ``D.orders``, also when blocks of 3 records split the lists
+    and the count lines."""
     if block:
-        monkeypatch.setattr(dataio, "TEXT_BLOCK_ROWS", block)
+        monkeypatch.setattr(dataio, "TEXT_BLOCK_RECORDS", block)
     D = _text_case(case, tmp_path)
+    blocks = [counts for _, counts in dataio._ballot_text_blocks(D)]
+    assert sum(map(sum, blocks)) == D.n
+    assert max(map(sum, blocks)) <= dataio.TEXT_BLOCK_RECORDS
     texts = [",".join(map(str, q.items)) for q in D.orders]
     head = ["# FILE NAME: dataset", f"# NUMBER ALTERNATIVES: {D.m}", f"# NUMBER VOTERS: {D.n}"]
     if D.universe.labels is not None:

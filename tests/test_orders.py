@@ -122,6 +122,30 @@ def test_from_padded_round_trip():
         Dataset.from_padded(u, np.array([[0, 1]]), np.array([1]))
 
 
+def test_from_padded_counts():
+    """Rows stand for their counts of records; count-0 rows are checked,
+    then dropped; all-ones counts are stored as none."""
+    u = Universe(3)
+    items, lengths = np.array([[0, 2, -1], [1, 0, 2], [2, -1, -1]]), np.array([2, 0, 1])
+    items[1] = -1
+    with pytest.raises(InvalidOrderError, match="empty order"):
+        Dataset.from_padded(u, items, lengths, counts=np.array([2, 0, 3]))
+    items, lengths = np.array([[0, 2, -1], [1, 0, 2], [2, -1, -1]]), np.array([2, 3, 1])
+    D = Dataset.from_padded(u, items, lengths, counts=np.array([2, 0, 3]))
+    assert D.n == 5 and D.rows()[0].shape == (2, 2) and D.rows()[2].tolist() == [2, 3]
+    assert [q.items for q in D.orders] == [(1, 3)] * 2 + [(3,)] * 3
+    assert D.per_record(np.array([0.5, 1.5])).tolist() == [0.5, 0.5, 1.5, 1.5, 1.5]
+    assert not D.lengths().flags.writeable and not D.rows()[2].flags.writeable
+    unit = Dataset.from_padded(u, items, lengths, counts=np.array([1, 0, 1]))
+    assert unit._counts is None and unit.n == 2
+    for bad in (np.array([1, -1, 1]), np.array([1.0, 1.0, 1.0]), np.array([1, 1])):
+        with pytest.raises(ValueError, match="counts"):
+            Dataset.from_padded(u, items, lengths, counts=bad)
+    cov = CovariateTensor(np.zeros((2, 3, 1)))
+    with pytest.raises(ValueError, match="one row per record"):
+        Dataset.from_padded(u, items[:2], lengths[:2], cov, counts=np.array([1, 2]))
+
+
 def test_order_view_is_a_lazy_sequence():
     u = Universe(4)
     orders = tuple(PartialOrder(q) for q in ((1, 2), (4,), (3, 1, 2, 4), (2,)))
