@@ -121,53 +121,68 @@ class AugmentedModel:
         return [(p.theta, p.gamma, beta)]
 
 
-# Cells, rows x (m + 1), of each float temporary of one draw position: the
-# rows still drawing are processed in blocks of at most this many cells.
-DRAW_BLOCK_CELLS = 1 << 18
+# Cells of each float temporary of a block of draws: rows x (m + 1) options
+# of one position here, rows x m Gumbel keys in the composite sampler.
+DRAW_BLOCK_CELLS = 1 << 16
 
 
 def _draw(banks, n: int, rng):
     """n lists drawn under per-row banks, each (item utilities (R, m), END
-    utilities), R in {1, n}: (items (n, m) of 0-based ids padded with -1, in
-    the smallest signed integer type that holds -(m + 1), lengths (n,)). The
-    choice at position j uses bank min(j, K) and its END utility at j, or
-    its last one where it has fewer.
+    utilities), R in {1, n}: (items (n, m) of 0-based ids padded with -1,
+    lengths (n,)), both in the smallest signed integer type that holds
+    -(m + 1). The choice at position j uses bank min(j, K) and its END
+    utility at j, or its last one where it has fewer.
 
-    Positions advance in lockstep; each round draws one uniform for every
-    still-active list, in one call, then picks its choice by inverse CDF over
-    its available options, block by block, so that no temporary is larger
-    than DRAW_BLOCK_CELLS floats. Each row's arithmetic is its own, so the
-    choices do not depend on the block size.
+    Positions advance in lockstep over the rows still drawing, held as
+    indices in the smallest integer type that holds n. Each position walks
+    them in blocks of at most DRAW_BLOCK_CELLS options: a block draws one
+    uniform per row, takes the exp of its utilities less their maximum over
+    all m + 1 options (once per position when R is 1), zeroes the items its
+    rows have listed, and picks each row's choice by inverse CDF. The
+    uniforms of consecutive blocks are the stream of one call, and each
+    row's arithmetic is its own, so the draws do not depend on the block
+    size.
     """
     K, (R, m) = len(banks), banks[0][0].shape
     items = np.full((n, m), -1, dtype=np.min_scalar_type(-1 - m))
-    lengths = np.zeros(n, dtype=np.int64)
-    avail = np.ones((n, m + 1), dtype=bool)
-    active = np.ones(n, dtype=bool)
+    lengths = np.zeros(n, dtype=items.dtype)
+    active = np.arange(n, dtype=np.min_scalar_type(n))
     step = max(DRAW_BLOCK_CELLS // (m + 1), 1)
     for pos in range(1, m + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if active.size == 0:
             break
         bank, end = banks[min(pos, K) - 1]
         end = end[min(pos, end.size) - 1]
-        r = rng.random(idx.size)
-        for lo in range(0, idx.size, step):
-            rows = idx[lo : lo + step]
-            u = np.empty((R if R == 1 else rows.size, m + 1))
-            u[:, :m] = bank if R == 1 else bank[rows]
-            u[:, m] = end
-            u -= u.max(axis=1, keepdims=True)
-            cum = np.exp(u, out=u) * avail[rows]
+        shared = _exp_utilities(bank, end) if R == 1 else None
+        kept = 0  # the rows still drawing after this position move to active[:kept]
+        for lo in range(0, active.size, step):
+            rows = active[lo : lo + step]
+            if R == 1:
+                cum = np.repeat(shared, rows.size, axis=0)
+            else:
+                cum = _exp_utilities(bank[rows], end)
+            np.put_along_axis(cum, items[rows, : pos - 1], 0.0, axis=1)
             np.cumsum(cum, axis=1, out=cum)
-            choice = (cum < (r[lo : lo + step] * cum[:, -1])[:, None]).sum(axis=1)
-            ended = choice == m
-            active[rows[ended]] = False
-            chose, choice = rows[~ended], choice[~ended]
-            items[chose, pos - 1] = choice
-            avail[chose, choice] = False
-            lengths[chose] = pos
+            u = rng.random(rows.size)
+            choice = (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
+            chose = choice < m
+            rows = rows[chose]
+            items[rows, pos - 1] = choice[chose]
+            lengths[rows] = pos
+            active[kept : kept + rows.size] = rows
+            kept += rows.size
+        active = active[:kept]
     return items, lengths
+
+
+def _exp_utilities(bank, end):
+    """The exp of each row's m item utilities and END utility ``end``, less
+    the row's maximum of the m + 1: an (R, m + 1) array."""
+    u = np.empty((bank.shape[0], bank.shape[1] + 1))
+    u[:, :-1] = bank
+    u[:, -1] = end
+    u -= u.max(axis=1, keepdims=True)
+    return np.exp(u, out=u)
 
 
 def sample_augmented_batch(

@@ -385,10 +385,8 @@ def cmd_assign(args) -> int:
     rows = [("true", run(D))]
     if args.synthetic_from:
         model, _ = dataio.load_checkpoint(args.synthetic_from)
-        reps = evaluation.replicate_sample(
-            model, D.n, 1 if args.reps is None else args.reps, args.seed, no_empty=True
-        )
-        for r, rep in enumerate(reps):
+        for r in range(1 if args.reps is None else args.reps):  # one replicate held at a time
+            rep = evaluation.draw_replicate(model, D.n, args.seed, r, no_empty=True)
             rows.append((f"synthetic_{r:03d}", run(rep)))
     lines = ["source\ttop1\ttop3\tany_listed"]
     for tag, rates in rows:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augmented import DRAW_BLOCK_CELLS
 from .lengthdist import CategoricalLengthParams, PoissonLengthParams, sample_lengths
 from .kernels import item_utilities, length_strata
 from .orders import Dataset, PartialOrder, Universe, check_covariates
@@ -67,6 +68,12 @@ def sample_composite_dataset(
     exactly the Plackett-Luce prefix distribution. c-ld ranks each draw
     with the bank of its length stratum. With covariates, draw i uses the
     utilities (and for c-ci the length distribution) of agent i.
+
+    After the lengths, each stratum's rows are ranked in blocks of at most
+    DRAW_BLOCK_CELLS keys, into ids of the smallest signed integer type
+    that holds -(m + 1). The Gumbel keys of consecutive blocks are the
+    stream of one call over the stratum, so the draws do not depend on the
+    block size.
     """
     rng = np.random.default_rng(rng)
     m = model.universe.m
@@ -76,11 +83,17 @@ def sample_composite_dataset(
     lengths = sample_lengths(model.length_params, n, rng, None if X is None else X.mean(axis=1))
     banks = model.banks()
     strata = length_strata(lengths, len(banks))
-    items = np.empty((n, m), dtype=np.int64)
+    items = np.empty((n, m), dtype=np.min_scalar_type(-1 - m))
+    step = max(DRAW_BLOCK_CELLS // m, 1)
     for b, (delta, _, beta) in enumerate(banks):
         rows = np.flatnonzero(strata == b)
-        if rows.size:
-            U = item_utilities(None if X is None else X[rows], delta, beta)
-            items[rows] = np.argsort(-(U + rng.gumbel(size=(rows.size, m))), axis=1)
-    items[np.arange(m) >= lengths[:, None]] = -1
+        if not rows.size:
+            continue
+        U = item_utilities(None if X is None else X[rows], delta, beta)
+        for lo in range(0, rows.size, step):
+            block = rows[lo : lo + step]
+            keys = (U if U.shape[0] == 1 else U[lo : lo + step]) + rng.gumbel(size=(block.size, m))
+            ranked = np.argsort(-keys, axis=1)
+            ranked[np.arange(m) >= lengths[block, None]] = -1
+            items[block] = ranked
     return Dataset.from_padded(model.universe, items, lengths, covariates)

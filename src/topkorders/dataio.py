@@ -2,14 +2,22 @@
 
 Supported ballot formats are preflib strict-incomplete-order files in both
 the legacy layout (count header lines, then "count,alt,alt,...") and the
-2021 layout ("# key: value" metadata, then "count: alt,alt,..."). One
-tokenizer reads the ballot lines of both: it strips entries, skips empty
-ones, and rejects malformed or negative counts, tied ({...}) entries and
-ids that are no 64-bit integers. ``Dataset.from_padded`` checks the range,
-duplicate and empty-list rules once per line, count-0 lines included, with
-``validate_order``'s messages ("duplicate alternative id 1"). Every error
-is a ParseError at path:line. Full-length ballots are length-m orders. The
-dataset keeps each line once, with its count, and drops count-0 lines.
+2021 layout ("# key: value" metadata, then "count: alt,alt,..."); a "#"
+line anywhere means the 2021 layout. The file is streamed, and its ballot
+lines are held as text one block of PARSE_BLOCK_LINES at a time. One
+tokenizer reads the ballot lines of both layouts, a block at a time, into
+rows in the smallest integer types: it strips entries, skips empty ones,
+and rejects malformed or negative counts, tied ({...}) entries and ids
+that are no 64-bit integers. ``Dataset.from_padded`` then checks the
+range, duplicate and empty-list rules once per line over all rows,
+count-0 lines included, with ``validate_order``'s messages ("duplicate
+alternative id 1"). Every error is a ParseError at path:line. Full-length
+ballots are length-m orders. The dataset keeps each line once, with its
+count, and drops count-0 lines.
+
+Ballot text (``write_dataset``, ``dataset_hash``) and covariate tables
+(``load_covariates``) are likewise built or read without an object per
+record.
 
 Checkpoints are versioned JSON holding a model's ``ParamLayout`` (variant,
 m, d, K) and the layout's named arrays; floats round-trip exactly
@@ -45,17 +53,17 @@ class ParseError(ValueError):
 
 def parse_preflib(path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if any(ln.lstrip().startswith("#") for ln in lines):
-        return _parse_preflib_2021(path, lines)
-    return _parse_preflib_legacy(path, lines)
+        modern = any(ln.lstrip().startswith("#") for ln in fh)
+        fh.seek(0)
+        parse = _parse_preflib_2021 if modern else _parse_preflib_legacy
+        return parse(path, enumerate(fh, start=1))
 
 
 def _parse_preflib_2021(path, lines) -> Dataset:
     m = None
     declared_n = None
-    labels, ballots = {}, []
-    for lineno, ln in enumerate(lines, start=1):
+    labels, ballots = {}, _BallotLines(path, ":")
+    for lineno, ln in lines:
         s = ln.strip()
         if not s:
             continue
@@ -74,47 +82,52 @@ def _parse_preflib_2021(path, lines) -> Dataset:
             raise ParseError("ballot line before NUMBER ALTERNATIVES header", path, lineno)
         if ":" not in s:
             raise ParseError("expected 'count: alt,alt,...'", path, lineno)
-        ballots.append((lineno, *s.split(":", 1)))
+        ballots.add(lineno, s)
     if m is None:
         raise ParseError("missing NUMBER ALTERNATIVES header", path)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1)) if labels else None
-    return _ballot_dataset(Universe(m, label_tuple), ballots, declared_n, path)
+    return ballots.dataset(Universe(m, label_tuple), declared_n)
 
 
 def _parse_preflib_legacy(path, lines) -> Dataset:
     """Legacy .soi: m, then m label lines 'id,name', then 'n,sum,unique', ballots."""
-    rows = [(lineno, s) for lineno, ln in enumerate(lines, start=1) if (s := ln.strip())]
-    if not rows:
-        raise ParseError("empty file", path)
-    lineno, text = rows[0]
-    try:
-        m = int(text)
-    except ValueError:
-        raise ParseError(f"malformed alternative count {text!r}", path, lineno) from None
-    if m < 1:
-        raise ParseError(f"alternative count must be >= 1, got {m}", path, lineno)
-    labels = {}
-    for lineno, text in rows[1 : m + 1]:
-        parts = text.split(",", 1)
-        try:
-            labels[int(parts[0].strip())] = parts[1].strip() if len(parts) > 1 else ""
-        except ValueError:
-            raise ParseError(f"malformed label line {text!r}", path, lineno) from None
-    if len(rows) < m + 2:
-        missing = "truncated label block" if len(rows) <= m else "missing ballot count line"
-        raise ParseError(missing, path, len(lines) + 1)
-    lineno, text = rows[m + 1]
-    try:
-        declared_n = int(text.split(",")[0].strip())
-    except ValueError:
-        raise ParseError(f"malformed count line {text!r}", path, lineno) from None
-    ballots = []
-    for lineno, text in rows[m + 2 :]:
-        if "," not in text:
+    m = declared_n = None
+    labels, n_labels, ballots = {}, 0, _BallotLines(path, ",")
+    lineno = 0
+    for lineno, ln in lines:
+        text = ln.strip()
+        if not text:
+            continue
+        if m is None:
+            try:
+                m = int(text)
+            except ValueError:
+                raise ParseError(f"malformed alternative count {text!r}", path, lineno) from None
+            if m < 1:
+                raise ParseError(f"alternative count must be >= 1, got {m}", path, lineno)
+        elif n_labels < m:
+            n_labels += 1
+            parts = text.split(",", 1)
+            try:
+                labels[int(parts[0].strip())] = parts[1].strip() if len(parts) > 1 else ""
+            except ValueError:
+                raise ParseError(f"malformed label line {text!r}", path, lineno) from None
+        elif declared_n is None:
+            try:
+                declared_n = int(text.split(",")[0].strip())
+            except ValueError:
+                raise ParseError(f"malformed count line {text!r}", path, lineno) from None
+        elif "," not in text:
             raise ParseError("expected 'count,alt,alt,...'", path, lineno)
-        ballots.append((lineno, *text.split(",", 1)))
+        else:
+            ballots.add(lineno, text)
+    if m is None:
+        raise ParseError("empty file", path)
+    if declared_n is None:
+        missing = "truncated label block" if n_labels < m else "missing ballot count line"
+        raise ParseError(missing, path, lineno + 1)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(1, m + 1))
-    return _ballot_dataset(Universe(m, label_tuple), ballots, declared_n, path)
+    return ballots.dataset(Universe(m, label_tuple), declared_n)
 
 
 def _int64s(texts, what, line_of, path) -> np.ndarray:
@@ -131,67 +144,175 @@ def _int64s(texts, what, line_of, path) -> np.ndarray:
         raise
 
 
-def _ballot_dataset(universe, ballots, declared_n, path) -> Dataset:
-    """Each (line number, count text, items text) of ``ballots`` as one row
-    standing for ``count`` records, in file order. The item texts of all
-    lines are tokenized in one pass: entries are stripped, empty ones
-    skipped. The lines are then checked once, by ``Dataset.from_padded``, so
-    a line whose list breaks a rule is reported at its line, whatever its
-    count; a count-0 line is dropped after its check."""
-    linenos, count_texts, item_texts = zip(*ballots) if ballots else ((), (), ())
-    counts = _int64s(count_texts, "count", linenos.__getitem__, path)
-    if np.any(counts < 0):
-        k = int(np.argmax(counts < 0))
-        raise ParseError(f"negative count {counts[k]}", path, linenos[k])
-    joined = ",".join(item_texts)
-    if "{" in joined or "}" in joined:
-        k = next(k for k, text in enumerate(item_texts) if "{" in text or "}" in text)
-        raise ParseError("tied entries ({...}) are unsupported", path, linenos[k])
-    tokens = [t.strip() for t in joined.split(",")] if ballots else []
-    per_line = np.fromiter((text.count(",") + 1 for text in item_texts), np.int64, len(ballots))
-    kept = np.fromiter(map(bool, tokens), bool, len(tokens))
-    line = np.repeat(np.arange(len(ballots)), per_line)[kept]  # the line index of each id
-    ids = _int64s([t for t in tokens if t], "alternative", lambda k: linenos[line[k]], path)
-    lengths = np.bincount(line, minlength=len(ballots))
-    width = max(int(lengths.max(initial=0)), 1)
-    items = np.full((len(ballots), width), -1, dtype=np.int64)
-    items[np.arange(width) < lengths[:, None]] = ids - 1
+# Ballot lines tokenized at a time: their Python strings are the largest
+# temporaries of parsing.
+PARSE_BLOCK_LINES = 1 << 9
+
+
+class _BallotLines:
+    """A file's ballot lines, 'count<sep>ids', read in blocks of
+    PARSE_BLOCK_LINES lines. Each block is checked against the ballot rules
+    (``_ballot_block``) and kept as rows; ``dataset`` then checks the lists
+    of all rows at once.
+
+    An error does not stop the reading: the error reported is the first
+    line that breaks the earliest rule any line breaks, as if each rule were
+    checked over the whole file before the next, and a file whose layout
+    breaks later on reports that first.
+    """
+
+    def __init__(self, path, sep):
+        self.path, self.sep = path, sep
+        self.linenos, self.texts = [], []
+        self.blocks = []  # (items, lengths, counts, line numbers) of each block
+        self.error = None
+
+    def add(self, lineno, text):
+        self.linenos.append(lineno)
+        self.texts.append(text)
+        if len(self.texts) == PARSE_BLOCK_LINES:
+            self._flush()
+
+    def _flush(self):
+        if not self.texts:
+            return
+        try:
+            self.blocks.append(_ballot_block(self.linenos, self.texts, self.sep, self.path))
+        except ParseError as exc:
+            if self.error is None or exc.rule < self.error.rule:
+                self.error = exc
+        self.linenos, self.texts = [], []
+
+    def dataset(self, universe, declared_n) -> Dataset:
+        """Each line as one row standing for its count of records, in file
+        order. ``Dataset.from_padded`` checks the lists once per line,
+        count-0 lines included, so a line whose list breaks a rule is
+        reported at its line, whatever its count; it then drops count-0 lines."""
+        self._flush()
+        if self.error is not None:
+            raise self.error
+        items, lengths, counts, linenos = _stack_blocks(self.blocks)
+        self.blocks = []
+        try:
+            D = Dataset.from_padded(universe, items, lengths, counts=counts)
+        except InvalidOrderError as exc:
+            raise ParseError(str(exc), self.path, int(linenos[exc.row])) from None
+        if declared_n is not None and declared_n != D.n:
+            note = f"declared {declared_n} ballots, observed {D.n}; using observed count"
+            warnings.warn(f"{self.path}: {note}")
+        return D
+
+
+def _stack_blocks(blocks):
+    """The rows of consecutive blocks as one (items, lengths, counts, line
+    numbers), items padded with -1 to the widest block."""
+    if not blocks:
+        return np.full((0, 1), -1, np.int8), *[np.zeros(0, np.int8)] * 3
+    width = max(b[0].shape[1] for b in blocks)
+    items = np.full((sum(b[1].size for b in blocks), width), -1,
+                    np.result_type(*(b[0] for b in blocks)))
+    lo = 0
+    for block, *_ in blocks:
+        items[lo : lo + block.shape[0], : block.shape[1]] = block
+        lo += block.shape[0]
+    return items, *(np.concatenate([b[i] for b in blocks]) for i in (1, 2, 3))
+
+
+def _ballot_block(linenos, texts, sep, path):
+    """The rows of ballot lines 'count<sep>ids': (items, lengths, counts,
+    line numbers), each in the smallest integer type that holds it, items
+    the 0-based ids padded with -1.
+
+    The item texts of all lines are tokenized in one pass: entries are
+    stripped, empty ones skipped. The rules are checked in turn, each over
+    every line: counts are 64-bit integers, none is negative, no entry is
+    tied ({...}), every id is a 64-bit integer. A ParseError is raised at
+    the first line that breaks the first rule broken, with the rule's index
+    as ``rule``.
+    """
+    count_texts, item_texts = zip(*(text.split(sep, 1) for text in texts))
+    rule = 0
     try:
-        D = Dataset.from_padded(universe, items, lengths, counts=counts)
-    except InvalidOrderError as exc:
-        raise ParseError(str(exc), path, linenos[exc.row]) from None
-    if declared_n is not None and declared_n != D.n:
-        note = f"declared {declared_n} ballots, observed {D.n}; using observed count"
-        warnings.warn(f"{path}: {note}")
-    return D
+        counts = _int64s(count_texts, "count", linenos.__getitem__, path)
+        rule = 1
+        if np.any(counts < 0):
+            k = int(np.argmax(counts < 0))
+            raise ParseError(f"negative count {counts[k]}", path, linenos[k])
+        rule = 2
+        joined = ",".join(item_texts)
+        if "{" in joined or "}" in joined:
+            k = next(k for k, text in enumerate(item_texts) if "{" in text or "}" in text)
+            raise ParseError("tied entries ({...}) are unsupported", path, linenos[k])
+        rule = 3
+        tokens = [t.strip() for t in joined.split(",")]
+        per_line = np.fromiter((text.count(",") + 1 for text in item_texts), np.int64, len(texts))
+        kept = np.fromiter(map(bool, tokens), bool, len(tokens))
+        line = np.repeat(np.arange(len(texts)), per_line)[kept]  # the line index of each id
+        ids = _int64s([t for t in tokens if t], "alternative", lambda k: linenos[line[k]], path)
+    except ParseError as exc:
+        exc.rule = rule
+        raise
+    lengths = np.bincount(line, minlength=len(texts))
+    width = max(int(lengths.max(initial=0)), 1)
+    items = np.full((len(texts), width), -1, dtype=np.int64)
+    items[np.arange(width) < lengths[:, None]] = ids - 1
+    x = max(int(items.max()), -1 - int(items.min()))
+    return (
+        items.astype(np.min_scalar_type(-1 - x)),
+        lengths.astype(np.min_scalar_type(width)),
+        counts.astype(np.min_scalar_type(int(counts.max()))),
+        np.array(linenos, dtype=np.min_scalar_type(linenos[-1])),
+    )
 
 
 # Records turned into ballot text at a time: the text of one block, a
 # Python string per row and one joined string, is the largest temporary of
 # writing or hashing.
-TEXT_BLOCK_RECORDS = 1 << 14
+TEXT_BLOCK_RECORDS = 1 << 12
 
 
 def _ballot_text_blocks(D: Dataset):
     """The records in blocks of up to TEXT_BLOCK_RECORDS, each as (texts,
-    counts) over the stored rows it meets: each row's 1-based ids as 'a,b,c'
-    ('' for the empty list), built one list position at a time, and how many
-    of the row's records fall in the block. Repeating each text by its
-    count gives the block's records in order."""
+    counts) over consecutive stored rows: each row's 1-based ids as 'a,b,c'
+    ('' for the empty list), and how many of the row's records fall in the
+    block. Repeating each text by its count gives the block's records in
+    order. A block holds whole rows, but for a row of more records than a
+    block, whose records fill blocks of their own.
+
+    The text of each distinct row of a block is built once, one column of
+    ids at a time, and shared by the rows that repeat it: rows are
+    told apart by one base-(m + 1) integer each, or compared whole where
+    that integer would overflow int64.
+    """
     items, lengths, counts = D.rows()
-    ends = np.cumsum(counts)  # the records through each row
     names = np.array([""] + [str(a) for a in range(1, D.m + 1)], dtype=object)
-    for lo in range(0, D.n, TEXT_BLOCK_RECORDS):
-        hi = min(lo + TEXT_BLOCK_RECORDS, D.n)
-        r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
-        r1 += 1
-        block, k, end = items[r0:r1], lengths[r0:r1], ends[r0:r1]
-        text = names[block[:, 0] + 1]
-        for j in range(1, block.shape[1]):
-            rows = k > j
-            text[rows] += "," + names[block[rows, j] + 1]
-        taken = np.minimum(end, hi) - np.maximum(end - counts[r0:r1], lo)
-        yield text.tolist(), taken.tolist()
+    later = "," + names  # an id after the first, and "" for padding
+    later[0] = ""
+    width = items.shape[1]
+    powers = None
+    if width * math.log2(D.m + 1) < 63:
+        powers = (D.m + 1) ** np.arange(width, dtype=np.int64)
+    r = 0
+    while r < lengths.size:
+        # the next rows whose records fit in one block (each row holds at
+        # least one record), or else the next row alone
+        end = np.cumsum(counts[r : r + TEXT_BLOCK_RECORDS])
+        rows = max(int(np.searchsorted(end, TEXT_BLOCK_RECORDS, side="right")), 1)
+        ids = items[r : r + rows] + 1  # 0 for padding
+        if powers is None:
+            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True, axis=0)
+        else:
+            _, first, inverse = np.unique(ids @ powers, return_index=True, return_inverse=True)
+        distinct = ids[first]
+        text = names[distinct[:, 0]]
+        for j in range(1, width):
+            text += later[distinct[:, j]]
+        texts, taken = text[inverse].tolist(), counts[r : r + rows].tolist()
+        while taken[0] > TEXT_BLOCK_RECORDS:  # one row of more records than a block
+            yield texts, [TEXT_BLOCK_RECORDS]
+            taken = [taken[0] - TEXT_BLOCK_RECORDS]
+        yield texts, taken
+        r += rows
 
 
 def write_dataset(D: Dataset, path) -> None:
@@ -227,13 +348,16 @@ class SummaryStats:
 
 
 def summary_stats(D: Dataset) -> SummaryStats:
-    lengths = D.lengths()
-    hist = np.bincount(lengths, minlength=D.universe.m + 1)[1:]
+    """The records' length histogram, from the stored rows weighted by their
+    counts; the mean is the exact sum of the lengths over n, rounded once."""
+    _, lengths, counts = D.rows()
+    hist = np.bincount(lengths, counts, minlength=D.universe.m + 1).astype(np.int64)
+    total = int(np.arange(hist.size) @ hist)
     return SummaryStats(
         n=D.n,
         m=D.universe.m,
-        mean_length=float(lengths.mean()) if D.n else 0.0,
-        length_histogram=tuple(int(c) for c in hist),
+        mean_length=total / D.n if D.n else 0.0,
+        length_histogram=tuple(int(c) for c in hist[1:]),
     )
 
 
@@ -244,38 +368,67 @@ def summary_stats(D: Dataset) -> SummaryStats:
 def load_covariates(path, universe: Universe):
     """Delimited text with header 'agent_id,item_id,f1,...'; returns
     (CovariateTensor, agent_ids, missing_count). Missing (agent, item)
-    pairs are zero-filled and counted."""
+    pairs are zero-filled and counted.
+
+    Each line is read into flat arrays: agent ids, item ids and features.
+    An error names the first bad line in file order. Duplicate pairs are
+    found by sorting the pairs read before that line."""
+    # imported only here, so that importing the package stays cheap
+    from array import array
+
+    agents, items, feats, linenos = [], array("q"), array("d"), array("q")
+    d = None
     with open(path, encoding="utf-8") as fh:
-        lines = [(lineno, s) for lineno, ln in enumerate(fh, start=1) if (s := ln.strip())]
-    if not lines:
-        raise ParseError("empty covariate file", path)
-    d = lines[0][1].count(",") - 1
-    if d < 1:
-        raise ParseError("d must be >= 1", path, lines[0][0])
-    rows = {}
-    for lineno, ln in lines[1:]:
-        parts = [p.strip() for p in ln.split(",")]
-        if len(parts) != d + 2:
-            raise ParseError(f"expected {d + 2} columns", path, lineno)
         try:
-            agent = int(parts[0])
-            item = int(parts[1])
-            feats = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise ParseError(f"non-numeric cell in {ln!r}", path, lineno) from None
-        if not 1 <= item <= universe.m:
-            raise ParseError(f"unknown item_id {item}", path, lineno)
-        if not all(map(math.isfinite, feats)):
-            raise ParseError(f"non-finite feature in {ln!r}", path, lineno)
-        if (agent, item) in rows:
-            raise ParseError(f"duplicate (agent, item) pair ({agent}, {item})", path, lineno)
-        rows[(agent, item)] = feats
-    agent_ids = sorted({a for a, _ in rows})
-    index = {agent: i for i, agent in enumerate(agent_ids)}
+            for lineno, ln in enumerate(fh, start=1):
+                if not (ln := ln.strip()):
+                    continue
+                if d is None:
+                    d = ln.count(",") - 1
+                    if d < 1:
+                        raise ParseError("d must be >= 1", path, lineno)
+                    continue
+                parts = [p.strip() for p in ln.split(",")]
+                if len(parts) != d + 2:
+                    raise ParseError(f"expected {d + 2} columns", path, lineno)
+                try:
+                    agent, item = int(parts[0]), int(parts[1])
+                    row = [float(v) for v in parts[2:]]
+                except ValueError:
+                    raise ParseError(f"non-numeric cell in {ln!r}", path, lineno) from None
+                if not 1 <= item <= universe.m:
+                    raise ParseError(f"unknown item_id {item}", path, lineno)
+                if not all(map(math.isfinite, row)):
+                    raise ParseError(f"non-finite feature in {ln!r}", path, lineno)
+                agents.append(agent)
+                items.append(item)
+                feats.extend(row)
+                linenos.append(lineno)
+        except ParseError:
+            _pairs(agents, items, linenos, universe.m, path)  # a duplicate on an earlier line
+            raise
+    if d is None:
+        raise ParseError("empty covariate file", path)
+    agent_ids, inverse = _pairs(agents, items, linenos, universe.m, path)
     values = np.zeros((len(agent_ids), universe.m, d))
-    for (agent, item), feats in rows.items():
-        values[index[agent], item - 1] = feats
-    return CovariateTensor(values), agent_ids, values.shape[0] * universe.m - len(rows)
+    values[inverse, np.asarray(items) - 1] = np.asarray(feats).reshape(-1, d)
+    return CovariateTensor(values), agent_ids, values.shape[0] * universe.m - len(items)
+
+
+def _pairs(agents, items, linenos, m, path):
+    """(the sorted distinct agent ids, each line's index among them); a
+    ParseError at the first line whose (agent, item) pair an earlier line holds."""
+    agent_ids, inverse = np.unique(np.array(agents), return_inverse=True)
+    keys = inverse * m + np.asarray(items) - 1
+    order = np.argsort(keys, kind="stable")  # equal pairs stay in file order
+    repeat = np.zeros(keys.size, dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        raise ParseError(
+            f"duplicate (agent, item) pair ({agents[k]}, {items[k]})", path, linenos[k]
+        )
+    return agent_ids.tolist(), inverse
 
 
 # ---------------------------------------------------------------------------

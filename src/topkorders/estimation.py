@@ -472,7 +472,7 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     mom = np.zeros_like(flat)
     vel = np.zeros_like(flat)
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon_opt
-    rng = np.random.default_rng(cfg.seed)
+    rng = None if full_batch else np.random.default_rng(cfg.seed)  # only batches are drawn
 
     trace = []
     prev_F = None

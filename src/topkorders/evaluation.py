@@ -35,6 +35,38 @@ def draw_replicate(
 
 
 @dataclass(frozen=True)
+class _Tally:
+    """What the replicate statistics read of one dataset: the mean and
+    standard deviation of its records' lengths, and, from its stored rows
+    weighted by their counts, the records of each length 0, 1, ... up to the
+    longest, the records that rank each alternative first and the entries
+    that list it."""
+
+    mean: float
+    std: float
+    lengths: np.ndarray
+    first: np.ndarray
+    listed: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.lengths.sum())
+
+
+def _tally(D: Dataset) -> _Tally:
+    per_record = D.lengths()
+    mean, std = (float(per_record.mean()), float(per_record.std())) if D.n else (np.nan, np.nan)
+    items, lengths, counts = D.rows()
+    weights = None if lengths.size == D.n else counts  # None: every row is one record
+    by_position = []  # the entries listing each alternative at each position
+    for j in range(items.shape[1]):
+        rows = lengths > j
+        w = None if weights is None else weights[rows]
+        by_position.append(np.bincount(items[rows, j], w, minlength=D.m))
+    return _Tally(mean, std, np.bincount(lengths, weights), by_position[0], sum(by_position))
+
+
+@dataclass(frozen=True)
 class LengthStats:
     per_replicate_mean: tuple
     per_replicate_std: tuple
@@ -46,19 +78,22 @@ class LengthStats:
 
 
 def length_stats(replicates: list[Dataset], D_true: Dataset) -> LengthStats:
+    return _length_stats([_tally(r) for r in replicates], _tally(D_true))
+
+
+def _length_stats(replicates: list[_Tally], true: _Tally) -> LengthStats:
     if not replicates:
         raise ValueError("no replicates")
-    means = [float(r.lengths().mean()) for r in replicates]
-    stds = [float(r.lengths().std()) for r in replicates]
-    true_lengths = D_true.lengths()
+    means = [r.mean for r in replicates]
+    stds = [r.std for r in replicates]
     return LengthStats(
         per_replicate_mean=tuple(means),
         per_replicate_std=tuple(stds),
         mean_of_means=float(np.mean(means)),
         std_of_means=float(np.std(means)),
         mean_of_stds=float(np.mean(stds)),
-        true_mean=float(true_lengths.mean()),
-        true_std=float(true_lengths.std()),
+        true_mean=true.mean,
+        true_std=true.std,
     )
 
 
@@ -75,17 +110,16 @@ def demand_shares(data) -> DemandShares:
     ``data`` is a Dataset or a list of replicate Datasets (pooled).
     """
     datasets = data if isinstance(data, (list, tuple)) else [data]
-    if not datasets or all(d.n == 0 for d in datasets):
+    return _demand_shares([_tally(d) for d in datasets])
+
+
+def _demand_shares(tallies: list[_Tally]) -> DemandShares:
+    if not tallies or all(t.n == 0 for t in tallies):
         raise ValueError("no data")
-    m = datasets[0].universe.m
-    first = np.zeros(m)
-    overall = np.zeros(m)
-    for d in datasets:
-        items, lengths = d.to_padded()
-        first += np.bincount(items[lengths > 0, 0], minlength=m)
-        overall += np.bincount(items[items >= 0], minlength=m)
-    n_records = sum(d.n for d in datasets)
-    n_empty = sum(int(np.count_nonzero(d.lengths() == 0)) for d in datasets)
+    first = sum(t.first for t in tallies)
+    overall = sum(t.listed for t in tallies)
+    n_records = sum(t.n for t in tallies)
+    n_empty = sum(int(t.lengths[:1].sum()) for t in tallies)
     total_listed = overall.sum()
     return DemandShares(
         first_position=tuple(float(v) for v in first / n_records),
@@ -111,7 +145,11 @@ def tv_distance(p, q) -> float:
 def length_pmf(datasets, m: int) -> np.ndarray:
     """Empirical pmf over lengths 1..m, pooled over datasets (empties dropped)."""
     datasets = datasets if isinstance(datasets, (list, tuple)) else [datasets]
-    counts = sum(np.bincount(d.lengths(), minlength=m + 1)[1:] for d in datasets)
+    return _length_pmf([_tally(d) for d in datasets], m)
+
+
+def _length_pmf(tallies: list[_Tally], m: int) -> np.ndarray:
+    counts = sum(np.pad(t.lengths, (0, max(m + 1 - t.lengths.size, 0)))[1:] for t in tallies)
     return counts / counts.sum()
 
 
@@ -137,13 +175,16 @@ def build_eval_report(
 ) -> EvalReport:
     t = test_nll(model, D_test, condition_nonempty=condition_nonempty)
     if n_replicates > 0 and n_per_replicate > 0:
-        reps = replicate_sample(model, n_per_replicate, n_replicates, seed, covariates)
-        ls = length_stats(reps, D_test)
-        dm_true = demand_shares(D_test)
-        dm_syn = demand_shares(reps)
+        true = [_tally(D_test)]
+        # each replicate is reduced to its tally before the next is drawn
+        syn = [
+            _tally(draw_replicate(model, n_per_replicate, seed, r, covariates))
+            for r in range(n_replicates)
+        ]
         m = D_test.universe.m
-        tv = tv_distance(length_pmf(D_test, m), length_pmf(reps, m))
-        return EvalReport(model_tag, t, ls, dm_true, dm_syn, tv)
+        tv = tv_distance(_length_pmf(true, m), _length_pmf(syn, m))
+        return EvalReport(model_tag, t, _length_stats(syn, true[0]), _demand_shares(true),
+                          _demand_shares(syn), tv)
     return EvalReport(model_tag, t, None, None, None, None)
 
 

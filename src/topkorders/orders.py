@@ -294,32 +294,41 @@ def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return items, lengths
 
 
+# Cells, rows x (m + 1), of the largest temporary of checking one block of rows.
+CHECK_BLOCK_CELLS = 1 << 18
+
+
 def _validate_rows(items, lengths, universe, allow_empty):
     """Raise validate_order's error for the first invalid record, its index as ``row``.
 
-    Works one list position at a time, so that no temporary is as large as
-    ``items``.
+    Walks the rows in blocks of at most CHECK_BLOCK_CELLS cells of an
+    (rows, m + 1) mask of the ids seen, and each block one list position at
+    a time, so that no temporary is as large as ``items``.
     """
     m, (n, width) = universe.m, items.shape
-    bad = (lengths > m) | ((lengths == 0) & (not allow_empty))
-    seen = np.zeros((n, m + 1), dtype=bool)  # column m takes every cell that is no id in range
-    rows = np.arange(n)
-    for j in range(width):
-        listed, ids = lengths > j, items[:, j]
-        if np.any(ids[~listed] != -1):
-            raise ValueError("padding cells must hold -1")
-        inside = listed & (ids >= 0) & (ids < m)
-        col = np.where(inside, ids, m)
-        bad |= (listed & ~inside) | (seen[rows, col] & inside)
-        seen[rows, col] = True
-    if bad.any():
-        i = int(np.argmax(bad))
-        ids = [a + 1 for a in items[i, : lengths[i]].tolist()]
-        try:
-            validate_order(PartialOrder(ids), universe, allow_empty)
-        except InvalidOrderError as exc:
-            exc.row = i
-            raise
+    step = max(CHECK_BLOCK_CELLS // (m + 1), 1)
+    for lo in range(0, n, step):
+        block, k = items[lo : lo + step], lengths[lo : lo + step]
+        bad = (k > m) | ((k == 0) & (not allow_empty))
+        # column m of the ids seen takes every cell that is no id in range
+        seen = np.zeros((k.size, m + 1), dtype=bool)
+        rows = np.arange(k.size)
+        for j in range(width):
+            listed, ids = k > j, block[:, j]
+            if np.any(ids[~listed] != -1):
+                raise ValueError("padding cells must hold -1")
+            inside = listed & (ids >= 0) & (ids < m)
+            col = np.where(inside, ids, m)
+            bad |= (listed & ~inside) | (seen[rows, col] & inside)
+            seen[rows, col] = True
+        if bad.any():
+            i = lo + int(np.argmax(bad))
+            ids = [a + 1 for a in items[i, : lengths[i]].tolist()]
+            try:
+                validate_order(PartialOrder(ids), universe, allow_empty)
+            except InvalidOrderError as exc:
+                exc.row = i
+                raise
 
 
 def check_covariates(covariates, n: int, m: int) -> None:

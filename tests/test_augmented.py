@@ -8,6 +8,7 @@ import pytest
 from topkorders import (
     AugmentedModel,
     AugmentedNaiveParams,
+    CovariateTensor,
     PartialOrder,
     PositionDependentParams,
     StratifiedAugmentedParams,
@@ -236,3 +237,23 @@ def test_sampler_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("block_cells", [None, 9 * 997])
+def test_covariate_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
+    """Per-agent utilities (one bank row per draw): the replicate file of a
+    fixed covariate a-s model, n = 20,000, seed 7, empty draws redrawn, as
+    the sampler with an available-option mask and one uniform call per
+    position wrote it."""
+    if block_cells:
+        monkeypatch.setattr(augmented, "DRAW_BLOCK_CELLS", block_cells)
+    banks = _fixed_as_model().params.banks
+    betas = np.array([[0.9, -0.6], [0.5, 0.2], [-0.3, 0.4]])
+    model = AugmentedModel("a-s", StratifiedAugmentedParams(banks, betas), Universe(8))
+    cov = CovariateTensor(np.random.default_rng(11).standard_normal((20_000, 8, 2)))
+    D = sample_augmented_dataset(model, 20_000, np.random.default_rng(7), cov, no_empty=True)
+    p = tmp_path / "rep.txt"
+    write_dataset(D, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "205674e9a55dc76d99c1a8d1b3193b7d8324936ee31d73ddc27f68ea669fdf46"
+    )

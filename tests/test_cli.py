@@ -236,6 +236,24 @@ def test_cli_import_leaves_out_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
+    """A full-batch fit draws nothing, so its process never imports
+    numpy.random (about 14 ms and 3 MB of a CLI start)."""
+    src = str(Path(topkorders.__file__).resolve().parents[1])
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = ["fit", "--data", ballots, "--model", "a-s", "--K", "2", "--max-epochs", "20",
+            "--out", str(tmp_path / "as.json")]
+    code = (
+        "import sys; from topkorders.cli import main; "
+        f"assert main({argv!r}) == 0; print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_package_imports_sit_at_module_level():
     """No module imports from the package inside a function, so the module
     graph is one-way; standard-library imports there stay allowed."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from topkorders import (
     Universe,
     composite_log_prob,
     sample_composite_dataset,
+    write_dataset,
 )
+from topkorders import composite
 from topkorders.lengthdist import poisson_clipped_log_pmf
 from util import empirical_pmf, engine_log_probs, enum_pmf, random_model
 
@@ -229,3 +232,26 @@ def test_cci_sampling_uses_covariates():
     D = sample_composite_dataset(model, n, np.random.default_rng(9), covariates=cov)
     assert D.n == n
     assert all(1 <= len(q) <= m for q in D.orders)
+
+
+def _fixed_cld_model():
+    banks = StratifiedPLParams(tuple(PLParams(np.linspace(s, -s, 8)) for s in (0.8, 0.4, 0.0)))
+    return CompositeModel(
+        "c-ld", CategoricalLengthParams(np.linspace(0.5, -0.9, 8)), banks, Universe(8)
+    )
+
+
+@pytest.mark.parametrize("block_cells", [None, 8 * 997])
+def test_cld_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
+    """The replicate file of a fixed c-ld K=3 model, n = 50,000, seed 7, as
+    the sampler that ranked each stratum in one argsort wrote it: the Gumbel
+    keys of consecutive row blocks are the stream of one call."""
+    if block_cells:
+        monkeypatch.setattr(composite, "DRAW_BLOCK_CELLS", block_cells)
+    D = sample_composite_dataset(_fixed_cld_model(), 50_000, np.random.default_rng(7))
+    assert D.to_padded()[0].dtype == np.int8
+    p = tmp_path / "rep.txt"
+    write_dataset(D, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "2b7e66eb72bc46eace5bb555f3f4276cb0d52442512e960ba7917d9750121b6e"
+    )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,114 @@ def test_ballot_text_matches_the_records(tmp_path, monkeypatch, case, block):
     assert dataset_hash(D) == digest.hexdigest()[:16]
 
 
+def test_ballot_text_of_rows_too_wide_for_one_integer_key(tmp_path, monkeypatch):
+    """Lists of up to 40 of m = 40 items overflow a base-41 key; their rows
+    are told apart whole, and repeated lists share one text."""
+    monkeypatch.setattr(dataio, "TEXT_BLOCK_RECORDS", 7)
+    lists = random_orders(40, 30, np.random.default_rng(5), min_len=30)
+    D = Dataset(Universe(40), lists + lists[::-1] + lists[:9])
+    texts = [",".join(map(str, q.items)) for q in D.orders]
+    assert [t for ts, counts in dataio._ballot_text_blocks(D)
+            for t, c in zip(ts, counts) for _ in range(c)] == texts
+    p = tmp_path / "out.soi"
+    write_dataset(D, p)
+    assert p.read_text().splitlines()[3:] == [f"1: {text}" for text in texts]
+    digest = hashlib.sha256(("40" + "".join("|" + text for text in texts)).encode())
+    assert dataset_hash(D) == digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("layout", ["2021", "legacy"])
+def test_row_check_error_in_a_later_block_names_its_line(tmp_path, monkeypatch, layout):
+    """Lines tokenized 2 at a time and rows checked 3 at a time: the
+    duplicate on the 5th ballot line, in the second block of the row check,
+    is reported as row 4 of all rows, at its line of the file."""
+    monkeypatch.setattr(dataio, "PARSE_BLOCK_LINES", 2)
+    monkeypatch.setattr(orders, "CHECK_BLOCK_CELLS", 3 * 4)
+    lists = ["1,2", "3", "2,1,3", "0", "2,2", "1"]  # count-0 lines are checked too
+    if layout == "2021":
+        text = "# NUMBER ALTERNATIVES: 3\n" + "".join(f"1: {q}\n\n" for q in lists)
+        text = text.replace("1: 0\n", "0: 1\n")
+    else:
+        text = "3\n1,a\n2,b\n3,c\n5,5,5\n" + "".join(f"1,{q}\n\n" for q in lists)
+        text = text.replace("1,0\n", "0,1\n")
+    p = tmp_path / "bad.soi"
+    p.write_text(text)
+    line = text.splitlines().index(("1: " if layout == "2021" else "1,") + "2,2") + 1
+    with pytest.raises(ParseError) as ei:
+        parse_preflib(p)
+    assert str(ei.value) == f"{p}:{line}: duplicate alternative id 2"
+    items = np.array([[0, 1, -1], [2, -1, -1], [1, 0, 2], [0, -1, -1], [1, 1, -1], [0, -1, -1]])
+    with pytest.raises(orders.InvalidOrderError) as ei:
+        orders._validate_rows(items, np.array([2, 1, 3, 1, 2, 1]), Universe(3), False)
+    assert ei.value.row == 4
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_parse_reports_the_earliest_rule_broken_across_blocks(tmp_path, monkeypatch, block):
+    """Every count is read before any list: a malformed count on the last
+    line is reported before a bad id, a tie or a duplicate on earlier
+    lines, in whichever block they fall; a line that breaks the layout is
+    reported before any of them."""
+    if block:
+        monkeypatch.setattr(dataio, "PARSE_BLOCK_LINES", block)
+    head = "# NUMBER ALTERNATIVES: 3\n"
+    body = "1: 1,1\n1: 1,{2,3}\n1: 1,x\n1: 2\n2: 3\n"
+    p = tmp_path / "bad.soi"
+    p.write_text(head + body + "x: 1\n")
+    with pytest.raises(ParseError) as ei:
+        parse_preflib(p)
+    assert str(ei.value) == f"{p}:7: malformed count 'x'"
+    p.write_text(head + body + "-2: 1\n")
+    with pytest.raises(ParseError, match=f"{p}:7: negative count -2"):
+        parse_preflib(p)
+    p.write_text(head + body)
+    with pytest.raises(ParseError, match=f"{p}:3: tied entries"):
+        parse_preflib(p)
+    p.write_text(head + body + "1: 2\nno separator\n")
+    with pytest.raises(ParseError, match=f"{p}:8: expected 'count: alt,alt,...'"):
+        parse_preflib(p)
+
+
+def test_parse_memory_is_bounded_by_its_blocks(tmp_path):
+    """A file of 200,000 one-ballot lines of up to 8 ids peaks at about
+    5 MB: the rows in the smallest integer types (8 bytes of ids, a length,
+    a count and a line number, about 14 bytes a line), the dataset's int64
+    lengths, and the Python strings of one block of PARSE_BLOCK_LINES
+    lines. Holding every line as a string, with its tokens, took 97 MB."""
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 9, 200_000)
+    ids = np.argsort(rng.random((200_000, 8)), axis=1) + 1
+    p = tmp_path / "big.soi"
+    with open(p, "w", encoding="utf-8") as fh:
+        fh.write("# NUMBER ALTERNATIVES: 8\n")
+        fh.writelines("1: " + ",".join(map(str, row[:k])) + "\n"
+                      for row, k in zip(ids.tolist(), lengths.tolist()))
+    tracemalloc.start()
+    try:
+        D = parse_preflib(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.n == 200_000 and D.lengths().tolist() == lengths.tolist()
+    assert peak < 12 * 2**20
+
+
+def test_summary_stats_of_count_lines_match_the_records(tmp_path):
+    """The length histogram and mean of a count-weighted file, from its
+    lines, equal those of its records one by one."""
+    p = tmp_path / "counts.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 4\n7: 1,2\n0: 3\n3: 4,1,3\n1: 2\n5: 1,2,3,4\n2: 3\n")
+    D = parse_preflib(p)
+    assert D.rows()[0].shape[0] == 5
+    per_record = Dataset(D.universe, list(D.orders))
+    s = summary_stats(D)
+    assert s == summary_stats(per_record)
+    lengths = per_record.lengths()
+    assert s.mean_length == float(lengths.mean()) == 46 / 18
+    assert s.length_histogram == tuple(np.bincount(lengths, minlength=5)[1:].tolist())
+    assert s.format() == summary_stats(per_record).format()
+
+
 # ---------------------------------------------------------------------------
 # covariates
 # ---------------------------------------------------------------------------
@@ -349,6 +458,41 @@ def test_covariate_error_line_counts_blank_lines(tmp_path):
         load_covariates(p, Universe(3))
     assert ei.value.line == 5
     assert str(ei.value) == f"{p}:5: unknown item_id 9"
+
+
+@pytest.mark.parametrize(
+    "rows,line,message",
+    [
+        (["5,1,0.5", "5,1,0.7", "5,2,abc"], 3, "duplicate (agent, item) pair (5, 1)"),
+        (["5,1,0.5", "5,2,abc", "5,1,0.7"], 3, "non-numeric cell in '5,2,abc'"),
+        (["5,1,0.5", "6,1,inf", "5,1,0.7"], 3, "non-finite feature in '6,1,inf'"),
+        (["5,1,0.5", "6,1,1", "6,1,2", "5,1,3"], 4, "duplicate (agent, item) pair (6, 1)"),
+        (["5,1,0.5", "5,1", "5,9,1"], 3, "expected 3 columns"),
+    ],
+)
+def test_covariate_errors_name_the_first_bad_line(tmp_path, rows, line, message):
+    p = tmp_path / "cov.csv"
+    p.write_text("agent_id,item_id,f\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as ei:
+        load_covariates(p, Universe(3))
+    assert str(ei.value) == f"{p}:{line}: {message}"
+
+
+def test_load_covariates_fills_the_tensor_by_agent_and_item(tmp_path):
+    """Agents in any order, ids beyond 64 bits included, land in sorted
+    agent order; each (agent, item) row lands in its cell."""
+    big = 10**30
+    p = tmp_path / "cov.csv"
+    p.write_text("agent_id,item_id,a,b\n"
+                 f"9,3,1.5,2.5\n{big},1,-1,0.25\n-4,2,3,4\n9,1,5,6\n{big},3,7,8\n")
+    cov, agents, missing = load_covariates(p, Universe(3))
+    assert agents == [-4, 9, big]
+    assert missing == 4
+    want = np.zeros((3, 3, 2))
+    for agent, item, feats in [(1, 2, [1.5, 2.5]), (2, 0, [-1, 0.25]), (0, 1, [3, 4]),
+                               (1, 0, [5, 6]), (2, 2, [7, 8])]:
+        want[agent, item] = feats
+    np.testing.assert_array_equal(cov.values, want)
 
 
 # ---------------------------------------------------------------------------

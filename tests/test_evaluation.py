@@ -206,6 +206,27 @@ def test_build_eval_report_and_emit(tmp_path):
     assert "\ttrue\t" in demand and "\tsynthetic\t" in demand
 
 
+def test_eval_report_reduces_each_replicate_as_the_list_functions_do():
+    """build_eval_report keeps one replicate at a time; its statistics are
+    those of the list functions over every replicate, float for float, on a
+    held-out set stored as count-weighted lines."""
+    model = random_model("a-s", 4, np.random.default_rng(12), K=2)
+    lists = [PartialOrder(q) for q in [(1, 2), (3,), (4, 1, 2), (2,), (1, 3, 4, 2)]]
+    base = Dataset(Universe(4), lists)
+    items, lengths = base.to_padded()
+    D = Dataset.from_padded(base.universe, items, lengths, counts=np.array([3, 1, 4, 0, 2]))
+    rep = build_eval_report("a-s", model, D, n_per_replicate=300, n_replicates=3, seed=5)
+    reps = replicate_sample(model, 300, 3, 5)
+    assert rep.lengths == length_stats(reps, D)
+    assert rep.demand_true == demand_shares(D)
+    assert rep.demand_synthetic == demand_shares(reps)
+    assert rep.tv_length == tv_distance(length_pmf(D, 4), length_pmf(reps, 4))
+    per_record = Dataset(D.universe, list(D.orders))
+    assert length_stats(reps, per_record) == rep.lengths
+    assert demand_shares(per_record) == rep.demand_true
+    assert np.array_equal(length_pmf(per_record, 4), length_pmf(D, 4))
+
+
 def test_emit_plot_data_group_map(tmp_path):
     model = random_model("c-i", 3, np.random.default_rng(5))
     D = toy_dataset()
