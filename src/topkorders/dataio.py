@@ -279,19 +279,12 @@ def _ballot_text_blocks(D: Dataset):
     order. A block holds whole rows, but for a row of more records than a
     block, whose records fill blocks of their own.
 
-    The text of each distinct row of a block is built once, one column of
-    ids at a time, and shared by the rows that repeat it: rows are
-    told apart by one base-(m + 1) integer each, or compared whole where
-    that integer would overflow int64.
+    The texts of a block are built one column of ids at a time.
     """
     items, lengths, counts = D.rows()
     names = np.array([""] + [str(a) for a in range(1, D.m + 1)], dtype=object)
     later = "," + names  # an id after the first, and "" for padding
     later[0] = ""
-    width = items.shape[1]
-    powers = None
-    if width * math.log2(D.m + 1) < 63:
-        powers = (D.m + 1) ** np.arange(width, dtype=np.int64)
     r = 0
     while r < lengths.size:
         # the next rows whose records fit in one block (each row holds at
@@ -299,15 +292,10 @@ def _ballot_text_blocks(D: Dataset):
         end = np.cumsum(counts[r : r + TEXT_BLOCK_RECORDS])
         rows = max(int(np.searchsorted(end, TEXT_BLOCK_RECORDS, side="right")), 1)
         ids = items[r : r + rows] + 1  # 0 for padding
-        if powers is None:
-            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True, axis=0)
-        else:
-            _, first, inverse = np.unique(ids @ powers, return_index=True, return_inverse=True)
-        distinct = ids[first]
-        text = names[distinct[:, 0]]
-        for j in range(1, width):
-            text += later[distinct[:, j]]
-        texts, taken = text[inverse].tolist(), counts[r : r + rows].tolist()
+        text = names[ids[:, 0]]
+        for j in range(1, ids.shape[1]):
+            text += later[ids[:, j]]
+        texts, taken = text.tolist(), counts[r : r + rows].tolist()
         while taken[0] > TEXT_BLOCK_RECORDS:  # one row of more records than a block
             yield texts, [TEXT_BLOCK_RECORDS]
             taken = [taken[0] - TEXT_BLOCK_RECORDS]
@@ -373,7 +361,8 @@ def load_covariates(path, universe: Universe):
     Each line is read into flat arrays: agent ids, item ids and features.
     An error names the first bad line in file order. Duplicate pairs are
     found by sorting the pairs read before that line."""
-    # imported only here, so that importing the package stays cheap
+    # imported only here: `array` is a shared library, and loading it with
+    # the package raised the peak RSS of `assign`, which reads none, by 0.4 MB
     from array import array
 
     agents, items, feats, linenos = [], array("q"), array("d"), array("q")

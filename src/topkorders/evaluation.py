@@ -57,13 +57,11 @@ def _tally(D: Dataset) -> _Tally:
     per_record = D.lengths()
     mean, std = (float(per_record.mean()), float(per_record.std())) if D.n else (np.nan, np.nan)
     items, lengths, counts = D.rows()
-    weights = None if lengths.size == D.n else counts  # None: every row is one record
     by_position = []  # the entries listing each alternative at each position
     for j in range(items.shape[1]):
         rows = lengths > j
-        w = None if weights is None else weights[rows]
-        by_position.append(np.bincount(items[rows, j], w, minlength=D.m))
-    return _Tally(mean, std, np.bincount(lengths, weights), by_position[0], sum(by_position))
+        by_position.append(np.bincount(items[rows, j], counts[rows], minlength=D.m))
+    return _Tally(mean, std, np.bincount(lengths, counts), by_position[0], sum(by_position))
 
 
 @dataclass(frozen=True)

@@ -306,9 +306,9 @@ def test_ballot_text_matches_the_records(tmp_path, monkeypatch, case, block):
     assert dataset_hash(D) == digest.hexdigest()[:16]
 
 
-def test_ballot_text_of_rows_too_wide_for_one_integer_key(tmp_path, monkeypatch):
-    """Lists of up to 40 of m = 40 items overflow a base-41 key; their rows
-    are told apart whole, and repeated lists share one text."""
+def test_ballot_text_of_long_repeated_rows(tmp_path, monkeypatch):
+    """Lists of 30 to 40 of m = 40 items, each held by several rows, in
+    blocks of 7 records: every record's text is its own list."""
     monkeypatch.setattr(dataio, "TEXT_BLOCK_RECORDS", 7)
     lists = random_orders(40, 30, np.random.default_rng(5), min_len=30)
     D = Dataset(Universe(40), lists + lists[::-1] + lists[:9])
