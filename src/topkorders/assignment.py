@@ -6,11 +6,11 @@ order over students. The output is the student-optimal stable matching
 with respect to the submitted lists (Gale & Shapley 1962, in the school-choice
 form of Abdulkadiroglu & Sonmez 2003). Priorities must be strict: the stable
 matching is then unique, so the order in which proposals are processed
-cannot change it.
+cannot change it. ``deferred_acceptance`` therefore processes the
+proposals in rounds, all free students at once, with numpy arrays.
 """
 
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
 
 import numpy as np
 
@@ -93,40 +93,43 @@ class Matching:
 
 
 def deferred_acceptance(market: Market) -> Matching:
-    """The student-optimal stable matching.
+    """The student-optimal stable matching, found in rounds.
 
-    Each program holds its tentatively accepted students in a heap keyed by
-    minus their priority rank, so its worst-ranked student is at the top and
-    a proposal to a full program costs O(log capacity).
+    In each round every free student with a choice left proposes to the
+    next program on their list. Each program that got proposals keeps the
+    ``capacity`` best, by priority rank, of the students it holds and its
+    new proposers: these are sorted by rank, then stably by program, and
+    each program admits the first ``capacity`` of its run. A proposal to a
+    program of no seats is thus rejected in the round it is made. The
+    rejected students are free in the next round; a student whose list is
+    exhausted stays unassigned.
     """
     items, lengths = market.preferences.to_padded()
-    rows, lens = items.tolist(), lengths.tolist()
-    rank = market.priority_rank.tolist()
-    caps = market.capacities
-    held: list[list[tuple[int, int]]] = [[] for _ in range(market.m)]
-    next_choice = [0] * market.n
-    assignment = [UNASSIGNED] * market.n
-    free = list(range(market.n))
-    while free:
-        s = free.pop()
-        row, j = rows[s], next_choice[s]
-        while j < lens[s]:
-            p = row[j]
-            j += 1
-            heap, key = held[p], -rank[p][s]
-            if len(heap) < caps[p]:
-                heappush(heap, (key, s))
-                assignment[s] = p + 1
-                break
-            if heap and key > heap[0][0]:
-                _, worst = heapreplace(heap, (key, s))
-                assignment[worst] = UNASSIGNED
-                free.append(worst)
-                assignment[s] = p + 1
-                break
-        # list exhausted -> stays unassigned
-        next_choice[s] = j
-    return Matching(tuple(assignment))
+    caps = np.asarray(market.capacities, dtype=np.int64)
+    rank = market.priority_rank
+    # each student's 0-based program, -1 while free; touched[-1] stays False
+    held = np.full(market.n, -1, dtype=items.dtype)
+    touched = np.zeros(market.m + 1, dtype=bool)
+    next_choice = np.zeros(market.n, dtype=lengths.dtype)
+    free = np.flatnonzero(lengths > 0)
+    while free.size:
+        proposed = items[free, next_choice[free]]
+        next_choice[free] += 1
+        touched[:] = False
+        touched[proposed] = True
+        kept = np.flatnonzero(touched[held])
+        s = np.concatenate((kept, free))
+        p = np.concatenate((held[kept], proposed))
+        order = np.argsort(rank[p, s])
+        order = order[np.argsort(p[order], kind="stable")]
+        s, p = s[order], p[order]
+        seat = np.arange(s.size) - np.searchsorted(p, p)
+        admit = seat < caps[p]
+        held[s[admit]] = p[admit]
+        out = s[~admit]
+        held[out] = -1
+        free = out[next_choice[out] < lengths[out]]
+    return Matching(tuple((held + 1).tolist()))  # -1 + 1 is UNASSIGNED
 
 
 def _assignment_array(assignment, n: int) -> np.ndarray:

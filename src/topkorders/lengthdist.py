@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augmented import DRAW_BLOCK_CELLS
+
 
 def logsumexp(a) -> np.float64:
     """log(sum(exp(a))) over all entries, shifted by the largest one.
@@ -137,11 +139,14 @@ def _poisson_clipped_terms(k, lam, m: int):
 
 
 def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
-    """n lengths drawn from the exact pmf of the given parameter family.
+    """n lengths drawn from the exact pmf of the given parameter family, in
+    the smallest signed integer type that holds -(m + 1), the ids' type.
 
     A Poisson length model takes draw i's rate from row i of ``x_agents``
     (n, d). The inverse-CDF draw gives, bit for bit, the lengths that
-    ``rng.choice(m, size=n, p=p) + 1`` gives for one shared pmf p.
+    ``rng.choice(m, size=n, p=p) + 1`` gives for one shared pmf p. The draws
+    are compared with the cdf in blocks of at most DRAW_BLOCK_CELLS cells;
+    the uniforms of consecutive blocks are the stream of one call.
     """
     if isinstance(params, CategoricalLengthParams):
         p = np.exp(categorical_log_pmf(params))[None]
@@ -154,4 +159,11 @@ def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
     p = p / p.sum(axis=1, keepdims=True)
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
-    return (cdf <= rng.random(n)[:, None]).sum(axis=1) + 1
+    m = cdf.shape[1]
+    lengths = np.empty(n, dtype=np.min_scalar_type(-1 - m))
+    step = max(DRAW_BLOCK_CELLS // m, 1)
+    for lo in range(0, n, step):
+        u = rng.random(min(step, n - lo))
+        block = cdf if cdf.shape[0] == 1 else cdf[lo : lo + step]
+        lengths[lo : lo + step] = (block <= u[:, None]).sum(axis=1) + 1
+    return lengths

@@ -146,7 +146,10 @@ class Dataset:
     Records are stored as arrays only, as rows with a count each: 0-based
     item ids padded with -1, shape (rows, kmax), in the smallest signed
     integer type that holds -(m + 1) (so ids + 1 cannot overflow), list
-    lengths (rows,) as int64, and how many records each row stands for.
+    lengths (rows,) in that type too, and how many records each row stands
+    for. Sums and cumulative sums of the lengths widen to int64 by default;
+    other arithmetic on them keeps the small type, which holds m but not
+    always m + 1 (int8 at m = 127).
     ``rows`` returns the three. A parsed ballot file keeps one row per line;
     every other dataset, covariates included, has one row per record. ``n``
     counts records; ``to_padded``, ``lengths`` and ``orders`` give them one
@@ -180,7 +183,9 @@ class Dataset:
 
     def _set(self, universe, items, lengths, covariates, allow_empty, check_rows=True,
              counts=None):
-        lengths = np.asarray(lengths, dtype=np.int64)
+        lengths = np.asarray(lengths)
+        if lengths.dtype.kind not in "iu":  # e.g. an empty list, read as floats
+            lengths = lengths.astype(np.int64)
         items = np.asarray(items)
         width = max(int(lengths.max()) if lengths.size else 0, 1)
         if items.ndim != 2 or items.shape[0] != lengths.shape[0] or items.shape[1] < width:
@@ -192,7 +197,9 @@ class Dataset:
             width = max(int(lengths.max()) if lengths.size else 0, 1)
             if counts is not None and covariates is not None:
                 raise ValueError("a dataset with covariates has one row per record")
-        items = items[:, :width].astype(np.min_scalar_type(-1 - universe.m), copy=False)
+        ids = np.min_scalar_type(-1 - universe.m)
+        items = items[:, :width].astype(ids, copy=False)
+        lengths = lengths.astype(ids, copy=False)
         check_covariates(covariates, lengths.shape[0], universe.m)
         items.flags.writeable = lengths.flags.writeable = False
         self.universe, self.covariates, self.allow_empty = universe, covariates, allow_empty

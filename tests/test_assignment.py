@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,3 +238,56 @@ def test_blocking_pair_matches_scan_oracle_on_perturbed_matchings():
         assert got is None or all(type(v) is int for v in got)
         found += want is not None
     assert 100 < found < 300  # both outcomes occur
+
+
+@pytest.mark.parametrize(
+    "listed,caps",
+    [(4, [3, 2, 4, 1, 30]), (5, [20, 15, 10, 10, 5]), (5, [0] * 5), (0, [3] * 5)],
+    ids=["unlisted-program", "more-seats", "no-seats", "empty-lists"],
+)
+def test_rounds_match_scan_oracle_on_edge_markets(listed, caps):
+    """40 students with random lists of 0 to ``listed`` items over programs
+    1..listed of 5."""
+    rng = np.random.default_rng(sum(caps))
+    prefs = [P(*(int(a) + 1 for a in rng.permutation(listed)[:k]))
+             for k in rng.integers(0, listed + 1, 40)]
+    market = make_market(prefs, caps, seed=8)
+    match = deferred_acceptance(market)
+    assert match.assignment == scan_deferred_acceptance(market)
+    assert all(type(a) is int for a in match.assignment)
+    seated = {p + 1 for p in range(5) if caps[p]}
+    assert set(match.assignment) <= {0} | (seated & set(range(1, listed + 1)))
+
+
+def _large_market(n, m, seed):
+    """n students with random lists of 1 to m programs, seats for 70% of them."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, m + 1, n)
+    items = np.where(np.arange(m) < lengths[:, None], np.argsort(rng.random((n, m)), axis=1), -1)
+    caps = rng.multinomial(int(0.7 * n), np.full(m, 1 / m))
+    return make_market(Dataset.from_padded(Universe(m), items, lengths), caps, seed=seed + 1)
+
+
+def test_rounds_are_stable_and_feasible_at_scale():
+    market = _large_market(20_000, 12, seed=3)
+    match = deferred_acceptance(market)
+    assert find_blocking_pair(market, match) is None
+    a = np.array(match.assignment)
+    load = np.bincount(a, minlength=market.m + 1)[1:]
+    assert (load <= np.array(market.capacities)).all()
+
+
+def test_deferred_acceptance_memory_is_bounded():
+    """200,000 students over m = 8 programs, market built beforehand: the
+    rounds hold a few arrays of one entry per student (held program, next
+    choice, candidates and their sort order) and the matching, about 10 MB
+    traced. Python lists of the (m, n) priority ranks, the padded rows and a
+    heap of tuples per program pass 100 MB."""
+    market = _large_market(200_000, 8, seed=4)
+    tracemalloc.start()
+    try:
+        deferred_acceptance(market)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20

@@ -224,12 +224,12 @@ def test_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
 
 
 def test_sampler_memory_is_bounded_by_its_blocks():
-    """200,000 a-s draws over m = 8 items keep per-row arrays of a few bytes
-    per cell (int8 ids, the available-option mask, the lengths, each
-    position's active rows and uniforms), about 13 MB with the dataset's
-    row check. Float temporaries of the full height, 200,000 x 9 x 8 bytes =
-    14.4 MB each, three of them live at once, would pass 40 MB; the blocks of
-    DRAW_BLOCK_CELLS = 2^18 cells hold 2 MB each."""
+    """200,000 a-s draws over m = 8 items keep the int8 ids (1.6 MB), the
+    int8 lengths and each position's active rows as uint32, about 4.2 MB
+    traced with the dataset's row check. Float temporaries of the full
+    height, 200,000 x 9 x 8 bytes = 14.4 MB each, three of them live at
+    once, would pass 40 MB; the blocks of DRAW_BLOCK_CELLS = 2^16 cells hold
+    0.5 MB each."""
     tracemalloc.start()
     try:
         sample_augmented_dataset(_fixed_as_model(), 200_000, np.random.default_rng(7))

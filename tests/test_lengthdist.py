@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from topkorders import (
     PoissonLengthParams,
     composite_log_prob,
 )
+from topkorders import lengthdist
 from topkorders.lengthdist import (
     _log_factorials,
     _poisson_clipped_terms,
@@ -118,6 +120,43 @@ def test_sample_length_degenerate():
     p = CategoricalLengthParams(np.array([-1e6, 1e6, -1e6]))
     rng = np.random.default_rng(0)
     assert np.all(sample_lengths(p, 50, rng) == 2)
+
+
+@pytest.mark.parametrize("block_cells", [None, 8 * 997])
+def test_sample_lengths_match_one_shared_choice_call(monkeypatch, block_cells):
+    """Blocks of rows draw, bit for bit, what rng.choice draws for one shared
+    pmf, and a Poisson model what one comparison of all rows with their cdf
+    draws, in the ids' type; a block size that divides nothing changes no
+    draw."""
+    if block_cells:
+        monkeypatch.setattr(lengthdist, "DRAW_BLOCK_CELLS", block_cells)
+    p = CategoricalLengthParams(np.linspace(0.5, -0.9, 8))
+    draws = sample_lengths(p, 50_000, np.random.default_rng(7))
+    pmf = np.exp(categorical_log_pmf(p))
+    want = np.random.default_rng(7).choice(8, size=50_000, p=pmf / pmf.sum()) + 1
+    assert draws.dtype == np.int8 and np.array_equal(draws, want)
+    x = np.random.default_rng(8).normal(1.5, 1.0, size=(5_000, 1))
+    params = PoissonLengthParams(np.ones(1), 200)
+    pmf = np.exp(poisson_clipped_log_pmf(poisson_rate(x, params), 200))
+    cdf = np.cumsum(pmf / pmf.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    want = (cdf <= np.random.default_rng(9).random(5_000)[:, None]).sum(axis=1) + 1
+    draws = sample_lengths(params, 5_000, np.random.default_rng(9), x)
+    assert draws.dtype == np.int16 and np.array_equal(draws, want)
+
+
+def test_sample_lengths_memory_is_bounded_by_its_blocks():
+    """2,000,000 categorical lengths are 1.9 MB of int8; the uniforms and the
+    cdf comparison of one block add 0.25 MB. All uniforms at once, and their
+    (n, m) comparison with the cdf, would hold 31 MB."""
+    p = CategoricalLengthParams(np.linspace(0.5, -0.9, 8))
+    tracemalloc.start()
+    try:
+        sample_lengths(p, 2_000_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_sample_length_categorical_tv():

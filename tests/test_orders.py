@@ -6,16 +6,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topkorders import (
+    AugmentedModel,
     CovariateTensor,
     Dataset,
+    FitConfig,
     OrderView,
     PartialOrder,
+    StratifiedAugmentedParams,
     Universe,
+    dataset_hash,
+    demand_shares,
     enumerate_partial_orders,
     extension_count,
+    length_pmf,
+    length_stats,
+    summary_stats,
     validate_order,
+    write_dataset,
 )
+from topkorders import test_nll as held_out_nll
 from topkorders import orders as orders_module
+from topkorders.estimation import ParamLayout, _FitData, objective_and_grad, record_log_probs
+from topkorders.evaluation import draw_replicate
+from topkorders.events import event_table
 from topkorders.orders import InvalidOrderError, num_partial_orders
 
 
@@ -204,3 +217,101 @@ def test_dataset_of_a_checked_dataset_skips_the_row_check(monkeypatch):
     with pytest.raises(InvalidOrderError, match="empty order"):
         Dataset(u, E)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m,ids", [(3, np.int8), (127, np.int8), (128, np.int16)])
+def test_lengths_are_stored_in_the_ids_type(m, ids):
+    """Lengths of any integer type, or a list, are stored in the ids' type,
+    after the row check has read them in their own: lengths of m + 1 and of
+    256, which an int8 would wrap to 0, are both rejected."""
+    u = Universe(m)
+    items = np.full((3, m), -1)
+    items[:, 0] = 0
+    items[1] = np.arange(m)
+    for lengths in ([1, m, 1], np.array([1, m, 1], np.uint8), np.array([1, m, 1], np.int64)):
+        D = Dataset.from_padded(u, items, lengths)
+        assert D.rows()[1].dtype == D.lengths().dtype == D.to_padded()[1].dtype == ids
+        assert D.lengths().tolist() == [1, m, 1]
+    assert Dataset(u, ()).rows()[1].dtype == ids
+    for k in (m + 1, 256):
+        wide = np.hstack([items, np.full((3, k - m), -1)])
+        wide[1, :k] = np.arange(k) % m
+        with pytest.raises(InvalidOrderError, match="exceeds universe size"):
+            Dataset.from_padded(u, wide, np.array([1, k, 1]))
+
+
+def _int64_lengths(D):
+    """D with its stored lengths widened to int64, as the reference."""
+    R = Dataset.__new__(Dataset)
+    R.__dict__.update(D.__dict__)
+    R._lengths = orders_module._read_only(D._lengths.astype(np.int64))
+    return R
+
+
+def _prefix_rows(m, rng):
+    """Prefixes of three random orders of the m items, of lengths 1, 2,
+    m // 2, m - 2, m - 1 and m, each row standing for 50 to 149 records, so
+    that prefix sets repeat and the event table is built."""
+    lengths = np.tile([1, 2, m // 2, m - 2, m - 1, m], 3)
+    orders = np.repeat([rng.permutation(m) for _ in range(3)], 6, axis=0)
+    items = np.where(np.arange(m) < lengths[:, None], orders, -1)
+    return Dataset.from_padded(Universe(m), items, lengths, counts=rng.integers(50, 150, 18))
+
+
+@pytest.mark.parametrize("m", [127, 128])
+def test_small_lengths_match_int64_lengths(m, tmp_path):
+    """At m = 127 the lengths are int8, and m + 1 does not fit; at m = 128
+    they are int16. The event table, the objective and gradient by table and
+    by row kernels, the records' log-probabilities, the held-out NLL, the
+    summary, the ballot text and the data hash equal those of the same rows
+    with int64 lengths."""
+    rng = np.random.default_rng(m)
+    D = _prefix_rows(m, rng)
+    R = _int64_lengths(D)
+    assert D.rows()[1].dtype != np.int64 and D.rows()[1].max() == m
+    assert summary_stats(D) == summary_stats(R)
+    assert dataset_hash(D) == dataset_hash(R)
+    write_dataset(D, tmp_path / "small.txt")
+    write_dataset(R, tmp_path / "wide.txt")
+    assert (tmp_path / "small.txt").read_bytes() == (tmp_path / "wide.txt").read_bytes()
+    for variant, K in (("a", 1), ("a-s", 3), ("c-ld", 3)):
+        layout = ParamLayout(variant, m, 0, K)
+        cfg = FitConfig(K=K, lambda_l2=1e-3)
+        flat = rng.uniform(-1.0, 1.0, layout.size)
+        small, wide = _FitData(D), _FitData(R)
+        F, g = objective_and_grad(variant, small, layout, flat, cfg)
+        F_wide, g_wide = objective_and_grad(variant, wide, layout, flat, cfg)
+        assert F == F_wide and np.array_equal(g, g_wide)
+        small.events, wide.events = event_table(small, layout), event_table(wide, layout)
+        assert small.events is not None
+        for a, b in zip(vars(small.events).values(), vars(wide.events).values()):
+            assert np.array_equal(a, b)
+        F, g = objective_and_grad(variant, small, layout, flat, cfg)
+        F_wide, g_wide = objective_and_grad(variant, wide, layout, flat, cfg)
+        assert F == F_wide and np.array_equal(g, g_wide)
+        model = layout.to_model(flat, D.universe)
+        assert np.array_equal(record_log_probs(model, D), record_log_probs(model, R))
+        assert held_out_nll(model, D) == held_out_nll(model, R)
+
+
+@pytest.mark.parametrize("m", [127, 128])
+def test_small_length_replicate_matches_int64_lengths(m, tmp_path):
+    """A 1,000-draw a-s replicate whose END utility is low, so that most lists
+    run to m items, gives the replicate statistics, the summary, the ballot
+    text and the log-probabilities of the same draws with int64 lengths."""
+    banks = np.zeros((3, m + 1))
+    banks[:, :m] = np.linspace(1.0, -1.0, m)
+    banks[:, m] = [-2.0, -6.0, -9.0]
+    model = AugmentedModel("a-s", StratifiedAugmentedParams(banks), Universe(m))
+    D = draw_replicate(model, 1_000, 7, 0, no_empty=True)
+    R = _int64_lengths(D)
+    assert D.lengths().max() == m and D.lengths().min() >= 1
+    assert length_stats([D], D) == length_stats([R], R)
+    assert demand_shares(D) == demand_shares(R)
+    assert np.array_equal(length_pmf(D, m), length_pmf(R, m))
+    assert summary_stats(D) == summary_stats(R)
+    write_dataset(D, tmp_path / "small.txt")
+    write_dataset(R, tmp_path / "wide.txt")
+    assert (tmp_path / "small.txt").read_bytes() == (tmp_path / "wide.txt").read_bytes()
+    assert np.array_equal(record_log_probs(model, D), record_log_probs(model, R))
+    assert held_out_nll(model, D, True) == held_out_nll(model, R, True)
