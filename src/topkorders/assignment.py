@@ -42,10 +42,10 @@ class Market:
             raise ValueError(f"priority_rank shape {pr.shape}, expected ({m}, {prefs.n})")
         if any(c < 0 for c in caps):
             raise ValueError("capacities must be nonnegative")
-        srt = np.sort(pr, axis=1)
-        tied = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if tied.any():
-            raise ValueError(f"priority_rank row {int(np.argmax(tied))} has tied ranks")
+        for p, row in enumerate(pr):  # one program at a time: no sorted copy of all ranks
+            srt = np.sort(row)
+            if (srt[1:] == srt[:-1]).any():
+                raise ValueError(f"priority_rank row {p} has tied ranks")
 
     @property
     def n(self) -> int:

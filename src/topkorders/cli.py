@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 input error, 3 numeric failure. Every subcommand
 is deterministic given its full flag set (seeds included), at any
---workers: `cv` runs its (cell, fold) fits over a pool of up to --workers
-processes on the platform's default start method and reduces the results
-in task order, so cv.tsv is byte-identical to the one written at
+--workers: `cv` cuts its distinct (cell, fold) fits into min(--workers,
+fits) contiguous batches, steps the fits of each batch together in one
+Adam loop, runs the batches over a pool of that many processes on the
+platform's default start method (in process for one) and reduces the
+results in task order, so cv.tsv is byte-identical to the one written at
 --workers 1; a worker that dies ends the command with BrokenProcessPool
 (exit 1) instead of a hang. Every other command runs in process and takes
 --workers 1 only.

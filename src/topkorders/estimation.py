@@ -4,14 +4,14 @@ The objective is F = nll + l2 penalty, plus the Laplacian coupling term
 for the stratified variants (c-ld, a-s), whose per-stratum losses are each
 averaged over their own records or choice events. Gradients are analytic;
 optimization is a hand-rolled Adam on a flat parameter vector, initialized
-at zero, full-batch by default. A fit of a model without covariates
+at zero, full-batch by default (see ``lockstep``, which also steps the
+fits of a grid together). A fit of a model without covariates
 evaluates the objective on its event table (see ``events``); every other
 fit, held-out scoring and the single-record log-probabilities sum the
 per-row terms of ``_row_terms``.
 """
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,15 +32,12 @@ from .lengthdist import (
     poisson_rate,
 )
 from .events import _bank_event_counts, event_table
+from .lockstep import FitResult, NonFiniteLossError, Penalties, _adam_step, run
 from .orders import CovariateTensor, Dataset, InvalidOrderError, PartialOrder
 from .ranking import PLParams, StratifiedPLParams
 
 ALL_VARIANTS = ("c-i", "c-ci", "c-ld", "a", "a-pd", "a-s")
 STRATIFIED_VARIANTS = ("c-ld", "a-s")  # the only variants that read K and lambda_L
-
-
-class NonFiniteLossError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,39 +71,6 @@ class FitConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-
-@dataclass
-class FitResult:
-    model: object
-    trace: list = field(default_factory=list)  # (epoch, objective, grad_norm)
-    converged: bool = False
-    epochs_run: int = 0
-
-    @property
-    def final_objective(self) -> float:
-        return self.trace[-1][1]
-
-    @property
-    def final_grad_norm(self) -> float:
-        return self.trace[-1][2]
-
-
-# ---------------------------------------------------------------------------
-# Penalties
-# ---------------------------------------------------------------------------
-
-def _add_laplacian(banks, lambda_laplacian, grad=None) -> float:
-    """The Laplacian penalty lambda_L * sum_{i=2..K} ||theta_i - theta_{i-1}||^2
-    of the rows of ``banks`` (K, p), a path graph; its gradient is added to
-    ``grad``, of the same shape, when given."""
-    diff = banks[1:] - banks[:-1]
-    penalty = lambda_laplacian * float(np.vdot(diff, diff))
-    if grad is not None:
-        diff *= 2.0 * lambda_laplacian
-        grad[1:] += diff
-        grad[:-1] -= diff
-    return penalty
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +392,71 @@ def objective_and_grad(
     The fit's event table serves a covariate-free model, the row terms
     every other.
     """
-    m, K = layout.m, layout.K
-    if data.events is not None:
-        F, grad = data.events.nll_grad(flat)
-    else:
-        norm = _bank_event_counts(data.lengths, data.weights, m, K, variant)
-        coef = -np.divide(1.0, norm, out=np.zeros(norm.shape), where=norm > 0)
-        terms, grad = _row_terms(variant, data, layout, flat, coef)
-        F = (data.weights @ terms) @ coef
+    F, grad = _nll_grad(variant, data, layout, flat, data.events)
+    penalties = Penalties([(layout, cfg)], [slice(0, flat.size)], flat.size)
+    return penalties.penalize(0, F, flat, penalties.gradient(flat, grad)), grad
 
-    F += cfg.lambda_l2 * float(flat @ flat)
-    grad += 2.0 * cfg.lambda_l2 * flat
 
-    if cfg.lambda_laplacian and layout.K > 1:  # one bank has no adjacent banks: a penalty of 0
-        F += _add_laplacian(
-            layout.bank_rows(flat), cfg.lambda_laplacian, layout.bank_rows(grad)
-        )
-    return float(F), grad
+def _nll_grad(variant, data: _FitData, layout: ParamLayout, flat, table):
+    """The scaled NLL and its gradient, on table when given, else on the row terms."""
+    if table is not None:
+        return table.nll_grad(flat)
+    norm = _bank_event_counts(data.lengths, data.weights, layout.m, layout.K, variant)
+    coef = -np.divide(1.0, norm, out=np.zeros(norm.shape), where=norm > 0)
+    terms, grad = _row_terms(variant, data, layout, flat, coef)
+    return (data.weights @ terms) @ coef, grad
 
 
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _Fit:
+    """One fit for ``lockstep.run``: the variant, its rows, layout, acting
+    config, event table (or None), universe, and mini-batch size (None for
+    a full batch). A full-batch fit on a table reads only the table, so it
+    keeps no rows (data None)."""
+
+    variant: str
+    data: _FitData | None
+    layout: ParamLayout
+    cfg: FitConfig
+    table: object
+    universe: object
+    batch: int | None
+
+    @classmethod
+    def of(cls, variant: str, D: Dataset, cfg: FitConfig, cache: dict) -> "_Fit":
+        """The fit of variant to D under cfg. ``cache`` keeps D's rows and
+        event tables for the next fit to D, keyed by what they depend on."""
+        cfg = _acting_config(variant, cfg)
+        d = D.covariates.d if D.covariates is not None else 0
+        layout = ParamLayout(variant, D.universe.m, d, cfg.K)  # checks variant and covariates
+        if D.n == 0:
+            raise ValueError("empty dataset")
+        _check_records(variant, layout.m, *D.rows()[:2])
+        per_record = not (cfg.batch_size == "full" or cfg.batch_size >= D.n)
+        if per_record not in cache:
+            cache[per_record] = _FitData(D, per_record=per_record)
+        if (per_record, layout) not in cache:
+            cache[per_record, layout] = event_table(cache[per_record], layout)
+        table = cache[per_record, layout]
+        data = None if table is not None and not per_record else cache[per_record]
+        batch = int(cfg.batch_size) if per_record else None
+        return cls(variant, data, layout, cfg, table, D.universe, batch)
+
+    @property
+    def n(self) -> int:
+        return self.data.lengths.size
+
+    def nll_grad(self, flat, rows=None):
+        """The scaled NLL and its gradient over all rows, or over the given
+        mini-batch of rows on the row terms."""
+        if rows is None:
+            return _nll_grad(self.variant, self.data, self.layout, flat, self.table)
+        return _nll_grad(self.variant, _subset_fitdata(self.data, rows), self.layout, flat, None)
+
 
 def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     """Minimize F by Adam until |F_t - F_{t-1}| < tol or max_epochs.
@@ -458,50 +465,10 @@ def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
     mini-batch fit takes one row per record, so that its batches draw
     records.
     """
-    cfg = _acting_config(variant, cfg or FitConfig())
-    d = D.covariates.d if D.covariates is not None else 0
-    layout = ParamLayout(variant, D.universe.m, d, cfg.K)  # checks the variant and its covariates
-    if D.n == 0:
-        raise ValueError("empty dataset")
-    _check_records(variant, layout.m, *D.rows()[:2])
-    full_batch = cfg.batch_size == "full" or cfg.batch_size >= D.n
-    data = _FitData(D, per_record=not full_batch)
-    data.events = event_table(data, layout)
-
-    flat = np.zeros(layout.size)
-    mom = np.zeros_like(flat)
-    vel = np.zeros_like(flat)
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon_opt
-    rng = None if full_batch else np.random.default_rng(cfg.seed)  # only batches are drawn
-
-    trace = []
-    prev_F = None
-    converged = False
-    epoch = 0
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        if not full_batch:  # mini-batches of records, reshuffled per epoch
-            perm = rng.permutation(D.n)
-            for lo in range(0, D.n, int(cfg.batch_size)):
-                batch = np.sort(perm[lo : lo + int(cfg.batch_size)])  # rows stay in length order
-                sub_data = _subset_fitdata(data, batch)
-                _, g = objective_and_grad(variant, sub_data, layout, flat, cfg)
-                step += 1
-                flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
-        F, g = objective_and_grad(variant, data, layout, flat, cfg)
-        if not math.isfinite(F):
-            raise NonFiniteLossError(f"objective diverged at epoch {epoch}; trace={trace}")
-        if full_batch:
-            step += 1
-            flat = _adam_step(flat, g, mom, vel, step, cfg.learning_rate, b1, b2, eps)
-        trace.append((epoch, F, math.sqrt(g @ g)))
-        if prev_F is not None and abs(F - prev_F) < cfg.tol:
-            converged = True
-            break
-        prev_F = F
-
-    model = layout.to_model(flat, D.universe)
-    return FitResult(model=model, trace=trace, converged=converged, epochs_run=epoch)
+    (result,) = run([_Fit.of(variant, D, cfg or FitConfig(), {})])
+    if isinstance(result, NonFiniteLossError):
+        raise result
+    return result
 
 
 def _acting_config(variant, cfg: FitConfig) -> FitConfig:
@@ -510,22 +477,6 @@ def _acting_config(variant, cfg: FitConfig) -> FitConfig:
     only in what a fit ignores give the same acting config, and the same fit."""
     K = cfg.K if variant in STRATIFIED_VARIANTS else 1
     return replace(cfg, K=K, lambda_laplacian=cfg.lambda_laplacian if K > 1 else 0.0)
-
-
-def _adam_step(flat, g, mom, vel, t, lr, b1, b2, eps):
-    mom *= b1
-    mom += (1 - b1) * g
-    vel *= b2
-    g2 = g * g
-    g2 *= 1 - b2
-    vel += g2
-    # lr * mhat / (sqrt(vhat) + eps), the bias corrections moved onto scalars
-    root = math.sqrt(1 - b2**t)
-    den = np.sqrt(vel, out=g2)
-    den += eps * root
-    step = mom * (lr * root / (1 - b1**t))
-    step /= den
-    return flat - step
 
 
 def _subset_fitdata(data: _FitData, rows):
@@ -564,16 +515,20 @@ def grid_search(
 
     Cells that differ only in what a fit of the variant ignores share their
     fits (see ``_acting_config``): every K = 1 cell is fitted once per fold,
-    whatever its lambda_L. Each distinct (fit, fold) is one task of
-    ``_map_tasks``, so up to ``workers`` fits run at once; the table does not
-    depend on ``workers``.
+    whatever its lambda_L. The distinct (fit, fold) pairs are cut into
+    min(workers, pairs) contiguous batches, each one task of ``_map_tasks``,
+    so up to ``workers`` batches run at once; a batch steps its fits in
+    lockstep (see ``_fold_nlls``). The table does not depend on ``workers``.
     """
     cfg = cfg or FitConfig()
     splits = kfold_split(D, folds, cfg.seed)
     cells = [replace(cfg, K=K, lambda_laplacian=lapl) for K in Ks for lapl in lambda_laplacians]
     fits = list(dict.fromkeys(_acting_config(variant, c) for c in cells))  # in first-seen order
     tasks = [(c, f) for c in range(len(fits)) for f in range(folds)]
-    nlls = _map_tasks(_fold_nll, tasks, workers, (variant, splits, fits))
+    k = max(1, min(workers, len(tasks)))
+    bounds = [len(tasks) * b // k for b in range(k + 1)]
+    batches = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    nlls = sum(_map_tasks(_fold_nlls, batches, workers, (variant, splits, fits)), [])
     mean = {c: float(np.mean(nlls[i * folds : (i + 1) * folds])) for i, c in enumerate(fits)}
     table = [
         (trial.K, trial.lambda_laplacian, mean[_acting_config(variant, trial)]) for trial in cells
@@ -582,12 +537,40 @@ def grid_search(
     return best[:2], table
 
 
-def _fold_nll(shared, task) -> float:
-    """Validation NLL of fit config c fitted on the training rows of fold f."""
+def _fold_nlls(shared, batch) -> list:
+    """Validation NLL of each (fit config c, fold f) of batch, fitted on the
+    training rows of fold f by ``_fit_folds``. The first fit in batch order
+    that fails raises its error, as in a loop of ``fit`` calls."""
     variant, splits, fits = shared
-    c, f = task
-    train, test = splits[f]
-    return test_nll(fit(variant, train, fits[c]).model, test).nll
+    nlls = []
+    for (c, f), result in zip(batch, _fit_folds(variant, splits, fits, batch)):
+        if isinstance(result, NonFiniteLossError):  # run again, for the error with its whole trace
+            raise run([_Fit.of(variant, splits[f][0], fits[c], {})])[0]
+        nlls.append(test_nll(result.model, splits[f][1]).nll)
+    return nlls
+
+
+def _fit_folds(variant, splits, fits, batch) -> list:
+    """The result of each (fit config c, fold f) of batch. The folds are
+    prepared one at a time: a fold's rows and each of its event tables are
+    built once, its fits without a table (or with mini-batches) run alone,
+    and then its rows are dropped, as the full-batch fits on tables read
+    only their tables. Those fits then run in lockstep (see
+    ``lockstep.run``)."""
+    results, stacked = [None] * len(batch), {}
+    for fold in dict.fromkeys(f for _, f in batch):
+        cache = {}
+        for i, (c, f) in enumerate(batch):
+            if f == fold:
+                job = _Fit.of(variant, splits[f][0], fits[c], cache)
+                if job.data is None:
+                    stacked[i] = job
+                else:
+                    results[i] = run([job], traces=False)[0]
+    if stacked:
+        for i, result in zip(stacked, run(list(stacked.values()), traces=False)):
+            results[i] = result
+    return results
 
 
 # ---------------------------------------------------------------------------

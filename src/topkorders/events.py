@@ -13,13 +13,20 @@ a bank with one END utility per position has its END read at the key's
 position.
 
 An evaluation reads each option's utility from the parameters extended by
-two slots: 0, for an option without a parameter (a composite's END), then
--inf, which every unavailable option reads, so that its exp is exactly 0
-and no mask is added. Keys sharing a utility-index row contribute to the same parameters,
-so the gradient first sums each run of such keys column by column and
-scatters only those run sums onto the parameters: a few rows per bank and
-position, however many keys the table holds.
+a utility 0, for an option without a parameter (a composite's END). An
+unavailable option reads the utility of an option available at the same
+key, which leaves the key's maximum unchanged and keeps every exp finite,
+and a 0/1 mask then zeroes its exp: numpy's exp leaves its fast vector path
+for each -inf cell and each result that underflows. Keys sharing a
+utility-index row contribute to the same parameters, so the gradient first
+sums each run of such keys column by column and scatters only those run
+sums onto the parameters: a few rows per bank and position, however many
+keys the table holds. The tables of several fits evaluate as one
+``TableStack``, each fit's parameters a segment of one vector, so that a
+grid of fits pays one pass of numpy calls per epoch.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -34,44 +41,86 @@ class EventTable:
     and the flat index of each option's utility (``size``, the parameter
     count, where it has none, for a utility of 0). For c-i and c-ld one more
     row holds the list-length counts, a choice among the m length logits.
-
-    An evaluation works on a transposed index, so that its reductions run
-    over contiguous rows of length P, one per option available at some key
-    (a composite's END is at none), in which an unavailable option has the
-    index ``size + 1`` of the -inf slot. Keys come in runs of equal
-    utility-index rows, the keys of one bank at one position; the gradient
-    sums each run's keys with ``np.add.reduceat`` and scatters those sums,
-    a few per bank and position, not the P * (m+1) cells. The counts enter
-    only through their sums per parameter. The public arrays keep the
-    build's key order.
+    ``nll_grad`` evaluates the table alone, as a ``TableStack`` of one.
     """
 
     def __init__(self, avail, counts, uidx, size):
-        self.avail, self.counts, self.uidx = avail, counts, uidx
+        self.avail, self.counts, self.uidx, self.size = avail, counts, uidx, size
         self.total = counts.sum(axis=1)
-        self._stat = np.bincount(uidx.ravel(), counts.ravel(), minlength=size + 1)
-        cols = avail.any(axis=0)  # a composite's END is available at no key
-        self._index = np.ascontiguousarray(np.where(avail, uidx, size + 1)[:, cols].T)
-        self._runs = np.flatnonzero(np.r_[True, np.any(uidx[1:] != uidx[:-1], axis=1)])
-        self._run_index = uidx[self._runs][:, cols].T.ravel()
-        self._ext = np.zeros(size + 2)  # the parameters, the utility 0, then -inf
-        self._ext[-1] = -np.inf
+
+    @cached_property
+    def _alone(self):
+        return TableStack([self])
 
     def nll_grad(self, flat):
         """The scaled negative log-likelihood of every choice and its gradient."""
-        ext = self._ext
-        ext[:-2] = flat
+        ext = np.append(flat, 0.0)
+        lse, g = self._alone.evaluate(ext)
+        return self._alone.nll(0, lse, ext), g[:-1]
+
+
+class TableStack:
+    """The event tables of several fits, evaluated in one pass. Fit i's
+    parameters, then its utility 0, are ``segments[i]`` of one extended
+    vector, and its keys a contiguous range of the stacked keys.
+
+    The evaluation works on a transposed index, so that its reductions run
+    over contiguous rows, one per option available at some key (a
+    composite's END is at none), in which an unavailable option reads an
+    available option's utility and its mask is 0. Keys come in runs of equal
+    utility-index rows, the keys of one bank at one position; the gradient
+    sums each run's keys with ``np.add.reduceat`` and scatters those sums,
+    a few per bank and position, not the P * (m+1) cells. The counts enter
+    only through their sums per parameter. Every float of a fit equals that
+    of its table evaluated alone: each key and each parameter reads only
+    its own fit's cells, in the same order.
+    """
+
+    def __init__(self, tables):
+        ends = np.cumsum([t.size + 1 for t in tables])
+        firsts = np.cumsum([0] + [t.total.size for t in tables])
+        self.segments = [slice(end - t.size - 1, end) for t, end in zip(tables, ends)]
+        index, mask, runs, run_index, stat = [], [], [], [], []
+        for t, seg, first in zip(tables, self.segments, firsts):
+            avail, uidx = t.avail, t.uidx + seg.start
+            cols = avail.any(axis=0)  # a composite's END is available at no key
+            some = uidx[np.arange(len(uidx)), avail.argmax(axis=1)]  # available at each key
+            index.append(np.where(avail, uidx, some[:, None])[:, cols].T)
+            mask.append(avail[:, cols].T)
+            starts = np.flatnonzero(np.r_[True, np.any(uidx[1:] != uidx[:-1], axis=1)])
+            runs.append(starts + first)
+            run_index.append(uidx[starts][:, cols].T)
+            stat.append(np.bincount(t.uidx.ravel(), t.counts.ravel(), minlength=t.size + 1))
+        self._index = np.ascontiguousarray(np.hstack(index))
+        self._mask = np.ascontiguousarray(np.hstack(mask), dtype=np.float64)
+        self._runs = np.concatenate(runs)
+        self._run_index = np.hstack(run_index).ravel()
+        self._stat = np.concatenate(stat)
+        self._total = np.concatenate([t.total for t in tables])
+        keys = [slice(a, b) for a, b in zip(firsts[:-1], firsts[1:])]
+        self._fits = [(k, self._total[k], seg, self._stat[seg])
+                      for k, seg in zip(keys, self.segments)]
+
+    def evaluate(self, ext):
+        """Each key's log normalizer and the gradient over ext, the stacked
+        parameters, of the scaled negative log-likelihoods of all fits."""
         e = ext.take(self._index)
         top = e.max(axis=0)
         e -= top
         np.exp(e, out=e)
-        mass = e.sum(axis=0)  # a sum of positive terms, the largest 1
-        F = self.total @ (top + np.log(mass)) - ext[:-1] @ self._stat
-        e *= self.total / mass
+        e *= self._mask
+        mass = e.sum(axis=0)  # a sum of nonnegative terms, the largest 1
+        lse = top + np.log(mass)
+        e *= self._total / mass
         sums = np.add.reduceat(e, self._runs, axis=1)
-        g = np.bincount(self._run_index, sums.ravel(), minlength=ext.size - 1)
+        g = np.bincount(self._run_index, sums.ravel(), minlength=ext.size)
         g -= self._stat
-        return float(F), g[:-1]
+        return lse, g
+
+    def nll(self, i, lse, ext) -> float:
+        """Fit i's scaled negative log-likelihood, from ``evaluate``'s lse."""
+        keys, total, seg, stat = self._fits[i]
+        return float(total.dot(lse[keys]) - ext[seg].dot(stat))  # dot: the BLAS call of @
 
 
 def event_table(data, layout):

@@ -34,7 +34,7 @@ from topkorders import (
     sample_composite_dataset,
     stratify_dataset,
 )
-from topkorders import estimation
+from topkorders import estimation, lockstep
 from topkorders import orders as orders_module
 from topkorders.estimation import (
     ParamLayout,
@@ -44,7 +44,7 @@ from topkorders.estimation import (
     objective_and_grad,
     record_log_probs,
 )
-from topkorders.events import EventTable, event_table
+from topkorders.events import EventTable, TableStack, event_table
 from topkorders.lengthdist import poisson_clipped_log_pmf
 from topkorders.orders import InvalidOrderError
 from util import (
@@ -445,6 +445,24 @@ def test_event_table_nll_grad_matches_oracle(variant, K, spread, m):
     F, g = table.nll_grad(flat)
     F_ref, g_ref = reference_nll_grad(table, flat)
     assert g.shape == g_ref.shape == flat.shape
+    assert F == pytest.approx(F_ref, rel=1e-12)
+    np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
+
+
+@pytest.mark.parametrize("m", [4, 70])
+@pytest.mark.parametrize("spread", [800.0, 1500.0])
+@pytest.mark.parametrize("variant,K", ORACLE_VARIANTS)
+def test_event_table_nll_grad_matches_oracle_past_underflow(variant, K, spread, m):
+    """At utility spreads past exp's underflow (708 nats), where the utility
+    an unavailable option reads can itself underflow, the evaluation still
+    equals the (P, m+1) formula."""
+    rng = np.random.default_rng(80 + m)
+    layout = ParamLayout(variant, m, 0, K)
+    table = event_table(_FitData(_repeated_prefixes(variant, m, rng)), layout)
+    assert table is not None
+    flat = spread * (rng.uniform(size=layout.size) - 0.5)
+    F, g = table.nll_grad(flat)
+    F_ref, g_ref = reference_nll_grad(table, flat)
     assert F == pytest.approx(F_ref, rel=1e-12)
     np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
 
@@ -1030,10 +1048,117 @@ def test_grid_search_fits_each_distinct_cell_once(monkeypatch):
                          for train, test in kfold_split(D, folds, cfg.seed)]
             reference.append((K, lapl, float(np.mean(fold_nlls))))
     calls = []
-    real_fit = estimation.fit
-    monkeypatch.setattr(estimation, "fit", lambda *a: calls.append(a[2]) or real_fit(*a))
+    run = estimation.run
+    monkeypatch.setattr(estimation, "run",
+                        lambda fits, **kw: calls.extend(f.cfg for f in fits) or run(fits, **kw))
     best, table = grid_search("c-ld", D, Ks, lapls, cfg, folds=folds, workers=1)
     assert len(calls) == 9  # (1, 0), (3, 0) and (3, 0.01), 3 folds each
     assert table == reference
     assert best == min(reference, key=lambda row: row[2])[:2]
     assert grid_search("c-ld", D, Ks, lapls, cfg, folds=folds, workers=2) == (best, table)
+
+
+@pytest.mark.parametrize("variant", ["c-i", "c-ld", "a", "a-pd", "a-s"])
+def test_lockstep_fits_equal_their_solo_fits(variant):
+    """Fits stepped in one lockstep batch (two datasets, several K, lambda_L
+    and tol; some stop early, one at max_epochs) equal their solo fits float
+    for float: trace, epochs, convergence and parameters."""
+    rng = np.random.default_rng(90)
+    truth = random_model(variant, 5, rng, K=3, scale=1.0)
+    sample = sample_composite_dataset if variant[0] == "c" else sample_augmented_dataset
+    D = sample(truth, 600, rng)
+    half = kfold_split(D, 2, 0)[0][0]
+    base = FitConfig(learning_rate=0.05, tol=1e-4, max_epochs=400)
+    if variant in ("c-ld", "a-s"):
+        cfgs = [replace(base, K=1), replace(base, K=2),
+                replace(base, K=3, lambda_laplacian=0.05), replace(base, K=3, max_epochs=12)]
+    else:
+        cfgs = [base, replace(base, tol=1e-5), replace(base, max_epochs=12)]
+    runs = [(X, cfg) for X in (D, half) for cfg in cfgs]
+    jobs = [estimation._Fit.of(variant, X, cfg, {}) for X, cfg in runs]
+    assert all(job.table is not None and job.batch is None for job in jobs)
+    results = lockstep.run(jobs)
+    for (X, cfg), res in zip(runs, results):
+        solo = fit(variant, X, cfg)
+        assert res.trace == solo.trace
+        assert (res.epochs_run, res.converged) == (solo.epochs_run, solo.converged)
+        layout = ParamLayout.of(solo.model)
+        np.testing.assert_array_equal(layout.from_model(res.model), layout.from_model(solo.model))
+    epochs = [res.epochs_run for res in results]
+    assert len(set(epochs)) > 3 and max(epochs) < base.max_epochs
+    assert any(res.converged for res in results)
+    assert (epochs[-1], results[-1].converged) == (12, False)
+
+
+def _split_table_dataset(seed):
+    """400 lists over 8 items whose 2-fold split (seed) gives fold 1 the
+    records of 4 short lists repeated, so that fold 0 trains on them with an
+    event table, and fold 0 unique full lists, too many keys for a table."""
+    m, n = 8, 400
+    rng = np.random.default_rng(91)
+    perm = np.random.default_rng(seed).permutation(n)  # as kfold_split draws it
+    short = [(1, 2), (2, 1), (3,), (1, 3, 2)]
+    lists = [None] * n
+    for i in perm[n // 2 :]:
+        lists[i] = short[int(rng.integers(len(short)))]
+    for i in perm[: n // 2]:
+        lists[i] = tuple(int(a) + 1 for a in rng.permutation(m))
+    return Dataset(Universe(m), [PartialOrder(x) for x in lists])
+
+
+def test_grid_search_with_a_fold_without_table_matches_fit_loop():
+    """A grid whose fold 1 trains without an event table (its fits run alone)
+    and fold 0 with one (its fits run in lockstep) equals, float for float, a
+    loop of fit calls, in process and in a pool."""
+    cfg = FitConfig(learning_rate=0.05, max_epochs=60)
+    D = _split_table_dataset(cfg.seed)
+    splits = kfold_split(D, 2, cfg.seed)
+    tables = [event_table(_FitData(train), ParamLayout("c-ld", 8, 0, 2)) for train, _ in splits]
+    assert tables[0] is not None and tables[1] is None
+    Ks, lapls = [1, 2], [0.0, 0.05]
+    reference = []
+    for K in Ks:
+        for lapl in lapls:
+            trial = replace(cfg, K=K, lambda_laplacian=lapl)
+            fold_nlls = [estimation.test_nll(fit("c-ld", train, trial).model, test).nll
+                         for train, test in splits]
+            reference.append((K, lapl, float(np.mean(fold_nlls))))
+    for workers in (1, 2):
+        best, table = grid_search("c-ld", D, Ks, lapls, cfg, folds=2, workers=workers)
+        assert table == reference
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_grid_search_raises_the_first_diverging_fit_in_task_order(workers):
+    """The K = 3 cell with lambda_L 1e307 diverges on both folds; the grid
+    raises the error, trace included, of the first of them in task order,
+    as a loop of fit calls would, in process and in a pool."""
+    D = Dataset(Universe(5), random_orders(5, 200, np.random.default_rng(92)))
+    cfg = FitConfig(learning_rate=1.0, max_epochs=10)
+    diverging = replace(cfg, K=3, lambda_laplacian=1e307)
+    errors = []
+    for train, _ in kfold_split(D, 2, cfg.seed):
+        with pytest.raises(NonFiniteLossError) as info:
+            fit("c-ld", train, diverging)
+        errors.append(str(info.value))
+    assert errors[0] != errors[1]
+    with pytest.raises(NonFiniteLossError) as info:
+        grid_search("c-ld", D, [1, 3], [0.0, 1e307], cfg, folds=2, workers=workers)
+    assert str(info.value) == errors[0]
+
+
+def test_grid_search_steps_its_fits_in_lockstep(monkeypatch):
+    """At workers=1 the grid evaluates its stacked tables once per epoch of
+    its longest fit, not once per epoch of every fit."""
+    D = Dataset(Universe(4), random_orders(4, 300, np.random.default_rng(93)))
+    cfg = FitConfig(learning_rate=0.05, max_epochs=300)
+    Ks, lapls = [1, 3], [0.0, 0.01]
+    epochs = [fit("c-ld", train, replace(cfg, K=K, lambda_laplacian=lapl)).epochs_run
+              for K, lapl in [(1, 0.0), (3, 0.0), (3, 0.01)]
+              for train, _ in kfold_split(D, 3, cfg.seed)]
+    calls = []
+    evaluate = TableStack.evaluate
+    monkeypatch.setattr(TableStack, "evaluate",
+                        lambda self, ext: calls.append(1) or evaluate(self, ext))
+    grid_search("c-ld", D, Ks, lapls, cfg, folds=3, workers=1)
+    assert len(calls) == max(epochs) < sum(epochs)
