@@ -126,42 +126,49 @@ class AugmentedModel:
 DRAW_BLOCK_CELLS = 1 << 16
 
 
-def _draw(banks, n: int, rng):
-    """n lists drawn under per-row banks, each (item utilities (R, m), END
-    utilities), R in {1, n}: (items (n, m) of 0-based ids padded with -1,
+def _draw(banks, n: int, rng, X=None, agents=None):
+    """n lists drawn under banks of (item utilities (m,), END utilities,
+    covariate weights (d,)): (items (n, m) of 0-based ids padded with -1,
     lengths (n,)), both in the smallest signed integer type that holds
     -(m + 1). The choice at position j uses bank min(j, K) and its END
-    utility at j, or its last one where it has fewer.
+    utility at j, or its last one where it has fewer. With covariates X,
+    draw i adds X[agents[i]] . beta to its item utilities, agents the
+    identity by default.
 
-    Positions advance in lockstep over the rows still drawing, held as
-    indices in the smallest integer type that holds n. Each position walks
-    them in blocks of at most DRAW_BLOCK_CELLS options: a block draws one
-    uniform per row, takes the exp of its utilities less their maximum over
-    all m + 1 options (once per position when R is 1), zeroes the items its
-    rows have listed, and picks each row's choice by inverse CDF. The
-    uniforms of consecutive blocks are the stream of one call, and each
+    Positions advance in lockstep. The rows still drawing at position j are
+    those of length j - 1, so each position walks the lengths in windows of
+    DRAW_BLOCK_CELLS // (m + 1) rows and draws the drawing rows of a window
+    as one block. A block draws one uniform per row, takes the exp of its
+    utilities less their maximum over all m + 1 options (once per position
+    without covariates), zeroes the items its rows have listed, and picks
+    each row's choice by inverse CDF. Beyond the ids and lengths it returns,
+    a draw holds one block's row indices, temporaries and covariate rows.
+    The uniforms of consecutive blocks are the stream of one call, and each
     row's arithmetic is its own, so the draws do not depend on the block
     size.
     """
-    K, (R, m) = len(banks), banks[0][0].shape
+    K, m = len(banks), banks[0][0].shape[0]
     items = np.full((n, m), -1, dtype=np.min_scalar_type(-1 - m))
     lengths = np.zeros(n, dtype=items.dtype)
-    active = np.arange(n, dtype=np.min_scalar_type(n))
     step = max(DRAW_BLOCK_CELLS // (m + 1), 1)
+    drawing = n
     for pos in range(1, m + 1):
-        if active.size == 0:
+        if not drawing:
             break
-        bank, end = banks[min(pos, K) - 1]
+        delta, end, beta = banks[min(pos, K) - 1]
         end = end[min(pos, end.size) - 1]
-        shared = _exp_utilities(bank, end) if R == 1 else None
-        kept = 0  # the rows still drawing after this position move to active[:kept]
-        for lo in range(0, active.size, step):
-            rows = active[lo : lo + step]
-            if R == 1:
-                cum = np.repeat(shared, rows.size, axis=0)
+        per_row = X is not None and beta.size > 0
+        shared = None if per_row else _exp_utilities(item_utilities(None, delta, beta), end)
+        drawing = 0
+        for lo in range(0, n, step):
+            rows = np.flatnonzero(lengths[lo : lo + step] == pos - 1)
+            rows += lo
+            if per_row:
+                x = X[rows if agents is None else agents[rows]]
+                cum = _exp_utilities(item_utilities(x, delta, beta), end)
             else:
-                cum = _exp_utilities(bank[rows], end)
-            np.put_along_axis(cum, items[rows, : pos - 1], 0.0, axis=1)
+                cum = np.repeat(shared, rows.size, axis=0)
+            cum[np.arange(rows.size)[:, None], items[rows, : pos - 1]] = 0.0
             np.cumsum(cum, axis=1, out=cum)
             u = rng.random(rows.size)
             choice = (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
@@ -169,9 +176,7 @@ def _draw(banks, n: int, rng):
             rows = rows[chose]
             items[rows, pos - 1] = choice[chose]
             lengths[rows] = pos
-            active[kept : kept + rows.size] = rows
-            kept += rows.size
-        active = active[:kept]
+            drawing += rows.size
     return items, lengths
 
 
@@ -201,19 +206,20 @@ def sample_augmented_dataset(
 ) -> Dataset:
     """n partial orders drawn by sequential choice until END (Algorithm 2).
 
-    With covariates, draw i uses the utilities of agent i. ``no_empty``
-    rejection-resamples empty draws; that deviates from exact model sampling
-    and exists for parity with ballot datasets, where every record has k >= 1.
+    With covariates, draw i uses the utilities of agent i, built one block
+    of draws at a time (see ``_draw``). ``no_empty`` rejection-resamples
+    empty draws, holding their indices while it redraws them; that deviates
+    from exact model sampling and exists for parity with ballot datasets,
+    where every record has k >= 1.
     """
     rng = np.random.default_rng(rng)
     check_covariates(covariates, n, model.universe.m)
     X = None if covariates is None else covariates.values
-    banks = [(item_utilities(X, delta, beta), end) for delta, end, beta in model.banks()]
-    items, lengths = _draw(banks, n, rng)
-    empty = np.flatnonzero(no_empty & (lengths == 0))
+    banks = model.banks()
+    items, lengths = _draw(banks, n, rng, X)
+    empty = np.flatnonzero(lengths == 0) if no_empty else np.zeros(0, np.intp)
     while empty.size:
-        redraw = [(u if u.shape[0] == 1 else u[empty], end) for u, end in banks]
-        items[empty], lengths[empty] = _draw(redraw, empty.size, rng)
+        items[empty], lengths[empty] = _draw(banks, empty.size, rng, X, empty)
         empty = empty[lengths[empty] == 0]
     return Dataset.from_padded(
         model.universe, items, lengths, covariates, allow_empty=not no_empty

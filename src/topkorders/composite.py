@@ -69,11 +69,14 @@ def sample_composite_dataset(
     with the bank of its length stratum. With covariates, draw i uses the
     utilities (and for c-ci the length distribution) of agent i.
 
-    After the lengths, each stratum's rows are ranked in blocks of at most
-    DRAW_BLOCK_CELLS keys, into ids of the smallest signed integer type
-    that holds -(m + 1). The Gumbel keys of consecutive blocks are the
-    stream of one call over the stratum, so the draws do not depend on the
-    block size.
+    After the lengths, each stratum walks the lengths in windows of
+    DRAW_BLOCK_CELLS // m rows and ranks the stratum's rows of a window as
+    one block of Gumbel keys, into ids of the smallest signed integer type
+    that holds -(m + 1). Beyond the ids and lengths it returns, a draw holds
+    one block's row indices, keys, utilities and covariate rows, and a c-ci
+    draw each agent's mean covariates (n, d), the Poisson length features.
+    The Gumbel keys of consecutive blocks are the stream of one call over
+    the stratum, so the draws do not depend on the block size.
     """
     rng = np.random.default_rng(rng)
     m = model.universe.m
@@ -82,18 +85,16 @@ def sample_composite_dataset(
     # a Poisson length model raises without covariates; a categorical ignores them
     lengths = sample_lengths(model.length_params, n, rng, None if X is None else X.mean(axis=1))
     banks = model.banks()
-    strata = length_strata(lengths, len(banks))
+    K = len(banks)
     items = np.empty((n, m), dtype=np.min_scalar_type(-1 - m))
     step = max(DRAW_BLOCK_CELLS // m, 1)
     for b, (delta, _, beta) in enumerate(banks):
-        rows = np.flatnonzero(strata == b)
-        if not rows.size:
-            continue
-        U = item_utilities(None if X is None else X[rows], delta, beta)
-        for lo in range(0, rows.size, step):
-            block = rows[lo : lo + step]
-            keys = (U if U.shape[0] == 1 else U[lo : lo + step]) + rng.gumbel(size=(block.size, m))
+        for lo in range(0, n, step):
+            rows = np.flatnonzero(length_strata(lengths[lo : lo + step], K) == b)
+            rows += lo
+            U = item_utilities(None if X is None else X[rows], delta, beta)
+            keys = U + rng.gumbel(size=(rows.size, m))
             ranked = np.argsort(-keys, axis=1)
-            ranked[np.arange(m) >= lengths[block, None]] = -1
-            items[block] = ranked
+            ranked[np.arange(m) >= lengths[rows, None]] = -1
+            items[rows] = ranked
     return Dataset.from_padded(model.universe, items, lengths, covariates)

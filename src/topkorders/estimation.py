@@ -23,7 +23,7 @@ from .augmented import (
     StratifiedAugmentedParams,
 )
 from .composite import COMPOSITE_VARIANTS, CompositeModel
-from .kernels import Rows, choice_nll_grad, item_utilities, length_strata
+from .kernels import Rows, choice_nll_grad, exact_dot, item_utilities, length_strata
 from .lengthdist import (
     CategoricalLengthParams,
     PoissonLengthParams,
@@ -224,9 +224,14 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
     subtracting log(1 - P(empty)) from each record, P(empty) scored on one
     empty list, or on one per agent when the records have covariates.
     """
+    return D.per_record(_row_log_probs(model, D, condition_nonempty))
+
+
+def _row_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.ndarray:
+    """``record_log_probs`` of each stored row of D, once per row."""
     layout = ParamLayout.of(model)
     _check_records(model.variant, layout.m, *D.rows()[:2])
-    data = _FitData(D)  # each row is scored once; its records share its value
+    data = _FitData(D)
     if model.variant == "c-ci":
         if data.X is None:
             raise ValueError("c-ci requires covariates")
@@ -240,7 +245,7 @@ def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.
         lp -= np.log1p(-np.exp(_row_terms(model.variant, empty, layout, flat)[0].sum(axis=1)))
     out = np.empty_like(lp)
     out[data.order] = lp
-    return D.per_record(out)
+    return out
 
 
 def _check_records(variant, m, items, lengths) -> None:
@@ -279,18 +284,19 @@ class TestNLL:
 
 
 def test_nll(model, D_test: Dataset, condition_nonempty: bool = False) -> TestNLL:
-    """Mean negative log-probability over held-out records.
+    """Mean negative log-probability over held-out records: each row's
+    log-probability times its count, summed with one rounding (``exact_dot``).
 
     ``condition_nonempty`` renormalizes augmented models on k >= 1 by
     subtracting log(1 - P(empty)) per record.
     """
     if D_test.n == 0:
         raise ValueError("empty test set")
-    lp = record_log_probs(model, D_test, condition_nonempty)
-    n_inf = int(np.count_nonzero(~np.isfinite(lp)))
-    if n_inf:
-        return TestNLL(float("inf"), n_inf)
-    return TestNLL(-float(lp.sum()) / D_test.n, 0)
+    lp, counts = _row_log_probs(model, D_test, condition_nonempty), D_test.rows()[2]
+    bad = ~np.isfinite(lp)
+    if bad.any():
+        return TestNLL(float("inf"), int(counts[bad].sum()))
+    return TestNLL(-exact_dot(counts, lp) / D_test.n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +461,10 @@ class _Fit:
         mini-batch of rows on the row terms."""
         if rows is None:
             return _nll_grad(self.variant, self.data, self.layout, flat, self.table)
-        return _nll_grad(self.variant, _subset_fitdata(self.data, rows), self.layout, flat, None)
+        d = self.data
+        batch = _FitData.from_rows(d.m, d.items[rows], d.lengths[rows], d.weights[rows],
+                                   None if d.X is None else d.X[rows])
+        return _nll_grad(self.variant, batch, self.layout, flat, None)
 
 
 def fit(variant: str, D: Dataset, cfg: FitConfig | None = None) -> FitResult:
@@ -477,11 +486,6 @@ def _acting_config(variant, cfg: FitConfig) -> FitConfig:
     only in what a fit ignores give the same acting config, and the same fit."""
     K = cfg.K if variant in STRATIFIED_VARIANTS else 1
     return replace(cfg, K=K, lambda_laplacian=cfg.lambda_laplacian if K > 1 else 0.0)
-
-
-def _subset_fitdata(data: _FitData, rows):
-    X = None if data.X is None else data.X[rows]
-    return _FitData.from_rows(data.m, data.items[rows], data.lengths[rows], data.weights[rows], X)
 
 
 # ---------------------------------------------------------------------------

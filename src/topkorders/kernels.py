@@ -26,6 +26,8 @@ likewise charges each item only at the choices where it is still
 available, so no term is taken back.
 """
 
+import math
+
 import numpy as np
 
 
@@ -42,6 +44,25 @@ def item_utilities(X, delta, beta):
     if X is None:
         raise ValueError("model has covariate weights but no covariates were given")
     return delta + np.einsum("imd,...d->i...m", X, beta)
+
+
+def exact_dot(counts, x) -> float:
+    """counts . x with one rounding, as math.fsum rounds a sum: the same
+    float for any split of the same terms into (count, value) pairs. The
+    counts are integers below 2^53; each product is split exactly into a
+    float and its rounding error (Dekker 1971)."""
+    a, b = np.asarray(counts, np.float64), np.asarray(x, np.float64)
+    (ah, al), (bh, bl) = _halves(a), _halves(b)
+    p = a * b
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return math.fsum(np.append(p, err[err != 0]))
+
+
+def _halves(a):
+    """a as hi + lo exactly, each with at most 26 significant bits (Veltkamp)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def length_strata(lengths, K):

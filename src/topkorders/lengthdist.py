@@ -145,25 +145,34 @@ def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
     A Poisson length model takes draw i's rate from row i of ``x_agents``
     (n, d). The inverse-CDF draw gives, bit for bit, the lengths that
     ``rng.choice(m, size=n, p=p) + 1`` gives for one shared pmf p. The draws
-    are compared with the cdf in blocks of at most DRAW_BLOCK_CELLS cells;
-    the uniforms of consecutive blocks are the stream of one call.
+    are compared with the cdf in blocks of at most DRAW_BLOCK_CELLS cells,
+    and a Poisson model builds its pmf and cdf one block of rows at a time,
+    so beyond the lengths a draw holds one block's uniforms, pmf and cdf.
+    The uniforms of consecutive blocks are the stream of one call.
     """
     if isinstance(params, CategoricalLengthParams):
-        p = np.exp(categorical_log_pmf(params))[None]
+        m, shared = params.m, _cdf(np.exp(categorical_log_pmf(params))[None])
     elif isinstance(params, PoissonLengthParams):
         if x_agents is None:
             raise ValueError("Poisson length model needs an agent covariate vector")
-        p = np.exp(poisson_clipped_log_pmf(poisson_rate(x_agents, params), params.m))
+        m, shared = params.m, None
     else:
         raise TypeError(f"unknown length params {type(params)!r}")
-    p = p / p.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(p, axis=1)
-    cdf /= cdf[:, -1:]
-    m = cdf.shape[1]
     lengths = np.empty(n, dtype=np.min_scalar_type(-1 - m))
     step = max(DRAW_BLOCK_CELLS // m, 1)
     for lo in range(0, n, step):
         u = rng.random(min(step, n - lo))
-        block = cdf if cdf.shape[0] == 1 else cdf[lo : lo + step]
-        lengths[lo : lo + step] = (block <= u[:, None]).sum(axis=1) + 1
+        cdf = shared
+        if cdf is None:
+            lam = poisson_rate(x_agents[lo : lo + step], params)
+            cdf = _cdf(np.exp(poisson_clipped_log_pmf(lam, m)))
+        lengths[lo : lo + step] = (cdf <= u[:, None]).sum(axis=1) + 1
     return lengths
+
+
+def _cdf(p):
+    """The cdf of each row of pmf values p (rows, m), normalized twice, as
+    the pmf and as the cdf, so that its last entry is exactly 1."""
+    cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf

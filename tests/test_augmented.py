@@ -224,12 +224,13 @@ def test_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
 
 
 def test_sampler_memory_is_bounded_by_its_blocks():
-    """200,000 a-s draws over m = 8 items keep the int8 ids (1.6 MB), the
-    int8 lengths and each position's active rows as uint32, about 4.2 MB
-    traced with the dataset's row check. Float temporaries of the full
-    height, 200,000 x 9 x 8 bytes = 14.4 MB each, three of them live at
-    once, would pass 40 MB; the blocks of DRAW_BLOCK_CELLS = 2^16 cells hold
-    0.5 MB each."""
+    """200,000 a-s draws over m = 8 items keep the int8 ids (1.6 MB) and
+    the int8 lengths, and find each position's drawing rows, those of
+    length j - 1, one window of lengths at a time: about 3.6 MB traced with
+    the dataset's row check. Float temporaries of the full height,
+    200,000 x 9 x 8 bytes = 14.4 MB each, three of them live at once, would
+    pass 40 MB; the blocks of DRAW_BLOCK_CELLS = 2^16 cells hold 0.5 MB
+    each."""
     tracemalloc.start()
     try:
         sample_augmented_dataset(_fixed_as_model(), 200_000, np.random.default_rng(7))
@@ -257,3 +258,21 @@ def test_covariate_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "205674e9a55dc76d99c1a8d1b3193b7d8324936ee31d73ddc27f68ea669fdf46"
     )
+
+
+def test_covariate_sampler_memory_is_bounded_by_its_blocks():
+    """200,000 covariate a-s draws (m = 8, d = 2), empty draws redrawn, keep
+    the int8 ids and lengths (1.8 MB) and build each block's utilities from
+    its agents' covariate rows: about 4.4 MB traced. Every bank's (n, m)
+    utilities, 12.8 MB each, built before the draw held 48.9 MB."""
+    banks = _fixed_as_model().params.banks
+    betas = np.array([[0.9, -0.6], [0.5, 0.2], [-0.3, 0.4]])
+    model = AugmentedModel("a-s", StratifiedAugmentedParams(banks, betas), Universe(8))
+    cov = CovariateTensor(np.random.default_rng(11).standard_normal((200_000, 8, 2)))
+    tracemalloc.start()
+    try:
+        sample_augmented_dataset(model, 200_000, np.random.default_rng(7), cov, no_empty=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from topkorders import (
     sample_composite_dataset,
     write_dataset,
 )
-from topkorders import composite
+from topkorders import composite, lengthdist
 from topkorders.lengthdist import poisson_clipped_log_pmf
 from util import empirical_pmf, engine_log_probs, enum_pmf, random_model
 
@@ -255,3 +256,45 @@ def test_cld_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "2b7e66eb72bc46eace5bb555f3f4276cb0d52442512e960ba7917d9750121b6e"
     )
+
+
+def _fixed_cci_model():
+    return CompositeModel(
+        "c-ci",
+        PoissonLengthParams(np.array([1.2, -0.8]), 8),
+        PLParams(np.linspace(0.8, -0.8, 8), np.array([0.9, -0.6])),
+        Universe(8),
+    )
+
+
+@pytest.mark.parametrize("block_cells", [None, 8 * 997])
+def test_cci_covariate_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
+    """Per-agent Poisson lengths and utilities: the replicate file of a fixed
+    c-ci model, n = 20,000, seed 7, as the sampler that built every agent's
+    pmf, cdf and utilities at once wrote it."""
+    if block_cells:
+        monkeypatch.setattr(composite, "DRAW_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(lengthdist, "DRAW_BLOCK_CELLS", block_cells)
+    cov = CovariateTensor(np.random.default_rng(11).standard_normal((20_000, 8, 2)))
+    D = sample_composite_dataset(_fixed_cci_model(), 20_000, np.random.default_rng(7), cov)
+    p = tmp_path / "rep.txt"
+    write_dataset(D, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "4f6877bcb3300db27b290653de6e7b83490946ef02ebd400012a213ab633e85f"
+    )
+
+
+def test_cci_sampler_memory_is_bounded_by_its_blocks():
+    """200,000 c-ci draws (m = 8, d = 2) keep the int8 ids and lengths
+    (1.8 MB) and the agents' mean covariates (3.2 MB), and build the
+    Poisson pmf and cdf and the utilities one block of rows at a time:
+    about 6.0 MB traced. The (n, m) pmf, cdf and utilities of all agents at
+    once held 67.3 MB."""
+    cov = CovariateTensor(np.random.default_rng(11).standard_normal((200_000, 8, 2)))
+    tracemalloc.start()
+    try:
+        sample_composite_dataset(_fixed_cci_model(), 200_000, np.random.default_rng(7), cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

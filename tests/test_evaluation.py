@@ -23,7 +23,7 @@ from topkorders import (
     tv_distance,
 )
 from topkorders import test_nll as held_out_nll
-from topkorders.estimation import ParamLayout
+from topkorders.estimation import ParamLayout, record_log_probs
 from util import empirical_pmf, enum_pmf, oracle_log_prob, random_model, random_orders
 
 
@@ -102,6 +102,37 @@ def test_test_nll_and_nll_match_per_record_sum(variant, d, condition_nonempty):
     assert held_out_nll(model, D, condition_nonempty).nll == pytest.approx(ref, abs=1e-9)
     if not condition_nonempty:
         assert nll(D, model) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("condition_nonempty", [False, True])
+@pytest.mark.parametrize(
+    "variant,d", [(v, d) for v in ALL_VARIANTS for d in (0, 2) if (v, d) != ("c-ci", 0)]
+)
+def test_test_nll_weights_each_row_by_its_count(variant, d, condition_nonempty):
+    """test_nll scores each stored row once, times its count: within 1e-12
+    of the mean of record_log_probs over the records, and equal, float for
+    float, to the score of the same records stored one row each."""
+    rng = np.random.default_rng(42)
+    model, D = _model_and_data(variant, d, rng)
+    if not d:  # a dataset with covariates holds one row per record
+        items, lengths = D.to_padded()
+        D = Dataset.from_padded(D.universe, items, lengths, allow_empty=D.allow_empty,
+                                counts=rng.integers(0, 1_000, D.n))
+    unit = Dataset.from_padded(D.universe, *D.to_padded(), D.covariates, D.allow_empty)
+    ref = -record_log_probs(model, D, condition_nonempty).sum() / D.n
+    score = held_out_nll(model, D, condition_nonempty)
+    assert score.n_infinite == 0
+    assert score.nll == pytest.approx(ref, rel=1e-12, abs=0)
+    assert held_out_nll(model, unit, condition_nonempty) == score
+
+
+def test_test_nll_counts_the_records_of_infinite_rows():
+    model = random_model("c-i", 3, np.random.default_rng(1))
+    model.length_params.logits[0] = -np.inf
+    items, lengths = toy_dataset().to_padded()
+    D = Dataset.from_padded(Universe(3), items, lengths, counts=np.array([5, 2, 1, 7]))
+    r = held_out_nll(model, D)
+    assert (r.nll, r.n_infinite) == (float("inf"), 12)  # the records of length 1
 
 
 @pytest.mark.parametrize("variant", ["c-i", "a", "a-pd"])

@@ -4,6 +4,7 @@ import ast
 import importlib
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from topkorders import (
 )
 from topkorders import test_nll as held_out_nll
 from topkorders.estimation import ParamLayout, _bank_event_counts
-from topkorders.kernels import Rows, choice_nll_grad
+from topkorders.kernels import Rows, choice_nll_grad, exact_dot
 from util import engine_log_probs, model_space, oracle_log_prob, pl_model, random_orders
 
 
@@ -170,6 +171,20 @@ def test_empty_orders_supported():
     logp, _, _ = augs_nll_grad(rows, banks[None, :, :m], banks[:, m])
     model = AugmentedModel("a-s", StratifiedAugmentedParams(banks), Universe(m))
     assert logp.sum() == pytest.approx(sum(oracle_log_prob(model, q) for q in orders))
+
+
+@pytest.mark.parametrize("top", [2, 2**20, 2**40])
+def test_exact_dot_rounds_the_exact_sum_once(top):
+    """counts . x is the exact sum of the products, rounded once, for counts
+    up to 2^40 and values of every sign and magnitude; a split of the same
+    records into more rows gives the same float."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, 500)
+    counts = rng.integers(1, top, 500)
+    exact = sum(Fraction(int(c)) * Fraction(float(v)) for c, v in zip(counts, x))
+    assert exact_dot(counts, x) == float(exact)
+    halves = counts // 2
+    assert exact_dot(np.concatenate([halves, counts - halves]), np.tile(x, 2)) == float(exact)
 
 
 def test_rows_unchosen_matches_each_rows_listed_items():
