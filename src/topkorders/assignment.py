@@ -24,7 +24,8 @@ class Market:
     """preferences: the students' lists over programs (1-based ids), given as
     a Dataset over m programs, an OrderView or a sequence of PartialOrders, and
     stored as a Dataset; capacities: (m,) nonnegative ints; priority_rank[p][s]:
-    rank of student s at program p (lower is better), no two equal in a row."""
+    rank of student s at program p (lower is better), no two equal in a row,
+    kept in its signed integer type and stored as int64 otherwise."""
 
     preferences: Dataset
     capacities: tuple
@@ -34,7 +35,9 @@ class Market:
         caps = tuple(int(c) for c in self.capacities)
         m = len(caps)
         prefs = _as_dataset(self.preferences, m)
-        pr = np.asarray(self.priority_rank, dtype=np.int64)
+        pr = np.asarray(self.priority_rank)
+        if pr.dtype.kind != "i":
+            pr = pr.astype(np.int64)
         object.__setattr__(self, "preferences", prefs)
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "priority_rank", pr)
@@ -66,9 +69,10 @@ def _as_dataset(preferences, m: int) -> Dataset:
 
 
 def uniform_priorities(n: int, m: int, seed: int) -> np.ndarray:
-    """One independent uniform priority permutation per program."""
+    """One independent uniform priority permutation per program, as ranks
+    in the smallest signed integer type that holds n."""
     rng = np.random.default_rng(seed)
-    rank = np.empty((m, n), dtype=np.int64)
+    rank = np.empty((m, n), dtype=np.min_scalar_type(-1 - n))
     for p in range(m):
         order = rng.permutation(n)
         rank[p, order] = np.arange(n)

@@ -141,16 +141,20 @@ def _draw(banks, n: int, rng, X=None, agents=None):
     as one block. A block draws one uniform per row, takes the exp of its
     utilities less their maximum over all m + 1 options (once per position
     without covariates), zeroes the items its rows have listed, and picks
-    each row's choice by inverse CDF. Beyond the ids and lengths it returns,
-    a draw holds one block's row indices, temporaries and covariate rows.
-    The uniforms of consecutive blocks are the stream of one call, and each
-    row's arithmetic is its own, so the draws do not depend on the block
-    size.
+    each row's choice by inverse CDF. The block's weights are option-major,
+    (m + 1, rows), in one buffer of DRAW_BLOCK_CELLS floats allocated once
+    per draw, so the cumulative sums, one vector add per option, and the
+    comparison run along axis 0: the same sequential sums as along each row. Beyond the ids and
+    lengths it returns, a draw holds that buffer and one block's row
+    indices, temporaries and covariate rows. The uniforms of consecutive
+    blocks are the stream of one call, and each row's arithmetic is its
+    own, so the draws do not depend on the block size.
     """
     K, m = len(banks), banks[0][0].shape[0]
     items = np.full((n, m), -1, dtype=np.min_scalar_type(-1 - m))
     lengths = np.zeros(n, dtype=items.dtype)
     step = max(DRAW_BLOCK_CELLS // (m + 1), 1)
+    buf = np.empty((m + 1) * min(step, n))
     drawing = n
     for pos in range(1, m + 1):
         if not drawing:
@@ -158,20 +162,25 @@ def _draw(banks, n: int, rng, X=None, agents=None):
         delta, end, beta = banks[min(pos, K) - 1]
         end = end[min(pos, end.size) - 1]
         per_row = X is not None and beta.size > 0
-        shared = None if per_row else _exp_utilities(item_utilities(None, delta, beta), end)
+        if not per_row:
+            shared = _exp_utilities(item_utilities(None, delta, beta), end, np.empty((m + 1, 1)))
         drawing = 0
         for lo in range(0, n, step):
             rows = np.flatnonzero(lengths[lo : lo + step] == pos - 1)
             rows += lo
+            cum = buf[: (m + 1) * rows.size].reshape(m + 1, rows.size)
             if per_row:
                 x = X[rows if agents is None else agents[rows]]
-                cum = _exp_utilities(item_utilities(x, delta, beta), end)
+                _exp_utilities(item_utilities(x, delta, beta), end, cum)
             else:
-                cum = np.repeat(shared, rows.size, axis=0)
-            cum[np.arange(rows.size)[:, None], items[rows, : pos - 1]] = 0.0
-            np.cumsum(cum, axis=1, out=cum)
+                cum[...] = shared
+            listed, cols = items.take(rows, axis=0), np.arange(rows.size)
+            for j in range(pos - 1):
+                cum[listed[:, j], cols] = 0.0
+            for j in range(1, m + 1):  # np.cumsum along axis 0 is not vectorized
+                np.add(cum[j - 1], cum[j], out=cum[j])
             u = rng.random(rows.size)
-            choice = (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
+            choice = (cum < u * cum[-1]).sum(axis=0)
             chose = choice < m
             rows = rows[chose]
             items[rows, pos - 1] = choice[chose]
@@ -180,14 +189,14 @@ def _draw(banks, n: int, rng, X=None, agents=None):
     return items, lengths
 
 
-def _exp_utilities(bank, end):
-    """The exp of each row's m item utilities and END utility ``end``, less
-    the row's maximum of the m + 1: an (R, m + 1) array."""
-    u = np.empty((bank.shape[0], bank.shape[1] + 1))
-    u[:, :-1] = bank
-    u[:, -1] = end
-    u -= u.max(axis=1, keepdims=True)
-    return np.exp(u, out=u)
+def _exp_utilities(bank, end, out):
+    """Into ``out`` (m + 1, R), option-major: the exp of each of the R rows'
+    m item utilities (``bank``, (R, m)) and END utility ``end``, less the
+    row's maximum of the m + 1."""
+    out[:-1] = bank.T
+    out[-1] = end
+    out -= out.max(axis=0)
+    return np.exp(out, out=out)
 
 
 def sample_augmented_batch(

@@ -73,8 +73,9 @@ def sample_composite_dataset(
     DRAW_BLOCK_CELLS // m rows and ranks the stratum's rows of a window as
     one block of Gumbel keys, into ids of the smallest signed integer type
     that holds -(m + 1). Beyond the ids and lengths it returns, a draw holds
-    one block's row indices, keys, utilities and covariate rows, and a c-ci
-    draw each agent's mean covariates (n, d), the Poisson length features.
+    one block's row indices, keys, utilities and covariate rows; a c-ci
+    draw takes the agents' mean covariates, the Poisson length features,
+    one block of rows at a time.
     The Gumbel keys of consecutive blocks are the stream of one call over
     the stratum, so the draws do not depend on the block size.
     """
@@ -83,7 +84,7 @@ def sample_composite_dataset(
     check_covariates(covariates, n, m)
     X = None if covariates is None else covariates.values
     # a Poisson length model raises without covariates; a categorical ignores them
-    lengths = sample_lengths(model.length_params, n, rng, None if X is None else X.mean(axis=1))
+    lengths = sample_lengths(model.length_params, n, rng, X)
     banks = model.banks()
     K = len(banks)
     items = np.empty((n, m), dtype=np.min_scalar_type(-1 - m))

@@ -221,7 +221,63 @@ def _stack_blocks(blocks):
 def _ballot_block(linenos, texts, sep, path):
     """The rows of ballot lines 'count<sep>ids': (items, lengths, counts,
     line numbers), each in the smallest integer type that holds it, items
-    the 0-based ids padded with -1.
+    the 0-based ids padded with -1. The block is read by one numeric read
+    (``_read_block``), or by the tokenizer (``_tokenize_block``) where that
+    read might not give the tokenizer's rows or errors.
+    """
+    read = _read_block(texts, sep)
+    counts, lengths, ids = _tokenize_block(linenos, texts, sep, path) if read is None else read
+    width = max(int(lengths.max(initial=0)), 1)
+    items = np.full((len(texts), width), -1, dtype=np.int64)
+    items[np.arange(width) < lengths[:, None]] = ids - 1
+    x = max(int(items.max()), -1 - int(items.min()))
+    return (
+        items.astype(np.min_scalar_type(-1 - x)),
+        lengths.astype(np.min_scalar_type(width)),
+        counts.astype(np.min_scalar_type(int(counts.max()))),
+        np.array(linenos, dtype=np.min_scalar_type(linenos[-1])),
+    )
+
+
+def _read_block(texts, sep):
+    """(counts, lengths, ids) of ballot lines by one ``np.fromstring`` over
+    the block, or None where it might differ from the tokenizer: text that
+    is not ASCII or has a sign (numpy reads '+ 2', which int() rejects), a
+    2021 line with more than one ':', an entry without digits (numpy reads
+    ' ' as 0), a read that fails or warns (numpy < 2 returns a partial read
+    with a DeprecationWarning), fewer values than the lines' comma-counted
+    entries, or a value at the int64 limit, where numpy saturates."""
+    text = "\n".join(texts)
+    if not text.isascii() or "+" in text or "-" in text:
+        return None
+    codes = np.frombuffer(text.encode(), np.uint8)
+    seps = codes == ord(",")
+    if sep != ",":
+        colons = codes == ord(sep)
+        if np.count_nonzero(colons) != len(texts):
+            return None
+        seps |= colons
+        text = text.replace(sep, ",")
+    per_line = np.bincount(np.cumsum(codes == ord("\n"))[seps], minlength=len(texts)) + 1
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != per_line.sum():
+        return None  # an entry without digits, which numpy reads as 0 if it holds spaces
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(text.replace("\n", ","), np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != per_line.sum() or values.max() == np.iinfo(np.int64).max:
+        return None
+    first = np.cumsum(per_line) - per_line  # each line's count
+    ids = np.ones(values.size, dtype=bool)
+    ids[first] = False
+    return values[first], per_line - 1, values[ids]
+
+
+def _tokenize_block(linenos, texts, sep, path):
+    """(counts, lengths, ids) of ballot lines, int64s, by the tokenizer.
 
     The item texts of all lines are tokenized in one pass: entries are
     stripped, empty ones skipped. The rules are checked in turn, each over
@@ -252,68 +308,65 @@ def _ballot_block(linenos, texts, sep, path):
     except ParseError as exc:
         exc.rule = rule
         raise
-    lengths = np.bincount(line, minlength=len(texts))
-    width = max(int(lengths.max(initial=0)), 1)
-    items = np.full((len(texts), width), -1, dtype=np.int64)
-    items[np.arange(width) < lengths[:, None]] = ids - 1
-    x = max(int(items.max()), -1 - int(items.min()))
-    return (
-        items.astype(np.min_scalar_type(-1 - x)),
-        lengths.astype(np.min_scalar_type(width)),
-        counts.astype(np.min_scalar_type(int(counts.max()))),
-        np.array(linenos, dtype=np.min_scalar_type(linenos[-1])),
-    )
+    return counts, np.bincount(line, minlength=len(texts)), ids
 
 
-# Records turned into ballot text at a time: the text of one block, a
-# Python string per row and one joined string, is the largest temporary of
+# Records turned into ballot text at a time: the bytes of one block, and
+# the few arrays they are built from, are the largest temporaries of
 # writing or hashing.
 TEXT_BLOCK_RECORDS = 1 << 12
 
 
-def _ballot_text_blocks(D: Dataset):
-    """The records in blocks of up to TEXT_BLOCK_RECORDS, each as (texts,
-    counts) over consecutive stored rows: each row's 1-based ids as 'a,b,c'
-    ('' for the empty list), and how many of the row's records fall in the
-    block. Repeating each text by its count gives the block's records in
-    order. A block holds whole rows, but for a row of more records than a
-    block, whose records fill blocks of their own.
+def _ballot_bytes(D: Dataset, head: bytes, tail: bytes):
+    """The records' text in blocks of up to TEXT_BLOCK_RECORDS records, each
+    record as ``head``, its 1-based ids 'a,b,c' ('' for the empty list) and
+    ``tail``. A block holds whole rows, but for a row of more records than
+    a block, whose records fill blocks of their own.
 
-    The texts of a block are built one column of ids at a time.
+    A block's rows, repeated by their counts, index a table of ',id'
+    tokens padded with zero bytes to one width; one mask then drops the
+    padding and each record's first comma.
     """
     items, lengths, counts = D.rows()
-    names = np.array([""] + [str(a) for a in range(1, D.m + 1)], dtype=object)
-    later = "," + names  # an id after the first, and "" for padding
-    later[0] = ""
-    r = 0
+    # each ',id' in a zero-padded cell of a power-of-two width, which numpy
+    # gathers as one word; cell 0 stands for the -1 padding
+    width = 1 << len(str(D.m)).bit_length()
+    table = np.zeros((D.m + 1, width), np.uint8)
+    for a in range(1, D.m + 1):
+        table[a, : len(str(a)) + 1] = np.frombuffer(f",{a}".encode(), np.uint8)
+    table = table.view(f"V{width}").ravel()
+    r, B = 0, TEXT_BLOCK_RECORDS
     while r < lengths.size:
         # the next rows whose records fit in one block (each row holds at
         # least one record), or else the next row alone
-        end = np.cumsum(counts[r : r + TEXT_BLOCK_RECORDS])
-        rows = max(int(np.searchsorted(end, TEXT_BLOCK_RECORDS, side="right")), 1)
-        ids = items[r : r + rows] + 1  # 0 for padding
-        text = names[ids[:, 0]]
-        for j in range(1, ids.shape[1]):
-            text += later[ids[:, j]]
-        texts, taken = text.tolist(), counts[r : r + rows].tolist()
-        while taken[0] > TEXT_BLOCK_RECORDS:  # one row of more records than a block
-            yield texts, [TEXT_BLOCK_RECORDS]
-            taken = [taken[0] - TEXT_BLOCK_RECORDS]
-        yield texts, taken
+        rows = max(int(np.searchsorted(np.cumsum(counts[r : r + B]), B, side="right")), 1)
+        k = int(lengths[r : r + rows].max())
+        one = rows == 1 and counts[r] > B  # a row of more records than a block
+        ids = np.repeat(items[r : r + rows, :k], 1 if one else counts[r : r + rows], axis=0)
+        text = np.empty((ids.shape[0], len(head) + k * width + len(tail)), np.uint8)
+        text[:, : len(head)] = np.frombuffer(head, np.uint8)
+        text[:, len(head) : text.shape[1] - len(tail)] = table.take(ids + 1).view(np.uint8)
+        text[:, len(head) : len(head) + min(k, 1)] = 0  # the first id's comma
+        text[:, text.shape[1] - len(tail) :] = np.frombuffer(tail, np.uint8)
+        block = text[text != 0].tobytes()
+        if one:  # whole blocks of its record, then the rest
+            full, rest = divmod(int(counts[r]), B)
+            for _ in range(full):
+                yield block * B
+            block *= rest
+        yield block
         r += rows
 
 
 def write_dataset(D: Dataset, path) -> None:
     """One unit-weight ballot per record, 2021 style: '1: a,b,c'."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# FILE NAME: dataset\n")
-        fh.write(f"# NUMBER ALTERNATIVES: {D.universe.m}\n")
-        fh.write(f"# NUMBER VOTERS: {D.n}\n")
-        if D.universe.labels is not None:
-            for i, name in enumerate(D.universe.labels, start=1):
-                fh.write(f"# ALTERNATIVE NAME {i}: {name}\n")
-        for texts, counts in _ballot_text_blocks(D):
-            fh.write("".join(f"1: {text}\n" * c for text, c in zip(texts, counts)))
+    head = ["# FILE NAME: dataset", f"# NUMBER ALTERNATIVES: {D.universe.m}",
+            f"# NUMBER VOTERS: {D.n}"]
+    if D.universe.labels is not None:
+        head += [f"# ALTERNATIVE NAME {i}: {name}" for i, name in enumerate(D.universe.labels, 1)]
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in head).encode())
+        fh.writelines(_ballot_bytes(D, b"1: ", b"\n"))
 
 
 @dataclass(frozen=True)
@@ -500,6 +553,6 @@ def load_checkpoint(path):
 def dataset_hash(D: Dataset) -> str:
     """The first 16 hex digits of the sha256 of m, then '|a,b,c' per record."""
     h = hashlib.sha256(str(D.universe.m).encode())
-    for texts, counts in _ballot_text_blocks(D):
-        h.update("".join(("|" + text) * c for text, c in zip(texts, counts)).encode())
+    for block in _ballot_bytes(D, b"|", b""):
+        h.update(block)
     return h.hexdigest()[:16]

@@ -143,7 +143,9 @@ def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
     the smallest signed integer type that holds -(m + 1), the ids' type.
 
     A Poisson length model takes draw i's rate from row i of ``x_agents``
-    (n, d). The inverse-CDF draw gives, bit for bit, the lengths that
+    (n, d), or from its mean over the items where ``x_agents`` is the
+    covariates (n, m, d), taken one block of rows at a time. The
+    inverse-CDF draw gives, bit for bit, the lengths that
     ``rng.choice(m, size=n, p=p) + 1`` gives for one shared pmf p. The draws
     are compared with the cdf in blocks of at most DRAW_BLOCK_CELLS cells,
     and a Poisson model builds its pmf and cdf one block of rows at a time,
@@ -164,7 +166,8 @@ def sample_lengths(params, n: int, rng, x_agents=None) -> np.ndarray:
         u = rng.random(min(step, n - lo))
         cdf = shared
         if cdf is None:
-            lam = poisson_rate(x_agents[lo : lo + step], params)
+            x = x_agents[lo : lo + step]
+            lam = poisson_rate(x.mean(axis=1) if x.ndim == 3 else x, params)
             cdf = _cdf(np.exp(poisson_clipped_log_pmf(lam, m)))
         lengths[lo : lo + step] = (cdf <= u[:, None]).sum(axis=1) + 1
     return lengths

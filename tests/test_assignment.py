@@ -82,6 +82,21 @@ def test_uniform_priorities_are_permutations():
     assert (rank != uniform_priorities(7, 3, seed=2)).any()
 
 
+def test_uniform_priorities_take_the_smallest_type_that_holds_n():
+    """Ranks below n in int8, int16 or int32: a Market keeps them so, and
+    matches the students as with the same ranks in int64."""
+    assert uniform_priorities(127, 2, seed=0).dtype == np.int8
+    assert uniform_priorities(128, 2, seed=0).dtype == np.int16
+    rank = uniform_priorities(40_000, 3, seed=5)
+    assert rank.dtype == np.int32
+    prefs = [PartialOrder(tuple(q)) for q in
+             np.argsort(np.random.default_rng(5).random((40_000, 3)), axis=1)[:, :2] + 1]
+    small = make_market(prefs, (9_000, 9_000, 9_000), priority_rank=rank)
+    assert small.priority_rank.dtype == np.int32
+    wide = make_market(prefs, (9_000, 9_000, 9_000), priority_rank=rank.astype(np.int64))
+    assert deferred_acceptance(small) == deferred_acceptance(wide)
+
+
 def test_market_validation():
     with pytest.raises(ValueError):
         Market((P(1),), (1,), np.zeros((2, 1)))

@@ -236,14 +236,11 @@ def test_cli_import_leaves_out_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
-    """A full-batch fit draws nothing, so its process never imports
-    numpy.random (about 14 ms and 3 MB of a CLI start)."""
+def _loads_numpy_random(argv):
+    """Whether a fresh process that runs the CLI on ``argv`` imports numpy.random."""
     src = str(Path(topkorders.__file__).resolve().parents[1])
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    argv = ["fit", "--data", ballots, "--model", "a-s", "--K", "2", "--max-epochs", "20",
-            "--out", str(tmp_path / "as.json")]
     code = (
         "import sys; from topkorders.cli import main; "
         f"assert main({argv!r}) == 0; print('numpy.random' in sys.modules)"
@@ -251,7 +248,27 @@ def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
+    """A full-batch fit draws nothing, so its process never imports
+    numpy.random (about 14 ms and 3 MB of a CLI start)."""
+    argv = ["fit", "--data", ballots, "--model", "a-s", "--K", "2", "--max-epochs", "20",
+            "--out", str(tmp_path / "as.json")]
+    assert not _loads_numpy_random(argv)
+
+
+@pytest.mark.parametrize("cmd", ["stats", "eval"])
+def test_commands_that_draw_nothing_leave_out_numpy_random(checkpoint, ballots, tmp_path, cmd):
+    """``stats`` and ``eval --reps 0``, like a full-batch fit, draw nothing:
+    importing numpy.random would add about 2.4 MB to each one's peak RSS."""
+    argv = {
+        "stats": ["stats", "--data", ballots],
+        "eval": ["eval", "--model-ckpt", checkpoint, "--data", ballots, "--reps", "0",
+                 "--out", str(tmp_path / "evalout")],
+    }[cmd]
+    assert not _loads_numpy_random(argv)
 
 
 def test_package_imports_sit_at_module_level():
