@@ -144,11 +144,11 @@ def _draw(banks, n: int, rng, X=None, agents=None):
     each row's choice by inverse CDF. The block's weights are option-major,
     (m + 1, rows), in one buffer of DRAW_BLOCK_CELLS floats allocated once
     per draw, so the cumulative sums, one vector add per option, and the
-    comparison run along axis 0: the same sequential sums as along each row. Beyond the ids and
-    lengths it returns, a draw holds that buffer and one block's row
-    indices, temporaries and covariate rows. The uniforms of consecutive
-    blocks are the stream of one call, and each row's arithmetic is its
-    own, so the draws do not depend on the block size.
+    comparison run along axis 0: the same sequential sums as along each
+    row. Beyond the ids and lengths it returns, a draw holds that buffer and
+    one block's row indices, temporaries and covariate rows. The uniforms of
+    consecutive blocks are the stream of one call, and each row's
+    arithmetic is its own, so the draws do not depend on the block size.
     """
     K, m = len(banks), banks[0][0].shape[0]
     items = np.full((n, m), -1, dtype=np.min_scalar_type(-1 - m))
@@ -162,8 +162,8 @@ def _draw(banks, n: int, rng, X=None, agents=None):
         delta, end, beta = banks[min(pos, K) - 1]
         end = end[min(pos, end.size) - 1]
         per_row = X is not None and beta.size > 0
-        if not per_row:
-            shared = _exp_utilities(item_utilities(None, delta, beta), end, np.empty((m + 1, 1)))
+        shared = None if per_row else _exp_utilities(
+            item_utilities(None, delta, beta), end, np.empty((m + 1, 1)))
         drawing = 0
         for lo in range(0, n, step):
             rows = np.flatnonzero(lengths[lo : lo + step] == pos - 1)
@@ -177,7 +177,7 @@ def _draw(banks, n: int, rng, X=None, agents=None):
             listed, cols = items.take(rows, axis=0), np.arange(rows.size)
             for j in range(pos - 1):
                 cum[listed[:, j], cols] = 0.0
-            for j in range(1, m + 1):  # np.cumsum along axis 0 is not vectorized
+            for j in range(1, m + 1):  # np.cumsum along axis 0 walks one column at a time
                 np.add(cum[j - 1], cum[j], out=cum[j])
             u = rng.random(rows.size)
             choice = (cum < u * cum[-1]).sum(axis=0)

@@ -4,20 +4,21 @@ Supported ballot formats are preflib strict-incomplete-order files in both
 the legacy layout (count header lines, then "count,alt,alt,...") and the
 2021 layout ("# key: value" metadata, then "count: alt,alt,..."); a "#"
 line anywhere means the 2021 layout. The file is streamed, and its ballot
-lines are held as text one block of PARSE_BLOCK_LINES at a time. One
-tokenizer reads the ballot lines of both layouts, a block at a time, into
-rows in the smallest integer types: it strips entries, skips empty ones,
-and rejects malformed or negative counts, tied ({...}) entries and ids
-that are no 64-bit integers. ``Dataset.from_padded`` then checks the
-range, duplicate and empty-list rules once per line over all rows,
-count-0 lines included, with ``validate_order``'s messages ("duplicate
-alternative id 1"). Every error is a ParseError at path:line. Full-length
-ballots are length-m orders. The dataset keeps each line once, with its
-count, and drops count-0 lines.
+lines are held as text one block of PARSE_BLOCK_LINES at a time. Each
+block is read into rows in the smallest integer types by one numeric read
+of its text (``np.fromstring``), or, where that read might differ from
+int(), by the tokenizer, which serves both layouts: it strips entries,
+skips empty ones, and rejects malformed or negative counts, tied ({...})
+entries and ids that are no 64-bit integers. ``Dataset.from_padded`` then
+checks the range, duplicate and empty-list rules once per line over all
+rows, count-0 lines included, with ``validate_order``'s messages
+("duplicate alternative id 1"). Every error is a ParseError at path:line.
+Full-length ballots are length-m orders. The dataset keeps each line once,
+with its count, and drops count-0 lines.
 
-Ballot text (``write_dataset``, ``dataset_hash``) and covariate tables
-(``load_covariates``) are likewise built or read without an object per
-record.
+Ballot text (``write_dataset``, ``dataset_hash``) is built as bytes, a
+block of records at a time, from a table of ',id' tokens; covariate tables
+(``load_covariates``) are read without an object per record.
 
 Checkpoints are versioned JSON holding a model's ``ParamLayout`` (variant,
 m, d, K) and the layout's named arrays; floats round-trip exactly
@@ -221,10 +222,8 @@ def _stack_blocks(blocks):
 def _ballot_block(linenos, texts, sep, path):
     """The rows of ballot lines 'count<sep>ids': (items, lengths, counts,
     line numbers), each in the smallest integer type that holds it, items
-    the 0-based ids padded with -1. The block is read by one numeric read
-    (``_read_block``), or by the tokenizer (``_tokenize_block``) where that
-    read might not give the tokenizer's rows or errors.
-    """
+    the 0-based ids padded with -1; read by ``_read_block``, or else by
+    ``_tokenize_block``."""
     read = _read_block(texts, sep)
     counts, lengths, ids = _tokenize_block(linenos, texts, sep, path) if read is None else read
     width = max(int(lengths.max(initial=0)), 1)
@@ -312,20 +311,18 @@ def _tokenize_block(linenos, texts, sep, path):
 
 
 # Records turned into ballot text at a time: the bytes of one block, and
-# the few arrays they are built from, are the largest temporaries of
-# writing or hashing.
+# the arrays they are built from, are the largest temporaries of writing or
+# hashing.
 TEXT_BLOCK_RECORDS = 1 << 12
 
 
 def _ballot_bytes(D: Dataset, head: bytes, tail: bytes):
     """The records' text in blocks of up to TEXT_BLOCK_RECORDS records, each
     record as ``head``, its 1-based ids 'a,b,c' ('' for the empty list) and
-    ``tail``. A block holds whole rows, but for a row of more records than
-    a block, whose records fill blocks of their own.
-
-    A block's rows, repeated by their counts, index a table of ',id'
-    tokens padded with zero bytes to one width; one mask then drops the
-    padding and each record's first comma.
+    ``tail``. A block holds whole rows, repeated by their counts, whose ids
+    gather ',id' tokens padded with zero bytes to one width; one mask drops
+    the padding and each record's first comma. A row of more records than
+    a block fills blocks of its own with its record's text repeated.
     """
     items, lengths, counts = D.rows()
     # each ',id' in a zero-padded cell of a power-of-two width, which numpy
