@@ -82,11 +82,10 @@ def test_uniform_priorities_are_permutations():
     assert (rank != uniform_priorities(7, 3, seed=2)).any()
 
 
-def test_uniform_priorities_take_the_smallest_type_that_holds_n():
-    """Ranks below n in int8, int16 or int32: a Market keeps them so, and
-    matches the students as with the same ranks in int64."""
-    assert uniform_priorities(127, 2, seed=0).dtype == np.int8
-    assert uniform_priorities(128, 2, seed=0).dtype == np.int16
+def test_uniform_priorities_are_int32_and_match_as_int64():
+    """int32 ranks: a Market keeps them so, and matches the students as with
+    the same ranks in int64."""
+    assert uniform_priorities(7, 2, seed=0).dtype == np.int32
     rank = uniform_priorities(40_000, 3, seed=5)
     assert rank.dtype == np.int32
     prefs = [PartialOrder(tuple(q)) for q in

@@ -253,8 +253,8 @@ def test_numeric_read_that_warns_is_left_to_the_tokenizer(monkeypatch):
     assert dataio._read_block(["1: 2,3"], ":") is None
 
 
-_FRAGMENTS = ["1", "2", "3", "9", "0", "02", "+", "-", " ", "\t", "\xa0", "_", "{", "}", ":",
-              "\u0663", "12345678901234567890", "9223372036854775807"]
+_FRAGMENTS = ["1", "2", "3", "9", "0", "02", "+", "-", " ", "\t", "\x0b", "\x1c", "\x00", "\xa0",
+              "_", "{", "}", ":", "\u0663", "12345678901234567890", "9223372036854775807"]
 _CLEAN = st.sampled_from(["1", "2", "3", "9", "02", " 4", "5\t", "0"])
 _ENTRY = st.one_of(_CLEAN, st.lists(st.sampled_from(_FRAGMENTS), max_size=3).map("".join))
 
@@ -269,10 +269,11 @@ def _lines(entry, *extra):
 @given(layout=st.sampled_from(["2021", "legacy"]),
        lines=st.one_of(_lines(_CLEAN), _lines(_ENTRY, st.just("1: "))))
 def test_numeric_read_matches_the_tokenizer(tmp_path, monkeypatch, layout, lines):
-    """Generated ballot lines of digits, signs, spaces, tabs, no-break
-    spaces, underscores, braces, colons, non-ASCII digits, 20-digit values,
-    the int64 maximum and empty entries: both paths give the same rows,
-    counts and dtypes, or the same error at the same line."""
+    """Generated ballot lines of digits, signs, spaces, tabs, control
+    characters, no-break spaces, underscores, braces, colons, non-ASCII
+    digits, 20-digit values, the int64 maximum and empty entries: both paths
+    give the same rows, counts and dtypes, or the same error at the same
+    line."""
     sep = ": " if layout == "2021" else ","
     body = "".join((ln if isinstance(ln, str) else ln[0] + sep + ",".join(ln[1])) + "\n"
                    for ln in lines)
