@@ -210,7 +210,8 @@ def _parse_both(path, monkeypatch):
         ("12345678901234567890: 1\n", "malformed count '12345678901234567890'"),
         ("1: 2,12345678901234567890\n", "malformed alternative '12345678901234567890'"),
         ("1: 1, 2 ,,3,\n", [[0, 1, 2]]),
-        ("1: 1, ,2\n1: 3,\t\n", [[0, 1], [2, -1]]),  # numpy reads ' ' as 0
+        ("1: 1, ,2\n", [[0, 1]]),  # numpy reads ' ' as 0
+        ("1: 3,\t,1\n2: ,2\n", [[2, 0], [1, -1]]),
         ("1: 1\n1: \n", "empty order"),
         ("1: 2:3\n", "malformed alternative '2:3'"),
         ("1: \xa02,\u0663\n", [[1, 2]]),
@@ -238,7 +239,7 @@ def test_numeric_read_reads_plain_blocks():
     assert lengths.tolist() == [2, 1, 2]
     assert ids.tolist() == [1, 2, 3, 4, 1]
     assert dataio._read_block(["3,1,2", "2,3"], ",")[0].tolist() == [3, 2]
-    assert dataio._read_block(["1: 9223372036854775807"], ":") is None  # saturated or not
+    assert dataio._read_block(["1: 9223372036854775807"], ":") is None  # as numpy reads 2**64
 
 
 def test_numeric_read_that_warns_is_left_to_the_tokenizer(monkeypatch):
@@ -253,30 +254,34 @@ def test_numeric_read_that_warns_is_left_to_the_tokenizer(monkeypatch):
     assert dataio._read_block(["1: 2,3"], ":") is None
 
 
-_FRAGMENTS = ["1", "2", "3", "9", "0", "02", "+", "-", " ", "\t", "\x0b", "\x1c", "\x00", "\xa0",
-              "_", "{", "}", ":", "\u0663", "12345678901234567890", "9223372036854775807"]
+_FRAGMENTS = ["+ 2", "- 1", "2:3", "12345678901234567890", "9223372036854775807", "1", "2", "0",
+              "02", "+", "-", " ", "\t", "\x0b", "\x1c", "\x00", "\xa0", "_", "{", "}", ":",
+              "\u0663"]
 _CLEAN = st.sampled_from(["1", "2", "3", "9", "02", " 4", "5\t", "0"])
-_ENTRY = st.one_of(_CLEAN, st.lists(st.sampled_from(_FRAGMENTS), max_size=3).map("".join))
+_SPACED = st.sampled_from(["1", "2", "7", " ", "\t", " 3 "])  # numpy reads ' ' as 0
 
 
-def _lines(entry, *extra):
-    line = st.tuples(entry, st.lists(entry, max_size=4))
-    return st.lists(st.one_of(line, *extra), min_size=1, max_size=6)
-
-
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(layout=st.sampled_from(["2021", "legacy"]),
-       lines=st.one_of(_lines(_CLEAN), _lines(_ENTRY, st.just("1: "))))
-def test_numeric_read_matches_the_tokenizer(tmp_path, monkeypatch, layout, lines):
-    """Generated ballot lines of digits, signs, spaces, tabs, control
+       lines=st.one_of(*(st.lists(st.lists(entry, min_size=1, max_size=5), min_size=1, max_size=6)
+                         for entry in (_CLEAN, st.one_of(_CLEAN, _SPACED)))),
+       odd=st.one_of(st.none(), st.sampled_from(_FRAGMENTS),
+                     st.lists(st.sampled_from(_FRAGMENTS), max_size=3).map("".join)),
+       at=st.integers(0, 40))
+def test_numeric_read_matches_the_tokenizer(tmp_path, monkeypatch, layout, lines, odd, at):
+    """Generated files of ballot lines (count, then ids) whose entries are
+    digits, spaces and tabs, with at most one odd entry of signs, control
     characters, no-break spaces, underscores, braces, colons, non-ASCII
-    digits, 20-digit values, the int64 maximum and empty entries: both paths
-    give the same rows, counts and dtypes, or the same error at the same
-    line."""
+    digits, 20-digit values, the int64 maximum, or nothing: both paths give
+    the same rows, counts and dtypes, or the same error at the same line.
+    Lines of a count alone are the '1: ' lines of empty lists."""
+    if odd is not None:
+        cells = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        i, j = cells[at % len(cells)]
+        lines[i][j] = odd
     sep = ": " if layout == "2021" else ","
-    body = "".join((ln if isinstance(ln, str) else ln[0] + sep + ",".join(ln[1])) + "\n"
-                   for ln in lines)
+    body = "".join(line[0] + sep + ",".join(line[1:]) + "\n" for line in lines)
     head = ("# NUMBER ALTERNATIVES: 9\n" if layout == "2021"
             else "9\n" + "".join(f"{i},c{i}\n" for i in range(1, 10)) + "5,5,5\n")
     p = tmp_path / "gen.soi"
