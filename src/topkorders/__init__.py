@@ -41,8 +41,6 @@ from .estimation import (
     FitConfig,
     FitResult,
     NonFiniteLossError,
-    augmented_log_prob,
-    composite_log_prob,
     fit,
     grid_search,
     kfold_split,
@@ -105,10 +103,8 @@ __all__ = [
     "SummaryStats",
     "TestNLL",
     "Universe",
-    "augmented_log_prob",
     "backend_name",
     "build_eval_report",
-    "composite_log_prob",
     "dataset_hash",
     "deferred_acceptance",
     "demand_shares",

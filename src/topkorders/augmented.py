@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import item_utilities
-from .orders import Dataset, PartialOrder, Universe, check_covariates
+from .orders import Dataset, Universe, check_covariates
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,6 @@ def _exp_utilities(bank, end, out):
     return np.exp(out, out=out)
 
 
-def sample_augmented_batch(
-    model: AugmentedModel, n: int, rng, no_empty: bool = False
-) -> list[PartialOrder]:
-    """n draws of a covariate-free model (Algorithm 2) as PartialOrder objects."""
-    return list(sample_augmented_dataset(model, n, rng, no_empty=no_empty).orders)
-
-
 def sample_augmented_dataset(
     model: AugmentedModel,
     n: int,
@@ -230,6 +223,6 @@ def sample_augmented_dataset(
     while empty.size:
         items[empty], lengths[empty] = _draw(banks, empty.size, rng, X, empty)
         empty = empty[lengths[empty] == 0]
-    return Dataset.from_padded(
-        model.universe, items, lengths, covariates, allow_empty=not no_empty
-    )
+    D = Dataset.__new__(Dataset)  # valid rows by construction, not checked again
+    D._set(model.universe, items, lengths, covariates, not no_empty, check_rows=False)
+    return D

@@ -13,7 +13,7 @@ import numpy as np
 from .augmented import DRAW_BLOCK_CELLS
 from .lengthdist import CategoricalLengthParams, PoissonLengthParams, sample_lengths
 from .kernels import item_utilities, length_strata
-from .orders import Dataset, PartialOrder, Universe, check_covariates
+from .orders import Dataset, Universe, check_covariates
 from .ranking import PLParams, StratifiedPLParams
 
 COMPOSITE_VARIANTS = ("c-i", "c-ci", "c-ld")
@@ -51,11 +51,6 @@ class CompositeModel:
         (d,)): the one bank, or c-ld's bank of each length stratum."""
         banks = getattr(self.ranking_params, "banks", (self.ranking_params,))
         return [(b.delta, np.zeros(0), np.zeros(0) if b.beta is None else b.beta) for b in banks]
-
-
-def sample_composite_batch(model: CompositeModel, n: int, rng) -> list[PartialOrder]:
-    """n draws of a covariate-free model (Algorithm 1) as PartialOrder objects."""
-    return list(sample_composite_dataset(model, n, rng).orders)
 
 
 def sample_composite_dataset(
@@ -98,4 +93,6 @@ def sample_composite_dataset(
             ranked = np.argsort(-keys, axis=1)
             ranked[np.arange(m) >= lengths[rows, None]] = -1
             items[rows] = ranked
-    return Dataset.from_padded(model.universe, items, lengths, covariates)
+    D = Dataset.__new__(Dataset)  # valid rows by construction, not checked again
+    D._set(model.universe, items, lengths, covariates, False, check_rows=False)
+    return D

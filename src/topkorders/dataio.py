@@ -25,7 +25,6 @@ m, d, K) and the layout's named arrays; floats round-trip exactly
 (shortest-decimal repr, <= 17 significant digits).
 """
 
-import hashlib
 import json
 import math
 import re
@@ -549,6 +548,8 @@ def load_checkpoint(path):
 
 def dataset_hash(D: Dataset) -> str:
     """The first 16 hex digits of the sha256 of m, then '|a,b,c' per record."""
+    import hashlib  # OpenSSL is loaded only by the commands that hash
+
     h = hashlib.sha256(str(D.universe.m).encode())
     for block in _ballot_bytes(D, b"|", b""):
         h.update(block)

@@ -206,17 +206,6 @@ def model_log_prob(model, Q: PartialOrder, x_row=None) -> float:
     return float(record_log_probs(model, D)[0])
 
 
-def composite_log_prob(Q: PartialOrder, model: CompositeModel, x_row=None) -> float:
-    """``model_log_prob`` of a composite model."""
-    return model_log_prob(model, Q, x_row)
-
-
-def augmented_log_prob(Q: PartialOrder, model: AugmentedModel, x_row=None) -> float:
-    """``model_log_prob`` of an augmented model, the terminal END choice
-    included: the empty order is END chosen first."""
-    return model_log_prob(model, Q, x_row)
-
-
 def record_log_probs(model, D: Dataset, condition_nonempty: bool = False) -> np.ndarray:
     """Log-probability of every record of D under model: its row terms summed.
 
@@ -258,18 +247,18 @@ def _check_records(variant, m, items, lengths) -> None:
 
 
 def nll(D: Dataset, model) -> float:
-    """Mean negative log-probability over records; -inf log-probs abort."""
+    """``test_nll(model, D).nll``, except that a record of non-finite
+    log-probability raises NonFiniteLossError naming the first one."""
     if D.n == 0:
         raise ValueError("empty dataset")
-    lp = record_log_probs(model, D)
-    bad = np.flatnonzero(~np.isfinite(lp))
-    if bad.size:
-        i = int(bad[0])
+    score = test_nll(model, D)
+    if score.n_infinite:
+        i = int(np.flatnonzero(~np.isfinite(record_log_probs(model, D)))[0])
         items, lengths = D.to_padded()
         raise NonFiniteLossError(
             f"record {i} ({(items[i, : lengths[i]] + 1).tolist()}) has non-finite log-probability"
         )
-    return -float(lp.sum()) / D.n
+    return score.nll
 
 
 @dataclass(frozen=True)

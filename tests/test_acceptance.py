@@ -31,20 +31,19 @@ from topkorders import (
     StratifiedAugmentedParams,
     StratifiedPLParams,
     Universe,
-    augmented_log_prob,
-    composite_log_prob,
     deferred_acceptance,
     find_blocking_pair,
     fit,
     kfold_split,
     make_market,
+    model_log_prob,
     outcome_stats,
     parse_preflib,
+    sample_augmented_dataset,
+    sample_composite_dataset,
     summary_stats,
 )
 from topkorders import test_nll as held_out_nll
-from topkorders.augmented import sample_augmented_batch
-from topkorders.composite import sample_composite_batch
 from topkorders.estimation import ParamLayout, _FitData, objective_and_grad
 from util import empirical_pmf, enum_pmf, random_model, random_orders
 
@@ -154,7 +153,7 @@ def test_criterion_04_sampler_exactness_composite():
     rng = np.random.default_rng(3001)
     model = random_model("c-i", 3, rng)
     space, p = enum_pmf(model)
-    D = sample_composite_batch(model, 10**6, np.random.default_rng(3002))
+    D = list(sample_composite_dataset(model, 10**6, np.random.default_rng(3002)).orders)
     tv = 0.5 * np.abs(empirical_pmf(D, space) - p).sum()
     assert tv < 0.005, f"composite sampler TV {tv:.4f}"
 
@@ -163,7 +162,7 @@ def test_criterion_04_sampler_exactness_augmented():
     rng = np.random.default_rng(3003)
     model = random_model("a-pd", 3, rng)
     space, p = enum_pmf(model)
-    orders = sample_augmented_batch(model, 10**6, np.random.default_rng(3004))
+    orders = list(sample_augmented_dataset(model, 10**6, np.random.default_rng(3004)).orders)
     tv = 0.5 * np.abs(empirical_pmf(orders, space) - p).sum()
     assert tv < 0.005, f"augmented sampler TV {tv:.4f}"
 
@@ -200,15 +199,9 @@ def test_criterion_05_reduction_identities():
 
         for q in enumerate_partial_orders(m, include_empty=True):
             if len(q) >= 1:
-                assert abs(
-                    composite_log_prob(q, cld) - composite_log_prob(q, ci)
-                ) < 1e-12
-            assert abs(
-                augmented_log_prob(q, a_s) - augmented_log_prob(q, a)
-            ) < 1e-12
-            assert abs(
-                augmented_log_prob(q, apd) - augmented_log_prob(q, a2)
-            ) < 1e-12
+                assert abs(model_log_prob(cld, q) - model_log_prob(ci, q)) < 1e-12
+            assert abs(model_log_prob(a_s, q) - model_log_prob(a, q)) < 1e-12
+            assert abs(model_log_prob(apd, q) - model_log_prob(a2, q)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +214,7 @@ REFIT_CFG = FitConfig(learning_rate=0.05, tol=1e-7, max_epochs=2000)
 def test_criterion_06_generate_then_refit_composite():
     rng = np.random.default_rng(5000)
     truth = random_model("c-i", 3, rng, scale=0.8)
-    orders = sample_composite_batch(truth, 10**5, np.random.default_rng(5001))
+    orders = list(sample_composite_dataset(truth, 10**5, np.random.default_rng(5001)).orders)
     D = Dataset(Universe(3), tuple(orders))
     res = fit("c-i", D, REFIT_CFG)
     _, p_true = enum_pmf(truth)
@@ -233,7 +226,7 @@ def test_criterion_06_generate_then_refit_composite():
 def test_criterion_06_generate_then_refit_augmented():
     rng = np.random.default_rng(5002)
     truth = random_model("a", 3, rng, scale=0.8)
-    orders = sample_augmented_batch(truth, 10**5, np.random.default_rng(5003))
+    orders = list(sample_augmented_dataset(truth, 10**5, np.random.default_rng(5003)).orders)
     D = Dataset(Universe(3), tuple(orders), allow_empty=True)
     res = fit("a", D, REFIT_CFG)
     _, p_true = enum_pmf(truth)

@@ -13,14 +13,12 @@ from topkorders import (
     PositionDependentParams,
     StratifiedAugmentedParams,
     Universe,
-    augmented_log_prob,
-    composite_log_prob,
     enumerate_partial_orders,
+    model_log_prob,
     sample_augmented_dataset,
     write_dataset,
 )
 from topkorders import augmented
-from topkorders.augmented import sample_augmented_batch
 from util import empirical_pmf, engine_log_probs, enum_pmf, pl_model, random_model
 
 
@@ -30,14 +28,14 @@ def naive(theta, m=3):
 
 def test_naive_uniform_single_item():
     model = naive(np.zeros(4))
-    assert augmented_log_prob(PartialOrder((1,)), model) == pytest.approx(
+    assert model_log_prob(model, PartialOrder((1,))) == pytest.approx(
         math.log(1 / 12)
     )
 
 
 def test_naive_empty_list():
     model = naive(np.zeros(4))
-    assert augmented_log_prob(PartialOrder(()), model) == pytest.approx(math.log(1 / 4))
+    assert model_log_prob(model, PartialOrder(())) == pytest.approx(math.log(1 / 4))
 
 
 def test_naive_end_suppressed_approaches_pl():
@@ -45,8 +43,8 @@ def test_naive_end_suppressed_approaches_pl():
     delta = rng.normal(size=3)
     model = naive(np.concatenate([delta, [-50.0]]))
     Q = PartialOrder((2, 3, 1))
-    assert augmented_log_prob(Q, model) == pytest.approx(
-        composite_log_prob(Q, pl_model(delta)) + math.log(3), abs=1e-9
+    assert model_log_prob(model, Q) == pytest.approx(
+        model_log_prob(pl_model(delta), Q) + math.log(3), abs=1e-9
     )
 
 
@@ -70,7 +68,7 @@ def test_apd_uniform_example():
     apd = AugmentedModel(
         "a-pd", PositionDependentParams(np.zeros(m), np.zeros(m)), Universe(m)
     )
-    assert augmented_log_prob(PartialOrder((1,)), apd) == pytest.approx(
+    assert model_log_prob(apd, PartialOrder((1,))) == pytest.approx(
         math.log(1 / 12)
     )
 
@@ -150,7 +148,7 @@ def test_apd_end_unreachable_at_position_one():
         PositionDependentParams(np.zeros(m), np.array([-50.0, 0.0, 0.0])),
         Universe(m),
     )
-    orders = sample_augmented_batch(apd, 2000, np.random.default_rng(1))
+    orders = list(sample_augmented_dataset(apd, 2000, np.random.default_rng(1)).orders)
     assert all(len(q) >= 1 for q in orders)
 
 
@@ -159,7 +157,7 @@ def test_sampler_matches_enumeration(variant):
     rng = np.random.default_rng(5)
     model = random_model(variant, 3, rng)
     space, p = enum_pmf(model)
-    orders = sample_augmented_batch(model, 50000, np.random.default_rng(6))
+    orders = list(sample_augmented_dataset(model, 50000, np.random.default_rng(6)).orders)
     emp = empirical_pmf(orders, space)
     assert 0.5 * np.abs(emp - p).sum() < 0.02
 
@@ -182,7 +180,7 @@ def test_empty_list_log_prob_matches_formula():
     rng = np.random.default_rng(9)
     model = random_model("a-pd", 3, rng)
     u = np.append(model.params.theta, model.params.gamma[0])
-    assert augmented_log_prob(PartialOrder(()), model) == pytest.approx(
+    assert model_log_prob(model, PartialOrder(())) == pytest.approx(
         u[-1] - np.logaddexp.reduce(u)
     )
 
@@ -197,10 +195,10 @@ def test_total_order_has_no_terminal_factor():
     q = PartialOrder((3, 1, 2))
     # END utility affects denominators of the item choices but never adds a
     # terminal factor; with END suppressed both should match plain PL
-    assert augmented_log_prob(q, lo) == pytest.approx(
-        composite_log_prob(q, pl_model(theta)) + math.log(m), abs=1e-9
+    assert model_log_prob(lo, q) == pytest.approx(
+        model_log_prob(pl_model(theta), q) + math.log(m), abs=1e-9
     )
-    assert np.isfinite(augmented_log_prob(q, hi))
+    assert np.isfinite(model_log_prob(hi, q))
 
 
 def _fixed_as_model():
@@ -226,8 +224,8 @@ def test_replicate_bytes_pinned(tmp_path, monkeypatch, block_cells):
 def test_sampler_memory_is_bounded_by_its_blocks():
     """200,000 a-s draws over m = 8 items keep the int8 ids (1.6 MB) and
     the int8 lengths, and find each position's drawing rows, those of
-    length j - 1, one window of lengths at a time: about 3.6 MB traced with
-    the dataset's row check. Float temporaries of the full height,
+    length j - 1, one window of lengths at a time: about 3.4 MB traced.
+    Float temporaries of the full height,
     200,000 x 9 x 8 bytes = 14.4 MB each, three of them live at once, would
     pass 40 MB; the blocks of DRAW_BLOCK_CELLS = 2^16 cells hold 0.5 MB
     each."""

@@ -236,19 +236,21 @@ def test_cli_import_leaves_out_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _loads_numpy_random(argv):
-    """Whether a fresh process that runs the CLI on ``argv`` imports numpy.random."""
+def _loads_numpy_random(argv, also=()):
+    """Those of numpy.random and the modules ``also`` that a fresh process
+    that runs the CLI on ``argv`` imports."""
     src = str(Path(topkorders.__file__).resolve().parents[1])
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    names = ("numpy.random", *also)
     code = (
         "import sys; from topkorders.cli import main; "
-        f"assert main({argv!r}) == 0; print('numpy.random' in sys.modules)"
+        f"assert main({argv!r}) == 0; print([m for m in {names!r} if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip().splitlines()[-1] == "True"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
 def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
@@ -262,13 +264,14 @@ def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
 @pytest.mark.parametrize("cmd", ["stats", "eval"])
 def test_commands_that_draw_nothing_leave_out_numpy_random(checkpoint, ballots, tmp_path, cmd):
     """``stats`` and ``eval --reps 0``, like a full-batch fit, draw nothing:
-    importing numpy.random would add about 2.4 MB to each one's peak RSS."""
+    importing numpy.random would add about 2.4 MB to each one's peak RSS.
+    Neither hashes, so neither loads OpenSSL's _hashlib (3.4 MB)."""
     argv = {
         "stats": ["stats", "--data", ballots],
         "eval": ["eval", "--model-ckpt", checkpoint, "--data", ballots, "--reps", "0",
                  "--out", str(tmp_path / "evalout")],
     }[cmd]
-    assert not _loads_numpy_random(argv)
+    assert not _loads_numpy_random(argv, also=("_hashlib",))
 
 
 def test_package_imports_sit_at_module_level():

@@ -14,7 +14,7 @@ from topkorders import (
     PoissonLengthParams,
     StratifiedPLParams,
     Universe,
-    composite_log_prob,
+    model_log_prob,
     sample_composite_dataset,
     write_dataset,
 )
@@ -33,7 +33,7 @@ def uniform_ci(m=3):
 
 
 def test_ci_uniform_example():
-    assert composite_log_prob(PartialOrder((1, 2)), uniform_ci()) == pytest.approx(
+    assert model_log_prob(uniform_ci(), PartialOrder((1, 2))) == pytest.approx(
         math.log(1 / 18)
     )
 
@@ -52,7 +52,7 @@ def test_ci_degenerate_length_gives_minus_inf():
         PLParams(np.zeros(m)),
         Universe(m),
     )
-    assert composite_log_prob(PartialOrder((1,)), model) == -np.inf
+    assert model_log_prob(model, PartialOrder((1,))) == -np.inf
     total_orders = [q for q in enum_pmf(uniform_ci())[0] if len(q) == m]
     assert np.exp(engine_log_probs(model, total_orders)).sum() == pytest.approx(1.0)
 
@@ -67,7 +67,7 @@ def test_cci_zero_params_product():
     )
     x_row = np.zeros((m, 2))
     expected = poisson_clipped_log_pmf(1.0, m)[0] + math.log(1 / 3)
-    assert composite_log_prob(PartialOrder((1,)), model, x_row) == pytest.approx(expected)
+    assert model_log_prob(model, PartialOrder((1,)), x_row) == pytest.approx(expected)
 
 
 def test_cci_zero_covariates_reduce_to_plain():
@@ -88,8 +88,8 @@ def test_cci_zero_covariates_reduce_to_plain():
         Universe(m),
     )
     # with x = 0 the rate is exp(0)=1 regardless of weights, and beta drops out
-    assert composite_log_prob(PartialOrder((2, 1)), model, x_row) == pytest.approx(
-        composite_log_prob(PartialOrder((2, 1)), plain, x_row)
+    assert model_log_prob(model, PartialOrder((2, 1)), x_row) == pytest.approx(
+        model_log_prob(plain, PartialOrder((2, 1)), x_row)
     )
 
 

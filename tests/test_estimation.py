@@ -23,8 +23,6 @@ from topkorders import (
     PLParams,
     StratifiedPLParams,
     Universe,
-    augmented_log_prob,
-    composite_log_prob,
     fit,
     grid_search,
     kfold_split,
@@ -573,21 +571,19 @@ COV_VARIANTS = [(v, d) for v in ALL_VARIANTS for d in (0, 2) if (v, d) != ("c-ci
 
 @pytest.mark.parametrize("variant,d", COV_VARIANTS)
 def test_single_record_functions_are_rows_of_record_log_probs(variant, d):
-    """model_log_prob and the family's single-record function give exactly
-    the row of record_log_probs, and raise what it raises for the same record
-    (c-i ignores covariates)."""
+    """model_log_prob gives exactly the row of record_log_probs, and raises
+    what it raises for the same record (c-i ignores covariates)."""
     rng = np.random.default_rng(61)
     m, n = 4, 40
     layout = ParamLayout(variant, m, d, 3 if variant in ("c-ld", "a-s") else 1)
     model = layout.to_model(rng.normal(size=layout.size), Universe(m))
     augmented = isinstance(model, AugmentedModel)
-    single = augmented_log_prob if augmented else composite_log_prob
     orders = random_orders(m, n, rng, min_len=0 if augmented else 1)
     X = rng.normal(size=(n, m, d)) if d else [None] * n
     cov = CovariateTensor(X) if d else None
     rows = record_log_probs(model, Dataset(Universe(m), orders, cov, allow_empty=augmented))
     for q, x, row in zip(orders, X, rows):
-        assert single(q, model, x) == model_log_prob(model, q, x) == row
+        assert model_log_prob(model, q, x) == row
 
     def raised(call, *args):
         with pytest.raises(Exception) as info:
@@ -609,7 +605,6 @@ def test_single_record_functions_are_rows_of_record_log_probs(variant, d):
     if d and variant != "c-i":  # c-ci, or a model with covariate weights, without x_row
         bad.append((PartialOrder((1,)), None, None, u, ValueError))
     for q, x_row, x_batch, universe, expected in bad:
-        assert raised(single, q, model, x_row) is expected
         assert raised(model_log_prob, model, q, x_row) is expected
         assert raised(as_dataset, q, x_batch, universe) is expected
 

@@ -19,6 +19,7 @@ from topkorders import (
     length_pmf,
     length_stats,
     nll,
+    parse_preflib,
     replicate_sample,
     tv_distance,
 )
@@ -95,13 +96,27 @@ def _per_record_log_probs(model, D, condition_nonempty=False):
 @pytest.mark.parametrize(
     "variant,d", [(v, d) for v in ALL_VARIANTS for d in (0, 2) if (v, d) != ("c-ci", 0)]
 )
-def test_test_nll_and_nll_match_per_record_sum(variant, d, condition_nonempty):
+def test_test_nll_and_nll_match_per_record_sum(variant, d, condition_nonempty, tmp_path):
+    """test_nll is the mean over records, on records stored one row each and,
+    without covariates, on a parsed file whose lines carry counts and repeat;
+    nll is test_nll's score, float for float."""
     rng = np.random.default_rng(40)
     model, D = _model_and_data(variant, d, rng)
-    ref = -_per_record_log_probs(model, D, condition_nonempty).sum() / D.n
-    assert held_out_nll(model, D, condition_nonempty).nll == pytest.approx(ref, abs=1e-9)
-    if not condition_nonempty:
-        assert nll(D, model) == pytest.approx(ref, abs=1e-9)
+    inputs = [D]
+    if not d:
+        counts = rng.integers(1, 4, D.n)
+        lines = [f"{c}: {','.join(map(str, q.items))}\n"
+                 for q, c in zip(D.orders, counts) if len(q)]
+        path = tmp_path / "counted.soi"
+        path.write_text(f"# NUMBER ALTERNATIVES: {D.m}\n" + "".join(ln * 2 for ln in lines))
+        parsed = parse_preflib(path)
+        assert parsed.rows()[2].size == 2 * len(lines) and parsed.rows()[2].max() > 1
+        inputs.append(parsed)
+    for D in inputs:
+        ref = -_per_record_log_probs(model, D, condition_nonempty).sum() / D.n
+        assert held_out_nll(model, D, condition_nonempty).nll == pytest.approx(ref, abs=1e-9)
+        if not condition_nonempty:
+            assert nll(D, model) == held_out_nll(model, D).nll
 
 
 @pytest.mark.parametrize("condition_nonempty", [False, True])
@@ -139,6 +154,12 @@ def test_test_nll_counts_the_records_of_infinite_rows():
 def test_infinite_records_counted_and_first_one_named(variant):
     rng = np.random.default_rng(41)
     model, D = _model_and_data(variant, 0, rng)
+    # longest first, so the first row is a full list, possible under each model
+    # below; stored with counts, so record i is not row i
+    items, lengths = D.to_padded()
+    rows = np.argsort(-lengths, kind="stable")
+    D = Dataset.from_padded(D.universe, items[rows], lengths[rows], allow_empty=D.allow_empty,
+                            counts=rng.integers(2, 4, D.n))
     if variant == "c-i":
         model.length_params.logits[1] = -np.inf  # no list of length 2
     elif variant == "a":
@@ -151,6 +172,7 @@ def test_infinite_records_counted_and_first_one_named(variant):
     r = held_out_nll(model, D)
     assert (r.nll, r.n_infinite) == (float("inf"), bad.size)
     i = int(bad[0])
+    assert i >= D.rows()[2][0]  # past the first stored row
     msg = re.escape(f"record {i} ({list(D.orders[i].items)}) has non-finite")
     with pytest.raises(NonFiniteLossError, match=msg):
         nll(D, model)

@@ -8,7 +8,7 @@ from topkorders import (
     CategoricalLengthParams,
     PartialOrder,
     PoissonLengthParams,
-    composite_log_prob,
+    model_log_prob,
 )
 from topkorders import lengthdist
 from topkorders.lengthdist import (
@@ -78,9 +78,9 @@ def test_categorical_out_of_range():
     # a composite model gives lengths outside [1, m] no probability
     model = pl_model(np.zeros(3))
     with pytest.raises(ValueError):
-        composite_log_prob(PartialOrder((1, 2, 3, 1)), model)
+        model_log_prob(model, PartialOrder((1, 2, 3, 1)))
     with pytest.raises(ValueError):
-        composite_log_prob(PartialOrder(()), model)
+        model_log_prob(model, PartialOrder(()))
 
 
 def test_poisson_clipped_boundary_values():

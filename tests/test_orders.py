@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from topkorders import (
+    ALL_VARIANTS,
     AugmentedModel,
     CovariateTensor,
     Dataset,
@@ -25,6 +26,7 @@ from topkorders import (
     write_dataset,
 )
 from topkorders import test_nll as held_out_nll
+from topkorders import augmented, composite, lengthdist
 from topkorders import orders as orders_module
 from topkorders.estimation import ParamLayout, _FitData, objective_and_grad, record_log_probs
 from topkorders.evaluation import draw_replicate
@@ -315,3 +317,31 @@ def test_small_length_replicate_matches_int64_lengths(m, tmp_path):
     assert (tmp_path / "small.txt").read_bytes() == (tmp_path / "wide.txt").read_bytes()
     assert np.array_equal(record_log_probs(model, D), record_log_probs(model, R))
     assert held_out_nll(model, D, True) == held_out_nll(model, R, True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(variant=st.sampled_from(ALL_VARIANTS), m=st.integers(1, 9), n=st.integers(0, 300),
+       d=st.sampled_from([0, 2]), no_empty=st.booleans(), block_cells=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampler_rows_pass_the_row_check(monkeypatch, variant, m, n, d, no_empty,
+                                         block_cells, seed):
+    """Both samplers build their datasets without the row check, whose rows
+    are valid by construction: every row they draw, at any block size, with
+    or without covariates and ``no_empty``, passes it, and no column runs
+    past the longest list."""
+    for module in (augmented, composite, lengthdist):
+        monkeypatch.setattr(module, "DRAW_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(seed)
+    d = 2 if variant == "c-ci" else d
+    layout = ParamLayout(variant, m, d, 3 if variant in ("c-ld", "a-s") else 1)
+    # unit-scale utilities: ``no_empty`` redraws empty lists, which takes long
+    # when an END utility far above the items' makes nearly every draw empty
+    model = layout.to_model(rng.normal(size=layout.size), Universe(m))
+    cov = CovariateTensor(rng.normal(size=(n, m, d))) if d else None
+    D = draw_replicate(model, n, seed, 0, cov, no_empty)
+    items, lengths, _ = D.rows()
+    assert D.n == n
+    assert D.allow_empty == (variant.startswith("a") and not no_empty)
+    assert items.shape[1] == max(int(lengths.max(initial=0)), 1)
+    orders_module._validate_rows(items, lengths, D.universe, D.allow_empty)
