@@ -2,11 +2,11 @@
 
 Run from anywhere in a source checkout:
 
-    python scripts/loc.py [package directory]
+    python scripts/loc.py
 
-The package directory defaults to ``src/topkorders`` beside this script.
-A line counts as code when it holds a token other than a comment, a
-docstring or a line break; a docstring is a string that stands alone as
+It counts the modules of ``src/topkorders`` beside this script. A line
+counts as code when it holds a token other than a comment, a docstring
+or a line break; a docstring is a string that stands alone as
 the first statement of a module, class or function. Prints two lines,
 ``total <n>`` and ``code <n>``.
 """
@@ -43,9 +43,8 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv) -> int:
-    default = Path(__file__).resolve().parents[1] / "src" / "topkorders"
-    package = Path(argv[1]) if len(argv) > 1 else default
+def main() -> int:
+    package = Path(__file__).resolve().parents[1] / "src" / "topkorders"
     total = code = 0
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -57,4 +56,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

@@ -496,7 +496,8 @@ def save_checkpoint(model, path, fit_config=None, data_hash=None, seed=None) -> 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, metadata) where metadata carries
     the stored fit_config and provenance dictionaries. Each array must have
-    the name and shape of a view of the stored layout."""
+    the name and shape of a view of the stored layout, and every parameter
+    must be finite."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -539,6 +540,8 @@ def load_checkpoint(path):
     flat = np.zeros(layout.size)
     for name, view in layout.arrays(flat).items():
         view[...] = values[name]
+    if not np.isfinite(flat).all():  # json reads NaN, Infinity and 1e999
+        raise ParseError("checkpoint parameters must be finite", path)
     meta = {
         "fit_config": doc.get("fit_config"),
         "provenance": doc.get("provenance", {}),

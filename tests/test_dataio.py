@@ -721,10 +721,14 @@ DELETE = object()
         (("arrays", "delta"), [0.0, "x", 0.0]),
         (("arrays", "delta"), [0.0, None, 0.0]),
         (("arrays", "delta"), [[0.0], [0.0, 0.0], [0.0]]),
+        (("arrays", "delta"), [0.0, float("nan"), 0.0]),
+        (("arrays", "beta"), [float("inf"), 0.0]),
+        (("arrays", "end"), [-float("inf")]),
     ],
     ids=["list", "no-m", "str-m", "huge-m", "float-d", "bool-K", "no-variant", "unknown-variant",
          "labels", "arrays-list", "extra-array", "missing-array", "beta-shape",
-         "delta-shape", "str-entry", "null-entry", "ragged"],
+         "delta-shape", "str-entry", "null-entry", "ragged", "nan-entry", "inf-entry",
+         "minus-inf-entry"],
 )
 def test_malformed_checkpoint_names_its_path(tmp_path, key, value):
     layout = ParamLayout("a", 3, 2, 1)
