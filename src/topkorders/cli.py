@@ -9,7 +9,9 @@ platform's default start method (in process for one) and reduces the
 results in task order, so cv.tsv is byte-identical to the one written at
 --workers 1; a worker that dies ends the command with BrokenProcessPool
 (exit 1) instead of a hang. Every other command runs in process and takes
---workers 1 only.
+--workers 1 only. Only `fit` loads OpenSSL's _hashlib, for its
+checkpoint's data_hash; the other commands block it, since the drawing
+ones would load it only through numpy.random and hash nothing.
 """
 
 import argparse
@@ -194,7 +196,9 @@ def _grid_values(text, name, kind, ok, rule):
 
 def _side_file(path, header, m):
     """(line number, id, value text) of each 'id,value' line of a side file,
-    the id checked to lie in [1, m]; blank, comment and header lines skipped."""
+    the id checked to lie in [1, m] and to be new; blank, comment and header
+    lines skipped."""
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
             ln = ln.strip()
@@ -209,6 +213,9 @@ def _side_file(path, header, m):
                 raise ParseError(f"malformed id {fields[0].strip()!r}", path, lineno) from None
             if not 1 <= key <= m:
                 raise ParseError(f"id {key} outside [1, {m}]", path, lineno)
+            if key in seen:
+                raise ParseError(f"duplicate id {key}", path, lineno)
+            seen.add(key)
             yield lineno, key, fields[1].strip()
 
 
@@ -419,6 +426,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command != "fit":
+        # None makes hashlib and hmac fall back to the interpreter's own
+        # digests; setdefault keeps an OpenSSL module a caller already loaded
+        sys.modules.setdefault("_hashlib", None)
     try:
         _check_counts(args, workers=1)
         if args.workers > 1 and args.command != "cv":  # cv's fits are the only parallel tasks

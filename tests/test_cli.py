@@ -238,17 +238,16 @@ def test_cli_import_leaves_out_scipy():
 
 def _loads_numpy_random(argv, also=()):
     """Those of numpy.random and the modules ``also`` that a fresh process
-    that runs the CLI on ``argv`` imports."""
-    src = str(Path(topkorders.__file__).resolve().parents[1])
-    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    that runs the CLI on ``argv`` imports; a None entry in sys.modules, which
+    blocks an import, is no module."""
     names = ("numpy.random", *also)
     code = (
         "import sys; from topkorders.cli import main; "
-        f"assert main({argv!r}) == 0; print([m for m in {names!r} if m in sys.modules])"
+        f"assert main({argv!r}) == 0; "
+        f"print([m for m in {names!r} if sys.modules.get(m) is not None])"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
@@ -272,6 +271,57 @@ def test_commands_that_draw_nothing_leave_out_numpy_random(checkpoint, ballots, 
                  "--out", str(tmp_path / "evalout")],
     }[cmd]
     assert not _loads_numpy_random(argv, also=("_hashlib",))
+
+
+@pytest.mark.parametrize("cmd", ["sample", "eval", "assign", "cv-1", "cv-2"])
+def test_drawing_commands_leave_out_openssl(checkpoint, ballots, tmp_path, cmd):
+    """The commands that draw import numpy.random, whose ``secrets`` would
+    load OpenSSL's _hashlib (3.4 MB) though none of them hashes; only fit
+    does, for its checkpoint's data_hash."""
+    caps = tmp_path / "caps.csv"
+    caps.write_text("program_id,capacity\n1,10\n2,10\n3,10\n4,10\n")
+    cv = ["cv", "--data", ballots, "--model", "c-ld", "--grid", "K=1,2;lapl=0", "--folds", "2",
+          "--max-epochs", "10", "--out", str(tmp_path / "cv.tsv")]
+    argv = {
+        "sample": ["sample", "--model-ckpt", checkpoint, "--n", "5",
+                   "--out", str(tmp_path / "samples")],
+        "eval": ["eval", "--model-ckpt", checkpoint, "--data", ballots, "--reps", "1",
+                 "--out", str(tmp_path / "evalout")],
+        "assign": ["assign", "--preferences", ballots, "--capacities", str(caps),
+                   "--synthetic-from", checkpoint, "--reps", "1"],
+        "cv-1": ["--workers", "1", *cv],
+        "cv-2": ["--workers", "2", *cv],
+    }[cmd]
+    assert _loads_numpy_random(argv, also=("_hashlib",)) == ["numpy.random"]
+
+
+def test_cli_keeps_a_loaded_openssl(checkpoint, tmp_path):
+    """A caller that already loaded OpenSSL's _hashlib keeps it after main."""
+    openssl = pytest.importorskip("_hashlib")
+    assert run(["sample", "--model-ckpt", checkpoint, "--n", "5",
+                "--out", tmp_path / "samples"]) == EXIT_OK
+    assert sys.modules["_hashlib"] is openssl
+
+
+def test_dataset_hash_without_openssl_is_the_pinned_one(tmp_path):
+    """With _hashlib blocked as main blocks it, hashlib's built-in sha256
+    gives test_dataset_hash_pinned's digests, so a process that ran sample
+    and then fits writes the provenance a fresh fit writes."""
+    p = tmp_path / "pin.soi"
+    p.write_text("# NUMBER ALTERNATIVES: 5\n3: 2,1\n1: 5,4,1,2,3\n2: 3\n")
+    code = (
+        "import sys; sys.modules.setdefault('_hashlib', None); import hashlib; "
+        "from topkorders import Dataset, dataset_hash, parse_preflib; "
+        f"D = parse_preflib({str(p)!r}); "
+        "print(hashlib.sha256.__module__, dataset_hash(D), "
+        "dataset_hash(Dataset(D.universe, tuple(reversed(D.orders)))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    )
+    module, *digests = out.stdout.split()
+    assert module in ("_sha256", "_sha2")  # the interpreter's own, not _hashlib
+    assert digests == ["33b51225ffc4855b", "31f756ad8b435f6b"]
 
 
 def test_package_imports_sit_at_module_level():
@@ -323,8 +373,9 @@ def test_negative_count_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["1\n", "x,10\n", "1,ten\n", "1,-1\n", "5,10\n", "0,10\n"],
-    ids=["no-comma", "bad-id", "bad-capacity", "negative-capacity", "id-above-m", "id-zero"],
+    ["1\n", "x,10\n", "1,ten\n", "1,-1\n", "5,10\n", "0,10\n", "2,5\n"],
+    ids=["no-comma", "bad-id", "bad-capacity", "negative-capacity", "id-above-m", "id-zero",
+         "duplicate-id"],
 )
 def test_bad_capacity_line_is_input_error(ballots, tmp_path, capsys, text):
     caps = tmp_path / "caps.csv"
@@ -334,8 +385,8 @@ def test_bad_capacity_line_is_input_error(ballots, tmp_path, capsys, text):
     assert f"{caps}:3:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["1\n", "one,g1\n", "5,g1\n"],
-                         ids=["no-comma", "bad-id", "id-above-m"])
+@pytest.mark.parametrize("text", ["1\n", "one,g1\n", "5,g1\n", "2,g2\n"],
+                         ids=["no-comma", "bad-id", "id-above-m", "duplicate-id"])
 def test_bad_group_map_line_is_input_error(checkpoint, ballots, tmp_path, capsys, text):
     groups = tmp_path / "groups.csv"
     groups.write_text("item_id,group\n2,g1\n" + text)
