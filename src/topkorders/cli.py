@@ -9,13 +9,15 @@ platform's default start method (in process for one) and reduces the
 results in task order, so cv.tsv is byte-identical to the one written at
 --workers 1; a worker that dies ends the command with BrokenProcessPool
 (exit 1) instead of a hang. Every other command runs in process and takes
---workers 1 only. Only `fit` loads OpenSSL's _hashlib, for its
-checkpoint's data_hash; the other commands block it, since the drawing
-ones would load it only through numpy.random and hash nothing.
+--workers 1 only. Run as a program (`python -m topkorders.cli` or the
+`topkorders` script), every command blocks OpenSSL's _hashlib, which the
+drawing ones would load only through numpy.random, and hashes with the
+interpreter's own digests; `main` called from a library leaves it alone.
 """
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -426,10 +428,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "fit":
-        # None makes hashlib and hmac fall back to the interpreter's own
-        # digests; setdefault keeps an OpenSSL module a caller already loaded
-        sys.modules.setdefault("_hashlib", None)
     try:
         _check_counts(args, workers=1)
         if args.workers > 1 and args.command != "cv":  # cv's fits are the only parallel tasks
@@ -443,5 +441,23 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+# hashlib's built-in digest modules, which it loads when _hashlib is missing
+BUILTIN_DIGESTS = ("_md5", "_sha1", "_sha3", "_blake2") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
+
+
+def program_main(argv=None) -> int:
+    """``main`` as a program of its own: first blocks OpenSSL's _hashlib for
+    the rest of the process, where the interpreter has every built-in digest.
+    numpy.random's ``secrets`` would load it (3.4 MB of peak RSS) into every
+    drawing command; the built-in digests give the same bytes, and hmac the
+    same constant-time compare. ``setdefault`` keeps an OpenSSL module that
+    is already loaded."""
+    if all(importlib.util.find_spec(name) for name in BUILTIN_DIGESTS):
+        sys.modules.setdefault("_hashlib", None)
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program_main())

@@ -551,7 +551,7 @@ def load_checkpoint(path):
 
 def dataset_hash(D: Dataset) -> str:
     """The first 16 hex digits of the sha256 of m, then '|a,b,c' per record."""
-    import hashlib  # here, so that cli.main can block OpenSSL after the package loads
+    import hashlib  # here, so that cli.program_main can block OpenSSL after the package loads
 
     h = hashlib.sha256(str(D.universe.m).encode())
     for block in _ballot_bytes(D, b"|", b""):

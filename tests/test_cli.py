@@ -21,6 +21,7 @@ from topkorders.cli import (
     _parse_grid,
     build_parser,
     main,
+    program_main,
 )
 from util import random_orders
 
@@ -238,12 +239,16 @@ def test_cli_import_leaves_out_scipy():
 
 def _loads_numpy_random(argv, also=()):
     """Those of numpy.random and the modules ``also`` that a fresh process
-    that runs the CLI on ``argv`` imports; a None entry in sys.modules, which
-    blocks an import, is no module."""
+    that runs ``python -m topkorders.cli`` on ``argv`` imports; a None entry
+    in sys.modules, which blocks an import, is no module."""
     names = ("numpy.random", *also)
     code = (
-        "import sys; from topkorders.cli import main; "
-        f"assert main({argv!r}) == 0; "
+        "import runpy, sys\n"
+        f"sys.argv = ['topkorders', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('topkorders.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
         f"print([m for m in {names!r} if sys.modules.get(m) is not None])"
     )
     out = subprocess.run(
@@ -254,10 +259,12 @@ def _loads_numpy_random(argv, also=()):
 
 def test_full_batch_fit_leaves_out_numpy_random(ballots, tmp_path):
     """A full-batch fit draws nothing, so its process never imports
-    numpy.random (about 14 ms and 3 MB of a CLI start)."""
+    numpy.random (about 14 ms and 3 MB of a CLI start). It hashes its data
+    for the checkpoint's data_hash with the built-in sha256, not OpenSSL's
+    _hashlib (3.4 MB)."""
     argv = ["fit", "--data", ballots, "--model", "a-s", "--K", "2", "--max-epochs", "20",
             "--out", str(tmp_path / "as.json")]
-    assert not _loads_numpy_random(argv)
+    assert not _loads_numpy_random(argv, also=("_hashlib",))
 
 
 @pytest.mark.parametrize("cmd", ["stats", "eval"])
@@ -276,8 +283,7 @@ def test_commands_that_draw_nothing_leave_out_numpy_random(checkpoint, ballots, 
 @pytest.mark.parametrize("cmd", ["sample", "eval", "assign", "cv-1", "cv-2"])
 def test_drawing_commands_leave_out_openssl(checkpoint, ballots, tmp_path, cmd):
     """The commands that draw import numpy.random, whose ``secrets`` would
-    load OpenSSL's _hashlib (3.4 MB) though none of them hashes; only fit
-    does, for its checkpoint's data_hash."""
+    load OpenSSL's _hashlib (3.4 MB) though none of them hashes."""
     caps = tmp_path / "caps.csv"
     caps.write_text("program_id,capacity\n1,10\n2,10\n3,10\n4,10\n")
     cv = ["cv", "--data", ballots, "--model", "c-ld", "--grid", "K=1,2;lapl=0", "--folds", "2",
@@ -296,17 +302,46 @@ def test_drawing_commands_leave_out_openssl(checkpoint, ballots, tmp_path, cmd):
 
 
 def test_cli_keeps_a_loaded_openssl(checkpoint, tmp_path):
-    """A caller that already loaded OpenSSL's _hashlib keeps it after main."""
+    """A process that already loaded OpenSSL's _hashlib keeps it after
+    program_main."""
     openssl = pytest.importorskip("_hashlib")
-    assert run(["sample", "--model-ckpt", checkpoint, "--n", "5",
-                "--out", tmp_path / "samples"]) == EXIT_OK
+    argv = ["sample", "--model-ckpt", checkpoint, "--n", "5", "--out", str(tmp_path / "samples")]
+    assert program_main(argv) == EXIT_OK
     assert sys.modules["_hashlib"] is openssl
 
 
+@pytest.mark.parametrize("how", ["library-main", "no-builtin-sha256"])
+def test_openssl_stays_where_the_program_does_not_block_it(checkpoint, tmp_path, how):
+    """``main`` called from a library changes no import of its caller, and
+    ``program_main`` blocks nothing where the interpreter lacks a built-in
+    sha256 (a build configured without it, or one that ships only blake2):
+    in both, a fresh process that runs sample ends with OpenSSL's hashlib,
+    whose ``scrypt`` the built-in fallback lacks."""
+    pytest.importorskip("_hashlib")
+    argv = ["sample", "--model-ckpt", checkpoint, "--n", "5", "--out", str(tmp_path / "samples")]
+    call = {
+        "library-main": f"from topkorders.cli import main; assert main({argv!r}) == 0; ",
+        "no-builtin-sha256": (
+            "import importlib.util; find = importlib.util.find_spec; "
+            "importlib.util.find_spec = "
+            "lambda name, *a: None if name in ('_sha2', '_sha256') else find(name, *a); "
+            f"from topkorders.cli import program_main; assert program_main({argv!r}) == 0; "
+        ),
+    }[how]
+    code = call + (
+        "import sys, hashlib; "
+        "print(sys.modules.get('_hashlib') is not None, hasattr(hashlib, 'scrypt'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split()[-2:] == ["True", "True"]
+
+
 def test_dataset_hash_without_openssl_is_the_pinned_one(tmp_path):
-    """With _hashlib blocked as main blocks it, hashlib's built-in sha256
-    gives test_dataset_hash_pinned's digests, so a process that ran sample
-    and then fits writes the provenance a fresh fit writes."""
+    """With _hashlib blocked as program_main blocks it, hashlib's built-in
+    sha256 gives test_dataset_hash_pinned's digests, so a fit writes the
+    same data_hash with and without OpenSSL."""
     p = tmp_path / "pin.soi"
     p.write_text("# NUMBER ALTERNATIVES: 5\n3: 2,1\n1: 5,4,1,2,3\n2: 3\n")
     code = (
